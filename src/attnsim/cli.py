@@ -1,7 +1,8 @@
 """Command-line front end: run one model, compare both, classify a corpus.
 
 Reports go to standard output as JSON; diagnostics go to standard error.
-Exit codes: 0 success, 2 transcript parse error, 1 internal error.
+Exit codes: 0 success, 2 usage or transcript parse error, 3 unreadable
+input file, 1 internal error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import sys
 
 from .driver import (
+    InputError,
     ModelKind,
     RunConfig,
     compare,
@@ -32,6 +34,13 @@ def _capacity(value: str) -> int | None:
     return count
 
 
+def _cost(value: str) -> int:
+    cost = int(value)
+    if cost < 1:
+        raise argparse.ArgumentTypeError("retrieval cost must be at least 1")
+    return cost
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="attnsim",
@@ -42,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one model over a transcript")
     run_p.add_argument("--model", choices=["stack", "cache"], required=True)
     run_p.add_argument("--capacity", type=_capacity, default=7)
-    run_p.add_argument("--cost", type=int, default=1)
+    run_p.add_argument("--cost", type=_cost, default=1)
     run_p.add_argument("--trace", metavar="PATH", default=None)
     run_p.add_argument("file")
 
@@ -74,6 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return 2
+    except InputError as error:
+        print(f"input error: {error}", file=sys.stderr)
+        return 3
     except Exception as error:  # noqa: BLE001 - the process boundary
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -8,8 +8,10 @@ filters used to narrow antecedent candidates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import AbstractSet, Mapping, Sequence
 
 
@@ -35,7 +37,6 @@ class Number(Enum):
 class MentionForm(Enum):
     PRONOUN = "pronoun"
     VP_ELLIPSIS = "vp-ellipsis"
-    DEFINITE_NP = "definite-np"
 
 
 class EventKind(Enum):
@@ -148,20 +149,53 @@ class CaseRecord:
 
 @dataclass(frozen=True)
 class Transcript:
+    """An annotated dialogue.
+
+    Lookups by position, id and segment are indexed lazily, once per
+    transcript; the indexes live in the instance dict, outside the fields,
+    so they take no part in equality or repr. Utterance indexes are
+    assumed to increase along ``utterances``, as the parser assigns them.
+    """
+
     dialogue_id: str
     utterances: tuple[Utterance, ...] = ()
     events: tuple[SegmentEvent, ...] = ()
     item_table: Mapping[str, DiscourseItem] = field(default_factory=dict)
     cases: tuple[CaseRecord, ...] = ()
 
-    def utterance_by_id(self, utt_id: str) -> Utterance:
+    @cached_property
+    def _events_by_position(self) -> dict[int, tuple[SegmentEvent, ...]]:
+        grouped: dict[int, list[SegmentEvent]] = {}
+        for event in self.events:
+            grouped.setdefault(event.position, []).append(event)
+        return {position: tuple(events) for position, events in grouped.items()}
+
+    @cached_property
+    def _utterances_by_id(self) -> dict[str, Utterance]:
+        index: dict[str, Utterance] = {}
         for utt in self.utterances:
-            if utt.id == utt_id:
-                return utt
-        raise KeyError(utt_id)
+            index.setdefault(utt.id, utt)
+        return index
+
+    @cached_property
+    def _segment_index(self) -> dict[str | None, tuple[tuple[str, ...], list[int]]]:
+        """Per innermost segment: its items in first-realization order, and
+        the utterance index of each first realization (non-decreasing)."""
+
+        first_seen: dict[str | None, dict[str, int]] = {}
+        for utt, seg in zip(self.utterances, segment_assignments(self)):
+            seen = first_seen.setdefault(seg, {})
+            for item_id in utt.items:
+                seen.setdefault(item_id, utt.index)
+        return {
+            seg: (tuple(seen), list(seen.values())) for seg, seen in first_seen.items()
+        }
+
+    def utterance_by_id(self, utt_id: str) -> Utterance:
+        return self._utterances_by_id[utt_id]
 
     def events_at(self, position: int) -> tuple[SegmentEvent, ...]:
-        return tuple(e for e in self.events if e.position == position)
+        return self._events_by_position.get(position, ())
 
     def mentions(self) -> tuple[Mention, ...]:
         out: list[Mention] = []
@@ -173,10 +207,11 @@ class Transcript:
 def segment_assignments(transcript: Transcript) -> tuple[str | None, ...]:
     """Innermost open segment id for each utterance (None = root)."""
 
+    events_by_position = transcript._events_by_position
     open_stack: list[str] = []
     assign: list[str | None] = []
     for utt in transcript.utterances:
-        for event in transcript.events_at(utt.index):
+        for event in events_by_position.get(utt.index, ()):
             if event.kind is EventKind.PUSH:
                 open_stack.append(event.segment_id)
             elif event.kind is EventKind.POP:
@@ -197,17 +232,10 @@ def segment_items(
     With ``before``, only utterances preceding that index contribute.
     """
 
-    assign = segment_assignments(transcript)
-    seen: list[str] = []
-    for utt, seg in zip(transcript.utterances, assign):
-        if seg != segment_id:
-            continue
-        if before is not None and utt.index >= before:
-            continue
-        for item_id in utt.items:
-            if item_id not in seen:
-                seen.append(item_id)
-    return tuple(seen)
+    items, firsts = transcript._segment_index.get(segment_id, ((), []))
+    if before is None:
+        return items
+    return items[: bisect_left(firsts, before)]
 
 
 @dataclass(frozen=True)
@@ -221,13 +249,12 @@ class AccessibilityView:
     lost: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        imm = set(self.immediate)
-        if imm & self.retrievable or imm & self.lost or self.retrievable & self.lost:
+        if not (
+            self.retrievable.isdisjoint(self.immediate)
+            and self.lost.isdisjoint(self.immediate)
+            and self.retrievable.isdisjoint(self.lost)
+        ):
             raise ValueError("accessibility stores must be pairwise disjoint")
-
-
-def _feature_compatible(left: Enum, right: Enum, unspecified: Enum) -> bool:
-    return left is unspecified or right is unspecified or left is right
 
 
 def agreement_filter(
@@ -238,11 +265,13 @@ def agreement_filter(
     Unspecified on either side is compatible with anything; order preserved.
     """
 
+    gender, any_gender = mention.gender, Gender.UNSPECIFIED
+    number, any_number = mention.number, Number.UNSPECIFIED
     return [
         item
         for item in candidates
-        if _feature_compatible(item.gender, mention.gender, Gender.UNSPECIFIED)
-        and _feature_compatible(item.number, mention.number, Number.UNSPECIFIED)
+        if (gender is any_gender or item.gender is gender or item.gender is any_gender)
+        and (number is any_number or item.number is number or item.number is any_number)
     ]
 
 
@@ -253,4 +282,5 @@ def selection_filter(
 
     if not required:
         return list(candidates)
-    return [item for item in candidates if item.sel_classes >= set(required)]
+    needed = frozenset(required)
+    return [item for item in candidates if item.sel_classes >= needed]

@@ -35,12 +35,31 @@ from .resolution import (
     classify_return_pop,
     resolve,
 )
-from .transcript_io import TraceRecord, parse, write_trace
+from .transcript_io import TraceRecord, outcome_json, parse, write_trace
 
 
 class ModelKind(Enum):
     STACK = "stack"
     CACHE = "cache"
+
+
+class InputError(Exception):
+    """A transcript file that cannot be read as UTF-8 text."""
+
+
+def load_transcript(path: str) -> Transcript:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as error:
+        raise InputError(f"{path}: {error.strerror or error}") from error
+    except UnicodeDecodeError as error:
+        raise InputError(f"{path}: {error}") from error
+    return parse(text)
+
+
+def _check_retrieval_cost(cost: int) -> None:
+    if cost < 1:
+        raise ValueError(f"retrieval cost must be at least 1, got {cost}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +69,9 @@ class RunConfig:
     capacity: int | None = DEFAULT_CAPACITY
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST
     trace_out_path: str | None = None
+
+    def __post_init__(self) -> None:
+        _check_retrieval_cost(self.retrieval_cost)
 
 
 @dataclass(frozen=True)
@@ -87,7 +109,6 @@ class DivergenceReport:
     dialogue_id: str
     per_mention: tuple[DivergenceRow, ...]
     iru_findings: tuple[tuple[str, IRUFinding, IRUFinding], ...]
-    stack_effort: int
     cache_effort: int
 
 
@@ -97,6 +118,7 @@ def replay(
     capacity: int | None = DEFAULT_CAPACITY,
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
 ) -> SimulationReport:
+    _check_retrieval_cost(retrieval_cost)
     if model_kind is ModelKind.STACK:
         return _replay_stack(transcript)
     return _replay_cache(transcript, capacity, retrieval_cost)
@@ -231,7 +253,7 @@ def _replay_cache(
 
 
 def run(config: RunConfig) -> SimulationReport:
-    transcript = parse(Path(config.transcript_path).read_text(encoding="utf-8"))
+    transcript = load_transcript(config.transcript_path)
     report = replay(
         transcript, config.model_kind, config.capacity, config.retrieval_cost
     )
@@ -270,7 +292,6 @@ def compare_transcript(
         dialogue_id=transcript.dialogue_id,
         per_mention=rows,
         iru_findings=joined,
-        stack_effort=0,
         cache_effort=cache_report.total_effort,
     )
 
@@ -280,7 +301,7 @@ def compare(
     capacity: int | None = DEFAULT_CAPACITY,
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
 ) -> DivergenceReport:
-    transcript = parse(Path(transcript_path).read_text(encoding="utf-8"))
+    transcript = load_transcript(transcript_path)
     return compare_transcript(transcript, capacity, retrieval_cost)
 
 
@@ -398,23 +419,12 @@ def classify_corpus(transcript: Transcript) -> PopsReport:
 
 
 def pops(transcript_path: str) -> PopsReport:
-    transcript = parse(Path(transcript_path).read_text(encoding="utf-8"))
+    transcript = load_transcript(transcript_path)
     return classify_corpus(transcript)
 
 
 # ---------------------------------------------------------------------------
 # JSON-facing report shapes (stable key order for deterministic output)
-
-
-def _outcome_json(outcome: Outcome) -> dict:
-    data: dict = {"kind": outcome.kind.value}
-    if outcome.item is not None:
-        data["item"] = outcome.item
-    if outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
-        data["effort"] = outcome.effort
-    if outcome.reason is not None:
-        data["reason"] = outcome.reason.value
-    return data
 
 
 def _capacity_json(capacity: int | None) -> int | str:
@@ -434,7 +444,7 @@ def simulation_report_json(report: SimulationReport) -> dict:
         {
             "utteranceId": utt_id,
             "mentionId": resolution.mention_id,
-            "outcome": _outcome_json(resolution.outcome),
+            "outcome": outcome_json(resolution.outcome),
             "candidatesConsidered": list(resolution.candidates_considered),
             "correct": resolution.correct,
         }
@@ -457,8 +467,8 @@ def divergence_report_json(report: DivergenceReport) -> dict:
         "perMention": [
             {
                 "mentionId": row.mention_id,
-                "stack": _outcome_json(row.stack_outcome),
-                "cache": _outcome_json(row.cache_outcome),
+                "stack": outcome_json(row.stack_outcome),
+                "cache": outcome_json(row.cache_outcome),
                 "diverges": row.diverges,
             }
             for row in report.per_mention
@@ -476,7 +486,8 @@ def divergence_report_json(report: DivergenceReport) -> dict:
             }
             for utt_id, stack_f, cache_f in report.iru_findings
         ],
-        "totalEffort": {"stack": report.stack_effort, "cache": report.cache_effort},
+        # The stack model never retrieves, so its effort is always zero.
+        "totalEffort": {"stack": 0, "cache": report.cache_effort},
     }
 
 

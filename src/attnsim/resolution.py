@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .core import (
@@ -122,20 +123,18 @@ def full_requirements(mention: Mention) -> frozenset[str]:
     return frozenset(tags)
 
 
-def _candidate_kinds(form: MentionForm) -> frozenset[ItemKind]:
-    # A verb-phrase ellipsis picks out an elided predication, so only
-    # proposition records can antecede it; referring forms pick out
-    # entities or propositions. Surface-form records are never referents.
-    if form is MentionForm.VP_ELLIPSIS:
-        return frozenset({ItemKind.PROPOSITION})
-    return frozenset({ItemKind.ENTITY, ItemKind.PROPOSITION})
-
-
 def _survivors(
     candidates: Sequence[DiscourseItem], mention: Mention
 ) -> list[DiscourseItem]:
-    kinds = _candidate_kinds(mention.form)
-    pool = [item for item in candidates if item.kind in kinds]
+    # A verb-phrase ellipsis picks out an elided predication, so only
+    # proposition records can antecede it; referring forms pick out
+    # entities or propositions. Surface-form records are never referents.
+    if mention.form is MentionForm.VP_ELLIPSIS:
+        proposition = ItemKind.PROPOSITION
+        pool = [item for item in candidates if item.kind is proposition]
+    else:
+        surface = ItemKind.SURFACE_FORM
+        pool = [item for item in candidates if item.kind is not surface]
     return selection_filter(agreement_filter(pool, mention), full_requirements(mention))
 
 
@@ -188,8 +187,10 @@ def resolve(
         )
 
     if allow_retrieval:
-        retrievable = [table[item_id] for item_id in sorted(accessibility.retrievable)]
-        winners = _survivors(retrievable, mention)
+        # The filters keep order, so sorting only the survivors by id gives
+        # the same list as filtering the sorted store.
+        retrievable = [table[item_id] for item_id in accessibility.retrievable]
+        winners = sorted(_survivors(retrievable, mention), key=attrgetter("id"))
         if len(winners) == 1:
             chosen = winners[0]
             return Resolution(

@@ -527,7 +527,7 @@ class TraceRecord:
     cumulative_effort: int
 
 
-def _outcome_to_json(outcome: Outcome) -> dict:
+def outcome_json(outcome: Outcome) -> dict:
     data: dict = {"kind": outcome.kind.value}
     if outcome.item is not None:
         data["item"] = outcome.item
@@ -553,7 +553,7 @@ def _record_to_json(record: TraceRecord) -> dict:
         "resolutions": [
             {
                 "mentionId": resolution.mention_id,
-                "outcome": _outcome_to_json(resolution.outcome),
+                "outcome": outcome_json(resolution.outcome),
                 "candidatesConsidered": list(resolution.candidates_considered),
                 "correct": resolution.correct,
             }

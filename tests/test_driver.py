@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from attnsim.cli import build_parser, main
 from attnsim.driver import (
     ModelKind,
@@ -191,10 +193,57 @@ def test_cli_malformed_file_exits_2(tmp_path, capsys):
     assert "PSH" in err and "line 2" in err
 
 
-def test_cli_missing_file_exits_1(tmp_path, capsys):
-    code = main(["compare", str(tmp_path / "nope.dlg")])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+def test_cli_missing_file_exits_3(tmp_path, capsys):
+    missing = tmp_path / "nope.dlg"
+    code = main(["compare", str(missing)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"input error: {missing}: No such file or directory\n"
+    )
+
+
+def test_cli_non_utf8_file_exits_3(tmp_path, capsys):
+    bad = tmp_path / "latin1.dlg"
+    bad.write_bytes(b"DIALOGUE caf\xe9\nUTT 1 speaker=A\n")
+    for argv in (["run", "--model", "cache"], ["compare"], ["pops"]):
+        code = main([*argv, str(bad)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {bad}: ")
+        assert "utf-8" in err
+
+
+def test_cli_directory_as_file_exits_3(tmp_path, capsys):
+    assert main(["pops", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"input error: {tmp_path}: ")
+
+
+@pytest.mark.parametrize("cost", ["0", "-1"])
+@pytest.mark.parametrize(
+    "fixture", ["dialogue_a.dlg", "dialogue_b.dlg", "dialogue_c.dlg", "return_pops.dlg"]
+)
+@pytest.mark.parametrize("model", ["stack", "cache"])
+def test_cli_cost_below_one_is_a_usage_error(fixture, cost, model, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--model", model, "--cost", cost, str(fixture_path(fixture))])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "retrieval cost must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("cost", [0, -1])
+def test_cost_below_one_is_rejected_in_process(cost, dialogue_b):
+    with pytest.raises(ValueError, match="retrieval cost"):
+        RunConfig(
+            model_kind=ModelKind.CACHE,
+            transcript_path=str(fixture_path("dialogue_b.dlg")),
+            retrieval_cost=cost,
+        )
+    with pytest.raises(ValueError, match="retrieval cost"):
+        replay(dialogue_b, ModelKind.CACHE, retrieval_cost=cost)
+    with pytest.raises(ValueError, match="retrieval cost"):
+        compare_transcript(dialogue_b, retrieval_cost=cost)
 
 
 def test_cli_compare_and_pops_payloads(capsys):

@@ -106,6 +106,34 @@ def test_retrievable_tie_is_ambiguous():
     assert set(resolution.candidates_considered) == {"one", "two"}
 
 
+def test_retrievable_ambiguity_lists_candidates_by_id():
+    ids = ["m7", "b2", "zz", "a10", "k", "a9", "c"]
+    table = {item_id: entity(item_id) for item_id in ids}
+    table["f"] = entity("f", gender=Gender.FEM)
+    snapshot = AccessibilityView(retrievable=frozenset([*ids, "f"]))
+    resolution = resolve(pronoun("k"), snapshot, table, allow_retrieval=True)
+    assert resolution.outcome == Outcome.failure(FailureReason.AMBIGUOUS)
+    assert resolution.candidates_considered == tuple(sorted(ids))
+
+
+def test_ellipsis_never_gets_an_entity_candidate():
+    props = {f"p{i}": DiscourseItem(id=f"p{i}", kind=ItemKind.PROPOSITION) for i in (2, 1)}
+    entities = {f"e{i}": entity(f"e{i}", gender=Gender.UNSPECIFIED) for i in range(3)}
+    surface = DiscourseItem(id="s", kind=ItemKind.SURFACE_FORM, realizes="p1")
+    table = {**props, **entities, "s": surface}
+    mention = Mention(id="e", form=MentionForm.VP_ELLIPSIS, gold_antecedent="p1")
+    retrievable = AccessibilityView(retrievable=frozenset(table))
+    resolution = resolve(mention, retrievable, table, allow_retrieval=True)
+    assert resolution.outcome == Outcome.failure(FailureReason.AMBIGUOUS)
+    assert resolution.candidates_considered == ("p1", "p2")
+    only_entities = AccessibilityView(
+        immediate=("e0", "e1"), retrievable=frozenset({"e2", "s"})
+    )
+    resolution = resolve(mention, only_entities, table, allow_retrieval=True)
+    assert resolution.outcome == Outcome.failure(FailureReason.NO_CANDIDATE)
+    assert resolution.candidates_considered == ()
+
+
 def test_after_retrieval_requires_positive_effort():
     with pytest.raises(ValueError):
         Outcome.after_retrieval("x", 0)
