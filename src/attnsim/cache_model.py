@@ -318,11 +318,11 @@ def _return_cue(
 ) -> list[str]:
     """Most recently used items of the resumed segment, leaving one slot
     free so the retrieval cannot immediately evict the incoming utterance.
+    Discarded surface forms are gone for good, so the cue leaves them out.
     """
 
-    candidates = list(
-        segment_items(transcript, event.segment_id, before=event.position)
-    )
+    realized = segment_items(transcript, event.segment_id, before=event.position)
+    candidates = [item_id for item_id in realized if item_id not in state.discarded]
     candidates.sort(key=lambda item_id: state.last_touch[item_id], reverse=True)
     if state.capacity is not None:
         candidates = candidates[: state.capacity - 1]
@@ -349,6 +349,12 @@ def apply_iru(
     return insert_items(state, wanted)
 
 
+def absorb(state: CacheState, utt: Utterance) -> tuple[CacheState, list[StoreEvent]]:
+    """Admit the utterance's own items at no effort."""
+
+    return insert_items(state, utt.items)
+
+
 def process_utterance(
     state: CacheState,
     utt: Utterance,
@@ -363,8 +369,8 @@ def process_utterance(
     state, log = apply_events(state, events_before, transcript, retrieval_cost)
     state, iru_events = apply_iru(state, utt, transcript)
     log.extend(iru_events)
-    state, insert_events = insert_items(state, utt.items)
-    log.extend(insert_events)
+    state, absorb_events = absorb(state, utt)
+    log.extend(absorb_events)
     return state, log
 
 

@@ -2,7 +2,7 @@
 
 Reports go to standard output as JSON; diagnostics go to standard error.
 Exit codes: 0 success, 2 usage or transcript parse error, 3 unreadable
-input file, 1 internal error.
+input file or unwritable trace file, 1 internal error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 from .driver import (
     InputError,
     ModelKind,
+    OutputError,
     RunConfig,
     compare,
     divergence_report_json,
@@ -85,6 +86,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InputError as error:
         print(f"input error: {error}", file=sys.stderr)
+        return 3
+    except OutputError as error:
+        print(f"output error: {error}", file=sys.stderr)
         return 3
     except Exception as error:  # noqa: BLE001 - the process boundary
         print(f"error: {error}", file=sys.stderr)

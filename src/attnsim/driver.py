@@ -15,14 +15,8 @@ from enum import Enum
 from pathlib import Path
 
 from . import cache_model, stack_model
-from .cache_model import CacheState, DEFAULT_CAPACITY, DEFAULT_RETRIEVAL_COST
-from .core import (
-    EventKind,
-    ItemKind,
-    StoreEvent,
-    StoreEventKind,
-    Transcript,
-)
+from .cache_model import DEFAULT_CAPACITY, DEFAULT_RETRIEVAL_COST
+from .core import EventKind, ItemKind, Transcript
 from .resolution import (
     IRUFunction,
     Outcome,
@@ -35,7 +29,13 @@ from .resolution import (
     classify_return_pop,
     resolve,
 )
-from .transcript_io import TraceRecord, outcome_json, parse, write_trace
+from .transcript_io import (
+    TraceRecord,
+    outcome_json,
+    parse,
+    resolution_json,
+    write_trace,
+)
 
 
 class ModelKind(Enum):
@@ -45,6 +45,10 @@ class ModelKind(Enum):
 
 class InputError(Exception):
     """A transcript file that cannot be read as UTF-8 text."""
+
+
+class OutputError(Exception):
+    """A trace file that cannot be written."""
 
 
 def load_transcript(path: str) -> Transcript:
@@ -118,137 +122,82 @@ def replay(
     capacity: int | None = DEFAULT_CAPACITY,
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
 ) -> SimulationReport:
+    """Fold the transcript through one model, utterance by utterance:
+    segment boundaries, then redundancy handling, then each mention's
+    resolution, then the utterance's own items."""
+
     _check_retrieval_cost(retrieval_cost)
-    if model_kind is ModelKind.STACK:
-        return _replay_stack(transcript)
-    return _replay_cache(transcript, capacity, retrieval_cost)
-
-
-def _iru_finding(
-    transcript: Transcript, utt, accessibility, flag_when_all_fresh: bool
-) -> IRUFinding:
-    functions = tuple(analyze_iru(utt, accessibility, transcript))
-    all_fresh = bool(functions) and all(
-        function is IRUFunction.REFRESH_IN_CACHE for _, function in functions
-    )
-    return IRUFinding(
-        utterance_id=utt.id,
-        functions=functions,
-        no_predicted_function=flag_when_all_fresh and all_fresh,
-    )
-
-
-def _replay_stack(transcript: Transcript) -> SimulationReport:
-    state = stack_model.new_stack()
+    # Only the cache retrieves; the stack reports no capacity, cost or effort.
+    retrieves = model_kind is ModelKind.CACHE
+    if retrieves:
+        model = cache_model
+        state = cache_model.new_cache(transcript.item_table, capacity)
+    else:
+        model, state = stack_model, stack_model.new_stack()
+        capacity, retrieval_cost = None, 0
     records: list[TraceRecord] = []
     resolutions: list[tuple[str, Resolution]] = []
     findings: list[IRUFinding] = []
     for utt in transcript.utterances:
-        applied: list[StoreEvent] = []
-        for event in transcript.events_at(utt.index):
-            before_ids = [space.segment_id for space in state.spaces]
-            state = stack_model.apply_event(state, event)
-            if event.kind is EventKind.PUSH:
-                applied.append(StoreEvent(StoreEventKind.PUSH_SPACE, event.segment_id))
-            else:
-                popped = before_ids[len(state.spaces) :]
-                applied.extend(
-                    StoreEvent(StoreEventKind.POP_SPACE, seg)
-                    for seg in reversed([s for s in popped if s is not None])
-                )
-        accessibility = stack_model.view(state)
-        if utt.is_iru:
-            # The stack model predicts nothing for a restatement whose
-            # content is already sitting in stacked focus spaces.
-            findings.append(
-                _iru_finding(transcript, utt, accessibility, flag_when_all_fresh=True)
-            )
-        utt_resolutions = []
-        for mention in utt.mentions:
-            resolution = resolve(
-                mention, accessibility, transcript.item_table, allow_retrieval=False
-            )
-            utt_resolutions.append(resolution)
-            resolutions.append((utt.id, resolution))
-        state = stack_model.apply_utterance(state, utt)
-        records.append(
-            TraceRecord(
-                utterance_index=utt.index,
-                events_applied=tuple(applied),
-                view=stack_model.view(state),
-                resolutions=tuple(utt_resolutions),
-                cumulative_effort=0,
-            )
-        )
-    return SimulationReport(
-        dialogue_id=transcript.dialogue_id,
-        model_kind=ModelKind.STACK,
-        capacity=None,
-        retrieval_cost=0,
-        records=tuple(records),
-        resolutions=tuple(resolutions),
-        iru_findings=tuple(findings),
-        total_effort=0,
-    )
-
-
-def _replay_cache(
-    transcript: Transcript, capacity: int | None, retrieval_cost: int
-) -> SimulationReport:
-    state: CacheState = cache_model.new_cache(transcript.item_table, capacity)
-    records: list[TraceRecord] = []
-    resolutions: list[tuple[str, Resolution]] = []
-    findings: list[IRUFinding] = []
-    for utt in transcript.utterances:
-        state, applied = cache_model.apply_events(
+        state, applied = model.apply_events(
             state, transcript.events_at(utt.index), transcript, retrieval_cost
         )
+        # Views are built on demand and reused until the state changes.
+        accessibility = None
         if utt.is_iru:
-            findings.append(
-                _iru_finding(
-                    transcript, utt, cache_model.view(state), flag_when_all_fresh=False
-                )
+            accessibility = model.view(state)
+            functions = tuple(analyze_iru(utt, accessibility, transcript))
+            # The stack model predicts nothing for a restatement whose
+            # content is already sitting in stacked focus spaces.
+            all_fresh = bool(functions) and all(
+                function is IRUFunction.REFRESH_IN_CACHE for _, function in functions
             )
-            state, iru_events = cache_model.apply_iru(state, utt, transcript)
+            findings.append(IRUFinding(utt.id, functions, not retrieves and all_fresh))
+            restated, iru_events = model.apply_iru(state, utt, transcript)
             applied.extend(iru_events)
+            if restated is not state:
+                state, accessibility = restated, None
         utt_resolutions = []
         for mention in utt.mentions:
+            if accessibility is None:
+                accessibility = model.view(state)
             resolution = resolve(
                 mention,
-                cache_model.view(state),
+                accessibility,
                 transcript.item_table,
-                allow_retrieval=True,
+                allow_retrieval=retrieves,
                 retrieval_cost=retrieval_cost,
             )
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
                 # Strategic retrieval: interpreting the anaphor pulls its
                 # antecedent into the cache and pays for the trip.
-                state, _, retrieval_events = cache_model.retrieve(
+                state, _, retrieval_events = model.retrieve(
                     state, [resolution.outcome.item], retrieval_cost
                 )
                 applied.extend(retrieval_events)
+                accessibility = None
             utt_resolutions.append(resolution)
             resolutions.append((utt.id, resolution))
-        state, insert_events = cache_model.insert_items(state, utt.items)
-        applied.extend(insert_events)
+        state, absorb_events = model.absorb(state, utt)
+        applied.extend(absorb_events)
         records.append(
             TraceRecord(
                 utterance_index=utt.index,
                 events_applied=tuple(applied),
-                view=cache_model.view(state),
+                view=model.view(state),
                 resolutions=tuple(utt_resolutions),
-                cumulative_effort=state.effort,
+                cumulative_effort=state.effort if retrieves else 0,
             )
         )
     return SimulationReport(
         dialogue_id=transcript.dialogue_id,
-        model_kind=ModelKind.CACHE,
+        model_kind=model_kind,
         capacity=capacity,
         retrieval_cost=retrieval_cost,
         records=tuple(records),
         resolutions=tuple(resolutions),
         iru_findings=tuple(findings),
-        total_effort=state.effort,
+        total_effort=state.effort if retrieves else 0,
     )
 
 
@@ -258,9 +207,13 @@ def run(config: RunConfig) -> SimulationReport:
         transcript, config.model_kind, config.capacity, config.retrieval_cost
     )
     if config.trace_out_path is not None:
-        Path(config.trace_out_path).write_text(
-            write_trace(report.records), encoding="utf-8"
-        )
+        text = write_trace(report.records)
+        try:
+            Path(config.trace_out_path).write_text(text, encoding="utf-8")
+        except OSError as error:
+            raise OutputError(
+                f"{config.trace_out_path}: {error.strerror or error}"
+            ) from error
     return report
 
 
@@ -431,6 +384,10 @@ def _capacity_json(capacity: int | None) -> int | str:
     return "inf" if capacity is None else capacity
 
 
+def _functions_json(finding: IRUFinding) -> dict[str, str]:
+    return {item: function.value for item, function in finding.functions}
+
+
 def simulation_report_json(report: SimulationReport) -> dict:
     data: dict = {
         "dialogueId": report.dialogue_id,
@@ -441,19 +398,13 @@ def simulation_report_json(report: SimulationReport) -> dict:
         data["retrievalCost"] = report.retrieval_cost
     data["totalEffort"] = report.total_effort
     data["resolutions"] = [
-        {
-            "utteranceId": utt_id,
-            "mentionId": resolution.mention_id,
-            "outcome": outcome_json(resolution.outcome),
-            "candidatesConsidered": list(resolution.candidates_considered),
-            "correct": resolution.correct,
-        }
+        {"utteranceId": utt_id, **resolution_json(resolution)}
         for utt_id, resolution in report.resolutions
     ]
     data["iruFindings"] = [
         {
             "utteranceId": finding.utterance_id,
-            "functions": {item: fn.value for item, fn in finding.functions},
+            "functions": _functions_json(finding),
             "noPredictedFunction": finding.no_predicted_function,
         }
         for finding in report.iru_findings
@@ -477,12 +428,10 @@ def divergence_report_json(report: DivergenceReport) -> dict:
             {
                 "utteranceId": utt_id,
                 "stack": {
-                    "functions": {item: fn.value for item, fn in stack_f.functions},
+                    "functions": _functions_json(stack_f),
                     "noPredictedFunction": stack_f.no_predicted_function,
                 },
-                "cache": {
-                    "functions": {item: fn.value for item, fn in cache_f.functions},
-                },
+                "cache": {"functions": _functions_json(cache_f)},
             }
             for utt_id, stack_f, cache_f in report.iru_findings
         ],

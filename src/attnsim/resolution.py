@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
+    DERIVED_TAG_PREFIX,
     AccessibilityView,
     DiscourseItem,
     ItemKind,
@@ -110,32 +110,50 @@ class ReturnPopCase:
             )
 
 
-def static_requirements(mention: Mention) -> frozenset[str]:
-    return frozenset(
-        tag for tag in mention.required_sel_classes if not tag.startswith("pred:")
+@dataclass(frozen=True)
+class CascadeTrace:
+    """Survivor ids as each cue narrows a candidate list, in list order."""
+
+    after_agreement: tuple[str, ...]
+    after_static_selection: tuple[str, ...]
+    after_dialogue_selection: tuple[str, ...]
+
+
+def staged_filter(
+    candidates: Sequence[DiscourseItem], mention: Mention
+) -> CascadeTrace:
+    """Narrow candidates by agreement, then by the mention's static
+    selectional tags, then by the tags only the dialogue supplies (its
+    ``pred:`` tags and its verb's); each stage filters the one before."""
+
+    required = mention.required_sel_classes
+    dialogue_tags = {tag for tag in required if tag.startswith(DERIVED_TAG_PREFIX)}
+    if mention.verb_lemma:
+        dialogue_tags.add(derived_tag(mention.verb_lemma))
+    agreeing = agreement_filter(candidates, mention)
+    static = selection_filter(agreeing, required - dialogue_tags)
+    dialogue = selection_filter(static, dialogue_tags)
+    return CascadeTrace(
+        after_agreement=tuple(item.id for item in agreeing),
+        after_static_selection=tuple(item.id for item in static),
+        after_dialogue_selection=tuple(item.id for item in dialogue),
     )
 
 
-def full_requirements(mention: Mention) -> frozenset[str]:
-    tags = set(mention.required_sel_classes)
-    if mention.verb_lemma:
-        tags.add(derived_tag(mention.verb_lemma))
-    return frozenset(tags)
-
-
-def _survivors(
-    candidates: Sequence[DiscourseItem], mention: Mention
-) -> list[DiscourseItem]:
+def _referents(
+    item_ids: Iterable[str], mention: Mention, table: Mapping[str, DiscourseItem]
+) -> tuple[str, ...]:
     # A verb-phrase ellipsis picks out an elided predication, so only
     # proposition records can antecede it; referring forms pick out
     # entities or propositions. Surface-form records are never referents.
+    items = [table[item_id] for item_id in item_ids]
     if mention.form is MentionForm.VP_ELLIPSIS:
         proposition = ItemKind.PROPOSITION
-        pool = [item for item in candidates if item.kind is proposition]
+        pool = [item for item in items if item.kind is proposition]
     else:
         surface = ItemKind.SURFACE_FORM
-        pool = [item for item in candidates if item.kind is not surface]
-    return selection_filter(agreement_filter(pool, mention), full_requirements(mention))
+        pool = [item for item in items if item.kind is not surface]
+    return staged_filter(pool, mention).after_dialogue_selection
 
 
 def _surface_carrier(
@@ -165,75 +183,33 @@ def resolve(
 
     gold = mention.gold_antecedent
 
+    def resolution(outcome: Outcome, considered: tuple[str, ...] = ()) -> Resolution:
+        return Resolution(mention.id, outcome, considered, correct=outcome.item == gold)
+
     if mention.form is MentionForm.VP_ELLIPSIS:
         carrier = _surface_carrier(gold, table)
         if carrier is not None and carrier.id in accessibility.lost:
-            return Resolution(
-                mention_id=mention.id,
-                outcome=Outcome.failure(FailureReason.SURFACE_FORM_LOST),
-                candidates_considered=(),
-                correct=False,
-            )
+            return resolution(Outcome.failure(FailureReason.SURFACE_FORM_LOST))
 
-    immediate = [table[item_id] for item_id in accessibility.immediate]
-    winners = _survivors(immediate, mention)
+    winners = _referents(accessibility.immediate, mention, table)
     if winners:
-        chosen = winners[0]
-        return Resolution(
-            mention_id=mention.id,
-            outcome=Outcome.immediate(chosen.id),
-            candidates_considered=tuple(item.id for item in winners),
-            correct=chosen.id == gold,
-        )
+        return resolution(Outcome.immediate(winners[0]), winners)
 
     if allow_retrieval:
         # The filters keep order, so sorting only the survivors by id gives
         # the same list as filtering the sorted store.
-        retrievable = [table[item_id] for item_id in accessibility.retrievable]
-        winners = sorted(_survivors(retrievable, mention), key=attrgetter("id"))
+        winners = tuple(sorted(_referents(accessibility.retrievable, mention, table)))
         if len(winners) == 1:
-            chosen = winners[0]
-            return Resolution(
-                mention_id=mention.id,
-                outcome=Outcome.after_retrieval(chosen.id, retrieval_cost),
-                candidates_considered=(chosen.id,),
-                correct=chosen.id == gold,
-            )
-        if len(winners) > 1:
-            return Resolution(
-                mention_id=mention.id,
-                outcome=Outcome.failure(FailureReason.AMBIGUOUS),
-                candidates_considered=tuple(item.id for item in winners),
-                correct=False,
-            )
+            outcome = Outcome.after_retrieval(winners[0], retrieval_cost)
+            return resolution(outcome, winners)
+        if winners:
+            return resolution(Outcome.failure(FailureReason.AMBIGUOUS), winners)
 
-    return Resolution(
-        mention_id=mention.id,
-        outcome=Outcome.failure(FailureReason.NO_CANDIDATE),
-        candidates_considered=(),
-        correct=False,
-    )
-
-
-@dataclass(frozen=True)
-class CascadeTrace:
-    """Survivor counts as each cue narrows a return-pop competition."""
-
-    after_agreement: tuple[str, ...]
-    after_static_selection: tuple[str, ...]
-    after_dialogue_selection: tuple[str, ...]
+    return resolution(Outcome.failure(FailureReason.NO_CANDIDATE))
 
 
 def cascade_survivors(case: ReturnPopCase) -> CascadeTrace:
-    mention = case.mention
-    stage1 = agreement_filter(list(case.candidates_at_return), mention)
-    stage2 = selection_filter(stage1, static_requirements(mention))
-    stage3 = selection_filter(stage2, full_requirements(mention))
-    return CascadeTrace(
-        after_agreement=tuple(item.id for item in stage1),
-        after_static_selection=tuple(item.id for item in stage2),
-        after_dialogue_selection=tuple(item.id for item in stage3),
-    )
+    return staged_filter(case.candidates_at_return, case.mention)
 
 
 def classify_return_pop(case: ReturnPopCase) -> PopClassification:

@@ -9,8 +9,17 @@ every operation returns a new state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import AccessibilityView, EventKind, SegmentEvent, Utterance
+from .core import (
+    AccessibilityView,
+    EventKind,
+    SegmentEvent,
+    StoreEvent,
+    StoreEventKind,
+    Transcript,
+    Utterance,
+)
 
 
 class StructureError(RuntimeError):
@@ -75,6 +84,31 @@ def apply_event(stack: FocusStack, event: SegmentEvent) -> FocusStack:
     return _pop_spaces(stack, depth)
 
 
+def apply_events(
+    stack: FocusStack,
+    events_before: Sequence[SegmentEvent],
+    transcript: Transcript,
+    retrieval_cost: int = 0,
+) -> tuple[FocusStack, list[StoreEvent]]:
+    """Apply segment boundaries, logging each focus space pushed and each
+    one popped (innermost first). The stack never retrieves, so the
+    transcript and the retrieval cost go unused."""
+
+    log: list[StoreEvent] = []
+    for event in events_before:
+        before = stack.spaces
+        stack = apply_event(stack, event)
+        if event.kind is EventKind.PUSH:
+            log.append(StoreEvent(StoreEventKind.PUSH_SPACE, event.segment_id))
+        else:
+            popped = before[len(stack.spaces) :]
+            log.extend(
+                StoreEvent(StoreEventKind.POP_SPACE, space.segment_id)
+                for space in reversed(popped)
+            )
+    return stack, log
+
+
 def _pop_spaces(stack: FocusStack, count: int) -> FocusStack:
     if count == 0:
         return stack
@@ -113,6 +147,22 @@ def apply_utterance(stack: FocusStack, utt: Utterance) -> FocusStack:
         spaces[-1] = FocusSpace(segment_id=top.segment_id, items=top.items + (item_id,))
         state = FocusStack(spaces=tuple(spaces), popped=state.popped - {item_id})
     return state
+
+
+def apply_iru(
+    stack: FocusStack, utt: Utterance, transcript: Transcript
+) -> tuple[FocusStack, list[StoreEvent]]:
+    """A restatement leaves the stack as it is: its items enter with the
+    utterance, like any other."""
+
+    return stack, []
+
+
+def absorb(stack: FocusStack, utt: Utterance) -> tuple[FocusStack, list[StoreEvent]]:
+    """Absorb an utterance's items; moving items between spaces is not a
+    store event."""
+
+    return apply_utterance(stack, utt), []
 
 
 def view(stack: FocusStack) -> AccessibilityView:

@@ -538,6 +538,15 @@ def outcome_json(outcome: Outcome) -> dict:
     return data
 
 
+def resolution_json(resolution: Resolution) -> dict:
+    return {
+        "mentionId": resolution.mention_id,
+        "outcome": outcome_json(resolution.outcome),
+        "candidatesConsidered": list(resolution.candidates_considered),
+        "correct": resolution.correct,
+    }
+
+
 def _record_to_json(record: TraceRecord) -> dict:
     return {
         "utteranceIndex": record.utterance_index,
@@ -550,15 +559,7 @@ def _record_to_json(record: TraceRecord) -> dict:
             "retrievable": sorted(record.view.retrievable),
             "lost": sorted(record.view.lost),
         },
-        "resolutions": [
-            {
-                "mentionId": resolution.mention_id,
-                "outcome": outcome_json(resolution.outcome),
-                "candidatesConsidered": list(resolution.candidates_considered),
-                "correct": resolution.correct,
-            }
-            for resolution in record.resolutions
-        ],
+        "resolutions": [resolution_json(r) for r in record.resolutions],
         "cumulativeEffort": record.cumulative_effort,
     }
 

@@ -42,8 +42,8 @@ _TAGS = ["liftable", "boltable", "workable"]
 def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
     """Emit a random but well-formed transcript in the line format.
 
-    Surface forms live only in the root segment so that a return's cued
-    retrieval can never ask for a discarded record; everything else roams.
+    Every record roams: surface forms are declared and re-uttered inside
+    segments too, so a return's cued retrieval meets discarded records.
     """
 
     n_entities = rng.randint(1, max(1, max_items - 4))
@@ -101,7 +101,6 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
             header += " iru=" + ",".join(f"u{i}" for i in sorted(antecedents))
         lines.append(header)
 
-        at_root = not open_segments
         introduced_props = [i for i in introduced if i.startswith("q")]
         for _ in range(rng.randint(0, 3)):
             if pending and rng.random() < 0.7:
@@ -110,16 +109,13 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
                 introduced.append(item_id)
                 if item_id.startswith("q"):
                     introduced_props.append(item_id)
-            elif pending_surfaces and at_root and introduced_props:
+            elif pending_surfaces and introduced_props:
                 surface_id = pending_surfaces.pop()
                 realized = rng.choice(introduced_props)
                 lines.append(f"ITEM {surface_id} kind=surface realizes={realized}")
                 introduced.append(surface_id)
             elif introduced:
-                candidate = rng.choice(introduced)
-                if candidate.startswith("f") and not at_root:
-                    continue
-                lines.append(f"ITEM {candidate}")
+                lines.append(f"ITEM {rng.choice(introduced)}")
         referable = [i for i in introduced if not i.startswith("f")]
         if referable and rng.random() < 0.4:
             gold = rng.choice(referable)

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from attnsim.cache_model import RetrievalFailure, new_cache, process_utterance, retrieve
 from attnsim.cli import build_parser, main
+from attnsim.core import StoreEventKind
 from attnsim.driver import (
     ModelKind,
     RunConfig,
@@ -19,7 +21,7 @@ from attnsim.driver import (
     simulation_report_json,
 )
 from attnsim.resolution import FailureReason, Outcome, OutcomeKind, PopClassification
-from attnsim.transcript_io import read_trace
+from attnsim.transcript_io import parse, read_trace
 
 from conftest import fixture_path
 
@@ -160,6 +162,15 @@ def test_identical_invocations_are_byte_identical(tmp_path):
     assert paths[0] == paths[1]
 
 
+def test_cli_unwritable_trace_path_exits_3(tmp_path, capsys):
+    trace = tmp_path / "no" / "such" / "dir" / "t.json"
+    argv = ["run", "--model", "cache", "--trace", str(trace)]
+    assert main([*argv, str(fixture_path("dialogue_a.dlg"))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"output error: {trace}: No such file or directory\n"
+
+
 def test_cli_run_reports_json(capsys):
     code = main(["run", "--model", "stack", str(fixture_path("dialogue_a.dlg"))])
     assert code == 0
@@ -296,3 +307,50 @@ def test_infinite_capacity_cli_run(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["capacity"] == "inf"
     assert payload["totalEffort"] == 0
+
+
+# A resumed segment whose surface form was discarded during the
+# interruption: the return's cue must not ask for the lost record.
+RETURN_AFTER_DISCARD = """\
+DIALOGUE return_after_discard
+PUSH S1 expect-return
+UTT u1 speaker=A
+ITEM p1 kind=prop pred=lift gender=n num=sg
+ITEM s1 kind=surface realizes=p1
+PUSH S2
+UTT u2 speaker=B
+ITEM e1 kind=entity gender=m num=sg
+ITEM e2 kind=entity gender=f num=sg
+ITEM e3 kind=entity gender=m num=pl
+RETURN S1
+UTT u3 speaker=A
+PRON it gender=n num=sg gold=p1
+"""
+
+
+def test_return_cue_skips_discarded_surface_forms(tmp_path, capsys):
+    path = tmp_path / "return_after_discard.dlg"
+    path.write_text(RETURN_AFTER_DISCARD, encoding="utf-8")
+    assert main(["run", "--model", "cache", "--capacity", "2", str(path)]) == 0
+    capsys.readouterr()
+
+    transcript = parse(RETURN_AFTER_DISCARD)
+    report = replay(transcript, ModelKind.CACHE, capacity=2)
+    returned = report.records[2]
+    assert "s1" in returned.view.lost
+    retrieved = [
+        e.target for e in returned.events_applied if e.kind is StoreEventKind.RETRIEVE
+    ]
+    assert retrieved == ["p1"]
+    (_, resolution), = report.resolutions
+    assert resolution.outcome == Outcome.immediate("p1")
+
+    # A direct request for the discarded record still fails.
+    state = new_cache(transcript.item_table, capacity=2)
+    for utt in transcript.utterances[:2]:
+        state, _ = process_utterance(
+            state, utt, transcript.events_at(utt.index), transcript
+        )
+    assert "s1" in state.discarded
+    with pytest.raises(RetrievalFailure):
+        retrieve(state, ["s1"], 1)
