@@ -8,14 +8,20 @@ can be pinned across an interruption when a return is expected, retrieval
 from main memory costs effort, and redundant restatements refresh or
 reinstate their content for free.
 
-States are values: every operation returns a new state plus the store
-events it generated, so traces are a pure fold over the transcript.
+The replay fold owns one ``CacheState`` and every operation updates it in
+place, returning it with the store events it generated, so a step costs
+the same however long the transcript has run. Entries sit in a dict in
+recency order, least recently used first: a touch moves an entry to the
+end and eviction takes the first unpinned one. What leaves the state is
+an ``AccessibilityView``, an immutable snapshot; views share one frozen
+copy of main memory and of the discarded set until that store changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .core import (
@@ -57,30 +63,45 @@ class Disposition(Enum):
     DISCARDED = "discarded"
 
 
-@dataclass(frozen=True)
+@dataclass
 class CacheEntry:
+    """One cached item. ``admitted`` is the step at which it entered the
+    cache: pins are taken in admission order, whatever the recency."""
+
     item_id: str
     pinned: bool
     last_use: int
+    admitted: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class CacheState:
-    entries: tuple[CacheEntry, ...]
     capacity: int | None  # None means unbounded
-    main_memory: frozenset[str]
-    discarded: frozenset[str]
-    effort: int
-    step: int
-    pin_owners: Mapping[str, tuple[str, ...]]
     item_table: Mapping[str, DiscourseItem]
-    last_touch: Mapping[str, int]
+    # Cached entries by item id, least recently used first.
+    by_recency: dict[str, CacheEntry] = field(default_factory=dict)
+    main_memory: set[str] = field(default_factory=set)
+    discarded: set[str] = field(default_factory=set)
+    effort: int = 0
+    step: int = 0
+    pin_owners: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    last_touch: dict[str, int] = field(default_factory=dict)
+    # Frozen copies of main_memory and discarded that views share; None
+    # once the store has changed since the last view.
+    frozen_main: frozenset[str] | None = field(default=None, init=False, compare=False)
+    frozen_discarded: frozenset[str] | None = field(
+        default=None, init=False, compare=False
+    )
+
+    @property
+    def entries(self) -> tuple[CacheEntry, ...]:
+        return tuple(self.by_recency.values())
 
     def entry_ids(self) -> tuple[str, ...]:
-        return tuple(entry.item_id for entry in self.entries)
+        return tuple(self.by_recency)
 
     def has_entry(self, item_id: str) -> bool:
-        return any(entry.item_id == item_id for entry in self.entries)
+        return item_id in self.by_recency
 
 
 def new_cache(
@@ -88,49 +109,29 @@ def new_cache(
 ) -> CacheState:
     if capacity is not None and capacity < 1:
         raise ValueError("capacity must be positive or None")
-    return CacheState(
-        entries=(),
-        capacity=capacity,
-        main_memory=frozenset(),
-        discarded=frozenset(),
-        effort=0,
-        step=0,
-        pin_owners={},
-        item_table=item_table,
-        last_touch={},
-    )
+    return CacheState(capacity=capacity, item_table=item_table)
 
 
-def _touch(state: CacheState, item_id: str) -> CacheState:
-    step = state.step + 1
-    entries = tuple(
-        replace(entry, last_use=step) if entry.item_id == item_id else entry
-        for entry in state.entries
-    )
-    return replace(
-        state, entries=entries, step=step, last_touch={**state.last_touch, item_id: step}
-    )
+def _touch(state: CacheState, item_id: str) -> None:
+    state.step += 1
+    entry = state.by_recency.pop(item_id)
+    entry.last_use = state.step
+    state.by_recency[item_id] = entry
+    state.last_touch[item_id] = state.step
 
 
-def _add_entry(state: CacheState, item_id: str) -> CacheState:
-    step = state.step + 1
-    entry = CacheEntry(item_id=item_id, pinned=False, last_use=step)
-    return replace(
-        state,
-        entries=state.entries + (entry,),
-        step=step,
-        last_touch={**state.last_touch, item_id: step},
-    )
+def _add_entry(state: CacheState, item_id: str) -> None:
+    state.step += 1
+    step = state.step
+    state.by_recency[item_id] = CacheEntry(item_id, False, step, admitted=step)
+    state.last_touch[item_id] = step
 
 
-def _drop_pin_record(state: CacheState, item_id: str) -> CacheState:
-    if not any(item_id in members for members in state.pin_owners.values()):
-        return state
-    owners = {
-        seg: tuple(member for member in members if member != item_id)
-        for seg, members in state.pin_owners.items()
-    }
-    return replace(state, pin_owners=owners)
+def _drop_pin_record(state: CacheState, item_id: str) -> None:
+    for segment_id, members in state.pin_owners.items():
+        if item_id in members:
+            state.pin_owners[segment_id] = tuple(m for m in members if m != item_id)
+            return
 
 
 def evict_one(state: CacheState) -> tuple[CacheState, str, Disposition]:
@@ -141,33 +142,33 @@ def evict_one(state: CacheState) -> tuple[CacheState, str, Disposition]:
     are discarded and become unrecoverable by retrieval.
     """
 
-    if not state.entries:
+    if not state.by_recency:
         raise RuntimeError("cannot evict from an empty cache")
-    unpinned = [entry for entry in state.entries if not entry.pinned]
-    pool = unpinned if unpinned else list(state.entries)
-    victim = min(pool, key=lambda entry: entry.last_use)
-    remaining = tuple(entry for entry in state.entries if entry is not victim)
-    state = replace(state, entries=remaining)
+    entries = state.by_recency.values()
+    victim = next((entry for entry in entries if not entry.pinned), None)
+    if victim is None:
+        victim = next(iter(entries))
+    del state.by_recency[victim.item_id]
     if victim.pinned:
         # A displaced entry is not in the cache, so its pin record goes too;
         # otherwise a later unpin could strip a fresh pin on a re-entry.
-        state = _drop_pin_record(state, victim.item_id)
-    item = state.item_table[victim.item_id]
-    if item.kind is ItemKind.SURFACE_FORM:
-        state = replace(state, discarded=state.discarded | {victim.item_id})
+        _drop_pin_record(state, victim.item_id)
+    if state.item_table[victim.item_id].kind is ItemKind.SURFACE_FORM:
+        state.discarded.add(victim.item_id)
+        state.frozen_discarded = None
         return state, victim.item_id, Disposition.DISCARDED
-    state = replace(state, main_memory=state.main_memory | {victim.item_id})
+    state.main_memory.add(victim.item_id)
+    state.frozen_main = None
     return state, victim.item_id, Disposition.STORED
 
 
-def _evict_logged(state: CacheState, events: list[StoreEvent]) -> CacheState:
-    state, item_id, disposition = evict_one(state)
+def _evict_logged(state: CacheState, events: list[StoreEvent]) -> None:
+    _, item_id, disposition = evict_one(state)
     events.append(StoreEvent(StoreEventKind.DISPLACE, item_id))
     if disposition is Disposition.STORED:
         events.append(StoreEvent(StoreEventKind.STORE, item_id))
     else:
         events.append(StoreEvent(StoreEventKind.DISCARD, item_id))
-    return state
 
 
 def _admit(
@@ -183,29 +184,28 @@ def _admit(
 
     events: list[StoreEvent] = []
     if state.capacity is not None:
-        deficit = len(state.entries) + len(movers) - state.capacity
-        for _ in range(max(0, min(deficit, len(state.entries)))):
-            state = _evict_logged(state, events)
+        deficit = len(state.by_recency) + len(movers) - state.capacity
+        for _ in range(max(0, min(deficit, len(state.by_recency)))):
+            _evict_logged(state, events)
     for item_id in movers:
-        if state.capacity is not None and len(state.entries) >= state.capacity:
-            state = _evict_logged(state, events)
-        state, readmit_events = _readmit(state, item_id)
-        events.extend(readmit_events)
+        if state.capacity is not None and len(state.by_recency) >= state.capacity:
+            _evict_logged(state, events)
+        _readmit(state, item_id, events)
     return state, events
 
 
-def _readmit(state: CacheState, item_id: str) -> tuple[CacheState, list[StoreEvent]]:
+def _readmit(state: CacheState, item_id: str, events: list[StoreEvent]) -> None:
     """Bring an absent item into the cache, wherever its record lives."""
 
-    events: list[StoreEvent] = []
     if item_id in state.main_memory:
-        state = replace(state, main_memory=state.main_memory - {item_id})
+        state.main_memory.remove(item_id)
+        state.frozen_main = None
         events.append(StoreEvent(StoreEventKind.RETRIEVE, item_id))
     elif item_id in state.discarded:
-        state = replace(state, discarded=state.discarded - {item_id})
+        state.discarded.remove(item_id)
+        state.frozen_discarded = None
         events.append(StoreEvent(StoreEventKind.RETRIEVE, item_id))
-    state = _add_entry(state, item_id)
-    return state, events
+    _add_entry(state, item_id)
 
 
 def insert_items(
@@ -227,7 +227,7 @@ def insert_items(
         elif item_id not in movers:
             movers.append(item_id)
     for item_id in present:
-        state = _touch(state, item_id)
+        _touch(state, item_id)
     return _admit(state, movers)
 
 
@@ -258,10 +258,10 @@ def retrieve(
         elif item_id in state.main_memory and item_id not in movers:
             movers.append(item_id)
     for item_id in present:
-        state = _touch(state, item_id)
-    state, events = _admit(state, movers)
+        _touch(state, item_id)
+    _, events = _admit(state, movers)
     effort_delta = cost_per_item * len(movers)
-    state = replace(state, effort=state.effort + effort_delta)
+    state.effort += effort_delta
     return state, effort_delta, events
 
 
@@ -280,30 +280,19 @@ def apply_events(
         if event.kind is EventKind.PUSH:
             if not event.expect_return:
                 continue
-            pinned_now = [e.item_id for e in state.entries if not e.pinned]
-            entries = tuple(
-                replace(e, pinned=True) if not e.pinned else e for e in state.entries
-            )
-            state = replace(
-                state,
-                entries=entries,
-                pin_owners={**state.pin_owners, event.segment_id: tuple(pinned_now)},
-            )
+            unpinned = [e for e in state.by_recency.values() if not e.pinned]
+            unpinned.sort(key=attrgetter("admitted"))
+            for entry in unpinned:
+                entry.pinned = True
+            pinned_now = tuple(entry.item_id for entry in unpinned)
+            state.pin_owners[event.segment_id] = pinned_now
             log.extend(StoreEvent(StoreEventKind.PIN, i) for i in pinned_now)
             continue
 
-        owned = state.pin_owners.get(event.segment_id, ())
-        if event.segment_id in state.pin_owners:
-            entries = tuple(
-                replace(e, pinned=False) if e.item_id in owned else e
-                for e in state.entries
-            )
-            owners = {
-                seg: members
-                for seg, members in state.pin_owners.items()
-                if seg != event.segment_id
-            }
-            state = replace(state, entries=entries, pin_owners=owners)
+        owned = state.pin_owners.pop(event.segment_id, None)
+        if owned is not None:
+            for item_id in owned:
+                state.by_recency[item_id].pinned = False
             log.extend(StoreEvent(StoreEventKind.UNPIN, i) for i in owned)
 
         if event.kind is EventKind.RETURN:
@@ -379,11 +368,14 @@ def view(state: CacheState) -> AccessibilityView:
     memory retrievable at a cost, discarded records lost.
     """
 
-    ordered = sorted(state.entries, key=lambda entry: entry.last_use, reverse=True)
+    if state.frozen_main is None:
+        state.frozen_main = frozenset(state.main_memory)
+    if state.frozen_discarded is None:
+        state.frozen_discarded = frozenset(state.discarded)
     return AccessibilityView(
-        immediate=tuple(entry.item_id for entry in ordered),
-        retrievable=state.main_memory,
-        lost=state.discarded,
+        immediate=tuple(reversed(state.by_recency)),
+        retrievable=state.frozen_main,
+        lost=state.frozen_discarded,
     )
 
 
@@ -391,8 +383,8 @@ def check_invariants(state: CacheState) -> None:
     """Raise if a state violates the store contracts (test support)."""
 
     ids = state.entry_ids()
-    if len(set(ids)) != len(ids):
-        raise AssertionError("duplicate cache entries")
+    if any(entry.item_id != key for key, entry in state.by_recency.items()):
+        raise AssertionError("entry filed under another id")
     if state.capacity is not None and len(ids) > state.capacity:
         raise AssertionError("cache over capacity")
     cached = set(ids)
@@ -401,8 +393,12 @@ def check_invariants(state: CacheState) -> None:
     if state.main_memory & state.discarded:
         raise AssertionError("stores overlap")
     uses = [entry.last_use for entry in state.entries]
-    if len(set(uses)) != len(uses):
-        raise AssertionError("last_use collision")
+    if any(earlier >= later for earlier, later in zip(uses, uses[1:])):
+        raise AssertionError("entries out of recency order")
+    if state.frozen_main is not None and state.frozen_main != state.main_memory:
+        raise AssertionError("stale main-memory snapshot")
+    if state.frozen_discarded is not None and state.frozen_discarded != state.discarded:
+        raise AssertionError("stale discarded snapshot")
     for item_id in state.discarded:
         if state.item_table[item_id].kind is not ItemKind.SURFACE_FORM:
             raise AssertionError("non-surface item discarded")

@@ -153,10 +153,12 @@ def replay(
                 function is IRUFunction.REFRESH_IN_CACHE for _, function in functions
             )
             findings.append(IRUFinding(utt.id, functions, not retrieves and all_fresh))
-            restated, iru_events = model.apply_iru(state, utt, transcript)
+            state, iru_events = model.apply_iru(state, utt, transcript)
             applied.extend(iru_events)
-            if restated is not state:
-                state, accessibility = restated, None
+            if retrieves and functions:
+                # The cache restates the content in place, so the view is
+                # stale; the stack leaves its state as it was.
+                accessibility = None
         utt_resolutions = []
         for mention in utt.mentions:
             if accessibility is None:
@@ -167,6 +169,7 @@ def replay(
                 transcript.item_table,
                 allow_retrieval=retrieves,
                 retrieval_cost=retrieval_cost,
+                carriers=transcript.surface_carriers,
             )
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
                 # Strategic retrieval: interpreting the anaphor pulls its

@@ -19,6 +19,7 @@ from .core import (
     Utterance,
     agreement_filter,
     derived_tag,
+    first_carriers,
     selection_filter,
 )
 
@@ -157,12 +158,9 @@ def _referents(
 
 
 def _surface_carrier(
-    gold_id: str, table: Mapping[str, DiscourseItem]
+    gold_id: str, carriers: Mapping[str, DiscourseItem]
 ) -> DiscourseItem | None:
-    for item in table.values():
-        if item.kind is ItemKind.SURFACE_FORM and item.realizes == gold_id:
-            return item
-    return None
+    return carriers.get(gold_id)
 
 
 def resolve(
@@ -171,6 +169,7 @@ def resolve(
     table: Mapping[str, DiscourseItem],
     allow_retrieval: bool,
     retrieval_cost: int = 1,
+    carriers: Mapping[str, DiscourseItem] | None = None,
 ) -> Resolution:
     """Resolve one mention against an accessibility snapshot.
 
@@ -178,7 +177,9 @@ def resolve(
     most salient survivor wins. Failing that, retrieval-capable models may
     find a unique survivor in the retrievable store at a cost; several
     survivors there have no salience order to separate them, so the mention
-    is ambiguous. Failures are data, not faults.
+    is ambiguous. Failures are data, not faults. ``carriers`` maps an item
+    to the first surface form realizing it (``Transcript.surface_carriers``);
+    without it the map is built from ``table``.
     """
 
     gold = mention.gold_antecedent
@@ -187,7 +188,9 @@ def resolve(
         return Resolution(mention.id, outcome, considered, correct=outcome.item == gold)
 
     if mention.form is MentionForm.VP_ELLIPSIS:
-        carrier = _surface_carrier(gold, table)
+        if carriers is None:
+            carriers = first_carriers(table)
+        carrier = _surface_carrier(gold, carriers)
         if carrier is not None and carrier.id in accessibility.lost:
             return resolution(Outcome.failure(FailureReason.SURFACE_FORM_LOST))
 

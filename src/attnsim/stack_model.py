@@ -130,23 +130,24 @@ def apply_utterance(stack: FocusStack, utt: Utterance) -> FocusStack:
     than duplicating it, and clears it from the popped set.
     """
 
-    state = stack
-    for item_id in utt.items:
-        spaces = []
-        for space in state.spaces:
-            if item_id in space.items:
-                spaces.append(
-                    FocusSpace(
-                        segment_id=space.segment_id,
-                        items=tuple(i for i in space.items if i != item_id),
-                    )
-                )
-            else:
-                spaces.append(space)
-        top = spaces[-1]
-        spaces[-1] = FocusSpace(segment_id=top.segment_id, items=top.items + (item_id,))
-        state = FocusStack(spaces=tuple(spaces), popped=state.popped - {item_id})
-    return state
+    if not utt.items:
+        return stack
+    # A repeated item ends where its last mention puts it.
+    arriving = tuple(reversed(dict.fromkeys(reversed(utt.items))))
+    moved = frozenset(arriving)
+    spaces = [
+        space
+        if moved.isdisjoint(space.items)
+        else FocusSpace(
+            segment_id=space.segment_id,
+            items=tuple(i for i in space.items if i not in moved),
+        )
+        for space in stack.spaces
+    ]
+    top = spaces[-1]
+    spaces[-1] = FocusSpace(segment_id=top.segment_id, items=top.items + arriving)
+    popped = stack.popped if moved.isdisjoint(stack.popped) else stack.popped - moved
+    return FocusStack(spaces=tuple(spaces), popped=popped)
 
 
 def apply_iru(

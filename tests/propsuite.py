@@ -19,8 +19,10 @@ from attnsim.core import (
     SegmentEvent,
     StoreEventKind,
     Transcript,
+    segment_items,
 )
 from attnsim.driver import ModelKind, replay
+from attnsim.resolution import OutcomeKind, analyze_iru, resolve
 from attnsim.transcript_io import parse, read_trace, write_trace, write_transcript
 
 SEED = 20260808
@@ -32,6 +34,8 @@ INFINITE_TRIALS = 150
 STACK_RESTORE_TRIALS = 60
 INVARIANCE_PAIR_TRIALS = 60
 ROUNDTRIP_TRIALS = 40
+FRESH_VIEW_TRIALS = 400
+FRESH_VIEW_CAPACITIES = (1, 2, 3, 7)
 
 _GENDERS = ["m", "f", "n"]
 _NUMBERS = ["sg", "pl"]
@@ -44,11 +48,14 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
 
     Every record roams: surface forms are declared and re-uttered inside
     segments too, so a return's cued retrieval meets discarded records.
+    Dialogues run to 16 utterances with up to three surface forms, so the
+    seeded trials reach returns whose resumed segment's most recent
+    material is a discarded surface form (see ``run_fresh_view_suite``).
     """
 
     n_entities = rng.randint(1, max(1, max_items - 4))
     n_props = rng.randint(0, min(4, max_items - n_entities))
-    n_surfaces = rng.randint(0, min(2, max_items - n_entities - n_props)) if n_props else 0
+    n_surfaces = rng.randint(0, min(3, max_items - n_entities - n_props)) if n_props else 0
 
     entity_ids = [f"e{i}" for i in range(n_entities)]
     prop_ids = [f"q{i}" for i in range(n_props)]
@@ -72,7 +79,7 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
     pending_surfaces = list(surface_ids)
 
     lines = ["DIALOGUE gen"]
-    n_utts = rng.randint(3, 12)
+    n_utts = rng.randint(3, 16)
     open_segments: list[str] = []
     seg_counter = 0
     introduced: list[str] = []
@@ -390,6 +397,74 @@ def run_roundtrip_suite(seed: int = SEED, trials: int = ROUNDTRIP_TRIALS) -> int
     return traces
 
 
+def _cue_names_discarded(
+    state: cache_model.CacheState, transcript: Transcript, event: SegmentEvent
+) -> bool:
+    """Whether the return cue, cut to ``capacity - 1`` before discarded
+    records are left out, would name a discarded surface form: the cue
+    that crashed the cache with ``RetrievalFailure`` (ROADMAP defect 4a)."""
+
+    realized = segment_items(transcript, event.segment_id, before=event.position)
+    cue = sorted(realized, key=state.last_touch.__getitem__, reverse=True)
+    if state.capacity is not None:
+        cue = cue[: state.capacity - 1]
+    return not state.discarded.isdisjoint(cue)
+
+
+def _fresh_view_fold(transcript: Transcript, capacity: int) -> tuple[list, list, int]:
+    """The cache replay with a new view for every IRU and every mention:
+    its resolutions, its IRU findings as (utterance id, functions), and
+    the number of returns whose cue met a discarded surface form."""
+
+    state = new_cache(transcript.item_table, capacity)
+    resolutions: list = []
+    findings: list = []
+    discarded_cues = 0
+    for utt in transcript.utterances:
+        for event in transcript.events_at(utt.index):
+            if event.kind is EventKind.RETURN:
+                discarded_cues += _cue_names_discarded(state, transcript, event)
+            state, _ = cache_model.apply_events(state, [event], transcript)
+        if utt.is_iru:
+            functions = analyze_iru(utt, cache_model.view(state), transcript)
+            findings.append((utt.id, tuple(functions)))
+            state, _ = cache_model.apply_iru(state, utt, transcript)
+        for mention in utt.mentions:
+            resolution = resolve(
+                mention,
+                cache_model.view(state),
+                transcript.item_table,
+                allow_retrieval=True,
+            )
+            if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
+                state, _, _ = cache_model.retrieve(state, [resolution.outcome.item])
+            resolutions.append((utt.id, resolution))
+        state, _ = cache_model.absorb(state, utt)
+    return resolutions, findings, discarded_cues
+
+
+def run_fresh_view_suite(seed: int = SEED, trials: int = FRESH_VIEW_TRIALS) -> int:
+    """The replay fold, which reuses a view until the cache changes,
+    resolves and classifies restatements exactly as a fold that builds a
+    fresh view each time; and the trials reach returns whose cue meets a
+    discarded surface form."""
+
+    rng = random.Random(seed + 7)
+    traces = 0
+    discarded_cues = 0
+    for _ in range(trials):
+        transcript = parse(random_transcript_text(rng))
+        for capacity in FRESH_VIEW_CAPACITIES:
+            report = replay(transcript, ModelKind.CACHE, capacity=capacity)
+            resolutions, findings, reached = _fresh_view_fold(transcript, capacity)
+            assert list(report.resolutions) == resolutions
+            assert [(f.utterance_id, f.functions) for f in report.iru_findings] == findings
+            discarded_cues += reached
+        traces += 1
+    assert discarded_cues > 0, "no return cue met a discarded surface form"
+    return traces
+
+
 ALL_SUITES = (
     run_invariant_suite,
     run_lru_oracle_suite,
@@ -398,6 +473,7 @@ ALL_SUITES = (
     run_stack_restore_suite,
     run_interruption_invariance_suite,
     run_roundtrip_suite,
+    run_fresh_view_suite,
 )
 
 

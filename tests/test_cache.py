@@ -46,15 +46,13 @@ def table(*entries):
 
 
 def state_with(entries, item_table, capacity=7, pin_owners=None):
+    ordered = sorted(entries, key=lambda e: e.last_use)
     return CacheState(
-        entries=tuple(entries),
         capacity=capacity,
-        main_memory=frozenset(),
-        discarded=frozenset(),
-        effort=0,
+        item_table=item_table,
+        by_recency={e.item_id: e for e in ordered},
         step=max((e.last_use for e in entries), default=0),
         pin_owners=pin_owners or {},
-        item_table=item_table,
         last_touch={e.item_id: e.last_use for e in entries},
     )
 
@@ -307,4 +305,25 @@ def test_pin_scope_is_cache_contents_at_push_time():
     state, events = apply_events(state, [pop], EMPTY)
     assert [e.target for e in events if e.kind is StoreEventKind.UNPIN] == ["a"]
     assert not any(entry.pinned for entry in state.entries)
+    check_invariants(state)
+
+
+def test_pins_follow_admission_order_not_recency():
+    from attnsim.cache_model import apply_events
+
+    state = new_cache(table("a", "b"), capacity=7)
+    state, _ = insert_items(state, ["a", "b"])
+    state, _ = insert_items(state, ["a"])
+    assert view(state).immediate == ("a", "b")
+    push = SegmentEvent(
+        kind=EventKind.PUSH, segment_id="S", position=0, expect_return=True
+    )
+    state, events = apply_events(state, [push], EMPTY)
+    assert [(e.kind, e.target) for e in events] == [
+        (StoreEventKind.PIN, "a"),
+        (StoreEventKind.PIN, "b"),
+    ]
+    pop = SegmentEvent(kind=EventKind.POP, segment_id="S", position=1)
+    state, events = apply_events(state, [pop], EMPTY)
+    assert [e.target for e in events if e.kind is StoreEventKind.UNPIN] == ["a", "b"]
     check_invariants(state)

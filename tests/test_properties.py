@@ -34,3 +34,7 @@ def test_stack_views_invariant_under_popped_interruptions():
 
 def test_round_trips_and_determinism():
     assert propsuite.run_roundtrip_suite() == propsuite.ROUNDTRIP_TRIALS
+
+
+def test_view_reuse_matches_fresh_views():
+    assert propsuite.run_fresh_view_suite() == propsuite.FRESH_VIEW_TRIALS
