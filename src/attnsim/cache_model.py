@@ -344,25 +344,6 @@ def absorb(state: CacheState, utt: Utterance) -> tuple[CacheState, list[StoreEve
     return insert_items(state, utt.items)
 
 
-def process_utterance(
-    state: CacheState,
-    utt: Utterance,
-    events_before: Sequence[SegmentEvent],
-    transcript: Transcript,
-    retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
-) -> tuple[CacheState, list[StoreEvent]]:
-    """Advance the cache across one utterance: segment boundaries first,
-    then redundancy handling, then the utterance's own items.
-    """
-
-    state, log = apply_events(state, events_before, transcript, retrieval_cost)
-    state, iru_events = apply_iru(state, utt, transcript)
-    log.extend(iru_events)
-    state, absorb_events = absorb(state, utt)
-    log.extend(absorb_events)
-    return state, log
-
-
 def view(state: CacheState) -> AccessibilityView:
     """Accessibility under the cache model: cached items by recency, main
     memory retrievable at a cost, discarded records lost.

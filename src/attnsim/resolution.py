@@ -90,7 +90,6 @@ class IRUFunction(Enum):
     REFRESH_IN_CACHE = "RefreshInCache"
     RETRIEVE_FROM_MEMORY = "RetrieveFromMemory"
     REINSTANTIATE = "Reinstantiate"
-    NOT_REDUNDANT = "NotRedundant"
 
 
 @dataclass(frozen=True)

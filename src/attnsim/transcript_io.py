@@ -10,8 +10,8 @@ double as regression oracles and silent tolerance would mask drift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Container, Mapping, NamedTuple, Sequence
 
 from .core import (
     AccessibilityView,
@@ -34,10 +34,29 @@ from .resolution import FailureReason, Outcome, OutcomeKind, Resolution
 
 _GENDERS = {"m": Gender.MASC, "f": Gender.FEM, "n": Gender.NEUT}
 _NUMBERS = {"sg": Number.SG, "pl": Number.PL}
-_KINDS = {"entity": ItemKind.ENTITY, "prop": ItemKind.PROPOSITION, "surface": ItemKind.SURFACE_FORM}
+_KINDS = {kind.value: kind for kind in ItemKind}
 
-_GENDER_OUT = {Gender.MASC: "m", Gender.FEM: "f", Gender.NEUT: "n"}
-_NUMBER_OUT = {Number.SG: "sg", Number.PL: "pl"}
+_VALUES = {"kind": _KINDS, "gender": _GENDERS, "num": _NUMBERS}
+
+_GENDER_OUT = {gender: code for code, gender in _GENDERS.items()}
+_NUMBER_OUT = {number: code for code, number in _NUMBERS.items()}
+
+
+class _Fields(NamedTuple):
+    required: tuple[str, ...]  # checked in this order
+    optional: tuple[str, ...] = ()
+    flags: tuple[str, ...] = ()
+
+
+# The key=value fields and bare flags each record type takes after its id.
+_FIELDS = {
+    "UTT": _Fields(("speaker",), ("iru",)),
+    "ITEM": _Fields(("kind",), ("gender", "num", "pred", "args", "sel", "realizes")),
+    "PRON": _Fields(("gender", "num", "gold"), ("verb", "sel")),
+    "ELLIPSIS": _Fields(("gold",)),
+    "PUSH": _Fields((), flags=("expect-return",)),
+    "CASE": _Fields(("mention",), flags=("iru", "central-competitor")),
+}
 
 
 class ParseError(Exception):
@@ -48,84 +67,79 @@ class ParseError(Exception):
         self.offending_text = offending_text
 
 
-@dataclass
-class _ItemDraft:
-    id: str
-    kind: ItemKind
-    gender: Gender
-    number: Number
-    predicate: str | None
-    args: tuple[str, ...]
-    sel_classes: set[str]
-    realizes: str | None
-    introduced_at: int
-
-
-@dataclass
-class _UttDraft:
-    id: str
-    speaker: str
-    index: int
-    iru_antecedents: tuple[str, ...]
-    items: list[str]
-    mentions: list[Mention]
-
-
 def _split_fields(
-    tokens: Sequence[str], line_no: int, text: str, allowed: set[str], flags: set[str]
+    record: str, tokens: Sequence[str], line_no: int, text: str
 ) -> tuple[dict[str, str], set[str]]:
+    spec = _FIELDS[record]
     fields: dict[str, str] = {}
     seen_flags: set[str] = set()
     for token in tokens:
-        if token in flags:
+        if token in spec.flags:
             seen_flags.add(token)
             continue
         if "=" not in token:
             raise ParseError(line_no, f"malformed field {token!r}", text)
         key, value = token.split("=", 1)
-        if key not in allowed:
+        if key not in spec.required and key not in spec.optional:
             raise ParseError(line_no, f"unknown key {key!r}", text)
         if not value:
             raise ParseError(line_no, f"empty value for {key!r}", text)
         if key in fields:
             raise ParseError(line_no, f"repeated key {key!r}", text)
         fields[key] = value
+    for key in spec.required:
+        if key not in fields:
+            raise ParseError(line_no, f"{record} requires {key}=", text)
     return fields, seen_flags
 
 
-def _lookup(table: Mapping[str, str], value: str, what: str, line_no: int, text: str):
-    if value not in table:
-        raise ParseError(line_no, f"bad {what} value {value!r}", text)
-    return table[value]
+def _lookup(fields: Mapping[str, str], key: str, line_no: int, text: str, default=None):
+    """The enum member the ``key`` field names, or ``default`` if it is absent."""
+
+    if key not in fields:
+        return default
+    value = fields[key]
+    if value not in _VALUES[key]:
+        raise ParseError(line_no, f"bad {key} value {value!r}", text)
+    return _VALUES[key][value]
+
+
+def _listed(fields: Mapping[str, str], key: str) -> tuple[str, ...]:
+    return tuple(fields[key].split(",")) if key in fields else ()
 
 
 def parse(text: str) -> Transcript:
     """Parse transcript source into a validated Transcript.
 
-    Either returns a fully well-formed transcript or raises ParseError for
-    the first offending line; no partial state escapes.
+    Either returns a fully well-formed transcript or raises ParseError; no
+    partial state escapes. The error names the first line with a local
+    error (one visible from that line and the lines above it), or, if no
+    line has one, the first line that references an item or mention
+    declared nowhere in the file. So a local error on a later line is
+    reported before an undeclared forward reference on an earlier one.
     """
 
     dialogue_id: str | None = None
-    utterances: list[_UttDraft] = []
-    items: dict[str, _ItemDraft] = {}
+    # Per utterance: id, speaker, iru antecedents, item ids, mentions.
+    utterances: list[tuple[str, str, tuple[str, ...], list[str], list[Mention]]] = []
+    utterance_ids: set[str] = set()
+    items: dict[str, DiscourseItem] = {}
+    mention_ids: set[str] = set()
     events: list[SegmentEvent] = []
-    cases: list[CaseRecord] = []
     open_segments: list[str] = []
     used_segments: set[str] = set()
-    mention_ids: set[str] = set()
-    utterance_ids: set[str] = set()
     last_return: SegmentEvent | None = None
+    cases: list[CaseRecord] = []
     case_ids: set[str] = set()
-    # Reference checks that may point forward, resolved once tables exist.
-    deferred: list[tuple[int, str, Callable[[], str | None]]] = []
+    # References that may point forward: (line, text, key, ref, known ids),
+    # checked in order once every line has been read.
+    deferred: list[tuple[int, str, str, str, Container[str]]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        record, rest = tokens[0], tokens[1:]
+        record, *rest = line.split()
 
         if dialogue_id is None:
             if record != "DIALOGUE":
@@ -137,185 +151,6 @@ def parse(text: str) -> Transcript:
 
         if record == "DIALOGUE":
             raise ParseError(line_no, "repeated DIALOGUE record", raw)
-
-        if record == "UTT":
-            if not rest:
-                raise ParseError(line_no, "UTT needs an id", raw)
-            utt_id = rest[0]
-            if utt_id in utterance_ids:
-                raise ParseError(line_no, f"duplicate utterance id {utt_id!r}", raw)
-            fields, _ = _split_fields(rest[1:], line_no, raw, {"speaker", "iru"}, set())
-            if "speaker" not in fields:
-                raise ParseError(line_no, "UTT requires speaker=", raw)
-            antecedents = tuple(fields["iru"].split(",")) if "iru" in fields else ()
-            for ref in antecedents:
-                if ref not in utterance_ids:
-                    raise ParseError(
-                        line_no, f"iru antecedent {ref!r} is not an earlier utterance", raw
-                    )
-            utterance_ids.add(utt_id)
-            utterances.append(
-                _UttDraft(
-                    id=utt_id,
-                    speaker=fields["speaker"],
-                    index=len(utterances),
-                    iru_antecedents=antecedents,
-                    items=[],
-                    mentions=[],
-                )
-            )
-            continue
-
-        if record in {"ITEM", "PRON", "ELLIPSIS"}:
-            if not utterances:
-                raise ParseError(line_no, f"{record} before any UTT", raw)
-            current = utterances[-1]
-
-        if record == "ITEM":
-            if not rest:
-                raise ParseError(line_no, "ITEM needs an id", raw)
-            item_id = rest[0]
-            if len(rest) == 1:
-                # Bare reference: the utterance re-realizes a known item.
-                if item_id not in items:
-                    raise ParseError(
-                        line_no, f"re-realized item {item_id!r} not yet declared", raw
-                    )
-                current.items.append(item_id)
-                continue
-            if item_id in items:
-                raise ParseError(line_no, f"duplicate item id {item_id!r}", raw)
-            fields, _ = _split_fields(
-                rest[1:],
-                line_no,
-                raw,
-                {"kind", "gender", "num", "pred", "args", "sel", "realizes"},
-                set(),
-            )
-            if "kind" not in fields:
-                raise ParseError(line_no, "ITEM requires kind=", raw)
-            kind = _lookup(_KINDS, fields["kind"], "kind", line_no, raw)
-            gender = (
-                _lookup(_GENDERS, fields["gender"], "gender", line_no, raw)
-                if "gender" in fields
-                else Gender.UNSPECIFIED
-            )
-            number = (
-                _lookup(_NUMBERS, fields["num"], "num", line_no, raw)
-                if "num" in fields
-                else Number.UNSPECIFIED
-            )
-            if kind is not ItemKind.PROPOSITION and ("pred" in fields or "args" in fields):
-                raise ParseError(line_no, "pred/args are only valid on kind=prop", raw)
-            if kind is ItemKind.SURFACE_FORM and "realizes" not in fields:
-                raise ParseError(line_no, "kind=surface requires realizes=", raw)
-            if kind is not ItemKind.SURFACE_FORM and "realizes" in fields:
-                raise ParseError(line_no, "realizes= is only valid on kind=surface", raw)
-            args = tuple(fields["args"].split(",")) if "args" in fields else ()
-            draft = _ItemDraft(
-                id=item_id,
-                kind=kind,
-                gender=gender,
-                number=number,
-                predicate=fields.get("pred"),
-                args=args,
-                sel_classes=set(fields["sel"].split(",")) if "sel" in fields else set(),
-                realizes=fields.get("realizes"),
-                introduced_at=current.index,
-            )
-            items[item_id] = draft
-            current.items.append(item_id)
-
-            def _check_item_refs(draft: _ItemDraft = draft) -> str | None:
-                for ref in draft.args:
-                    if ref not in items:
-                        return f"args references undeclared item {ref!r}"
-                if draft.realizes is not None and draft.realizes not in items:
-                    return f"realizes references undeclared item {draft.realizes!r}"
-                return None
-
-            deferred.append((line_no, raw, _check_item_refs))
-            continue
-
-        if record == "PRON":
-            if not rest:
-                raise ParseError(line_no, "PRON needs an id", raw)
-            pron_id = rest[0]
-            if pron_id in mention_ids:
-                raise ParseError(line_no, f"duplicate mention id {pron_id!r}", raw)
-            fields, _ = _split_fields(
-                rest[1:], line_no, raw, {"gender", "num", "verb", "sel", "gold"}, set()
-            )
-            for required in ("gender", "num", "gold"):
-                if required not in fields:
-                    raise ParseError(line_no, f"PRON requires {required}=", raw)
-            mention = Mention(
-                id=pron_id,
-                form=MentionForm.PRONOUN,
-                gender=_lookup(_GENDERS, fields["gender"], "gender", line_no, raw),
-                number=_lookup(_NUMBERS, fields["num"], "num", line_no, raw),
-                verb_lemma=fields.get("verb"),
-                required_sel_classes=(
-                    frozenset(fields["sel"].split(",")) if "sel" in fields else frozenset()
-                ),
-                gold_antecedent=fields["gold"],
-            )
-            mention_ids.add(pron_id)
-            current.mentions.append(mention)
-            deferred.append(
-                (
-                    line_no,
-                    raw,
-                    lambda gold=fields["gold"]: (
-                        None if gold in items else f"gold references undeclared item {gold!r}"
-                    ),
-                )
-            )
-            continue
-
-        if record == "ELLIPSIS":
-            if not rest:
-                raise ParseError(line_no, "ELLIPSIS needs an id", raw)
-            ell_id = rest[0]
-            if ell_id in mention_ids:
-                raise ParseError(line_no, f"duplicate mention id {ell_id!r}", raw)
-            fields, _ = _split_fields(rest[1:], line_no, raw, {"gold"}, set())
-            if "gold" not in fields:
-                raise ParseError(line_no, "ELLIPSIS requires gold=", raw)
-            mention = Mention(
-                id=ell_id, form=MentionForm.VP_ELLIPSIS, gold_antecedent=fields["gold"]
-            )
-            mention_ids.add(ell_id)
-            current.mentions.append(mention)
-            deferred.append(
-                (
-                    line_no,
-                    raw,
-                    lambda gold=fields["gold"]: (
-                        None if gold in items else f"gold references undeclared item {gold!r}"
-                    ),
-                )
-            )
-            continue
-
-        if record == "PUSH":
-            if not rest:
-                raise ParseError(line_no, "PUSH needs a segment id", raw)
-            seg_id = rest[0]
-            _, flag_set = _split_fields(rest[1:], line_no, raw, set(), {"expect-return"})
-            if seg_id in used_segments:
-                raise ParseError(line_no, f"segment id {seg_id!r} already used", raw)
-            used_segments.add(seg_id)
-            open_segments.append(seg_id)
-            events.append(
-                SegmentEvent(
-                    kind=EventKind.PUSH,
-                    segment_id=seg_id,
-                    position=len(utterances),
-                    expect_return="expect-return" in flag_set,
-                )
-            )
-            continue
 
         if record in {"POP", "RETURN"}:
             if len(rest) != 1:
@@ -336,98 +171,165 @@ def parse(text: str) -> Transcript:
                 if seg_id not in open_segments:
                     raise ParseError(line_no, f"RETURN to unopened segment {seg_id!r}", raw)
                 del open_segments[open_segments.index(seg_id) + 1 :]
-                event = SegmentEvent(
+                last_return = SegmentEvent(
                     kind=EventKind.RETURN, segment_id=seg_id, position=len(utterances)
                 )
-                events.append(event)
-                last_return = event
+                events.append(last_return)
             continue
 
-        if record == "CASE":
-            if not rest:
-                raise ParseError(line_no, "CASE needs an id", raw)
-            case_id = rest[0]
-            if case_id in case_ids:
-                raise ParseError(line_no, f"duplicate case id {case_id!r}", raw)
+        if record not in _FIELDS:
+            raise ParseError(line_no, f"unknown record type {record!r}", raw)
+        if record in {"ITEM", "PRON", "ELLIPSIS"}:
+            if not utterances:
+                raise ParseError(line_no, f"{record} before any UTT", raw)
+            *_, utt_items, utt_mentions = utterances[-1]
+        if not rest:
+            needs = "a segment id" if record == "PUSH" else "an id"
+            raise ParseError(line_no, f"{record} needs {needs}", raw)
+        record_id, tokens = rest[0], rest[1:]
+
+        if record == "UTT":
+            if record_id in utterance_ids:
+                raise ParseError(line_no, f"duplicate utterance id {record_id!r}", raw)
+            fields, _ = _split_fields(record, tokens, line_no, raw)
+            antecedents = _listed(fields, "iru")
+            for ref in antecedents:
+                if ref not in utterance_ids:
+                    raise ParseError(
+                        line_no, f"iru antecedent {ref!r} is not an earlier utterance", raw
+                    )
+            utterance_ids.add(record_id)
+            utterances.append((record_id, fields["speaker"], antecedents, [], []))
+
+        elif record == "ITEM":
+            if not tokens:
+                # Bare reference: the utterance re-realizes a known item.
+                if record_id not in items:
+                    raise ParseError(
+                        line_no, f"re-realized item {record_id!r} not yet declared", raw
+                    )
+                utt_items.append(record_id)
+                continue
+            if record_id in items:
+                raise ParseError(line_no, f"duplicate item id {record_id!r}", raw)
+            fields, _ = _split_fields(record, tokens, line_no, raw)
+            kind = _lookup(fields, "kind", line_no, raw)
+            gender = _lookup(fields, "gender", line_no, raw, Gender.UNSPECIFIED)
+            number = _lookup(fields, "num", line_no, raw, Number.UNSPECIFIED)
+            if kind is not ItemKind.PROPOSITION and ("pred" in fields or "args" in fields):
+                raise ParseError(line_no, "pred/args are only valid on kind=prop", raw)
+            if kind is ItemKind.SURFACE_FORM and "realizes" not in fields:
+                raise ParseError(line_no, "kind=surface requires realizes=", raw)
+            if kind is not ItemKind.SURFACE_FORM and "realizes" in fields:
+                raise ParseError(line_no, "realizes= is only valid on kind=surface", raw)
+            item = DiscourseItem(
+                id=record_id,
+                kind=kind,
+                gender=gender,
+                number=number,
+                predicate=fields.get("pred"),
+                args=_listed(fields, "args"),
+                sel_classes=frozenset(_listed(fields, "sel")),
+                realizes=fields.get("realizes"),
+                introduced_at=len(utterances) - 1,
+            )
+            items[record_id] = item
+            utt_items.append(record_id)
+            deferred.extend((line_no, raw, "args", ref, items) for ref in item.args)
+            if item.realizes is not None:
+                deferred.append((line_no, raw, "realizes", item.realizes, items))
+
+        elif record in {"PRON", "ELLIPSIS"}:
+            if record_id in mention_ids:
+                raise ParseError(line_no, f"duplicate mention id {record_id!r}", raw)
+            fields, _ = _split_fields(record, tokens, line_no, raw)
+            if record == "PRON":
+                mention = Mention(
+                    id=record_id,
+                    form=MentionForm.PRONOUN,
+                    gender=_lookup(fields, "gender", line_no, raw),
+                    number=_lookup(fields, "num", line_no, raw),
+                    verb_lemma=fields.get("verb"),
+                    required_sel_classes=frozenset(_listed(fields, "sel")),
+                    gold_antecedent=fields["gold"],
+                )
+            else:
+                mention = Mention(
+                    id=record_id, form=MentionForm.VP_ELLIPSIS, gold_antecedent=fields["gold"]
+                )
+            mention_ids.add(record_id)
+            utt_mentions.append(mention)
+            deferred.append((line_no, raw, "gold", fields["gold"], items))
+
+        elif record == "PUSH":
+            _, flags = _split_fields(record, tokens, line_no, raw)
+            if record_id in used_segments:
+                raise ParseError(line_no, f"segment id {record_id!r} already used", raw)
+            used_segments.add(record_id)
+            open_segments.append(record_id)
+            events.append(
+                SegmentEvent(
+                    kind=EventKind.PUSH,
+                    segment_id=record_id,
+                    position=len(utterances),
+                    expect_return="expect-return" in flags,
+                )
+            )
+
+        else:  # CASE
+            if record_id in case_ids:
+                raise ParseError(line_no, f"duplicate case id {record_id!r}", raw)
             if last_return is None:
                 raise ParseError(line_no, "CASE before any RETURN", raw)
-            fields, flag_set = _split_fields(
-                rest[1:], line_no, raw, {"mention"}, {"iru", "central-competitor"}
-            )
-            if "mention" not in fields:
-                raise ParseError(line_no, "CASE requires mention=", raw)
-            case_ids.add(case_id)
+            fields, flags = _split_fields(record, tokens, line_no, raw)
+            case_ids.add(record_id)
             cases.append(
                 CaseRecord(
-                    case_id=case_id,
+                    case_id=record_id,
                     mention_id=fields["mention"],
                     segment_id=last_return.segment_id,
                     return_position=last_return.position,
-                    iru_at_return="iru" in flag_set,
-                    central_competitor="central-competitor" in flag_set,
+                    iru_at_return="iru" in flags,
+                    central_competitor="central-competitor" in flags,
                 )
             )
-            deferred.append(
-                (
-                    line_no,
-                    raw,
-                    lambda ref=fields["mention"]: (
-                        None
-                        if ref in mention_ids
-                        else f"mention references undeclared mention {ref!r}"
-                    ),
-                )
-            )
-            continue
-
-        raise ParseError(line_no, f"unknown record type {record!r}", raw)
+            deferred.append((line_no, raw, "mention", fields["mention"], mention_ids))
 
     if dialogue_id is None:
         raise ParseError(1, "empty transcript: missing DIALOGUE record", "")
 
-    for line_no, raw, check in deferred:
-        problem = check()
-        if problem is not None:
-            raise ParseError(line_no, problem, raw)
+    for line_no, raw, key, ref, known in deferred:
+        if ref not in known:
+            noun = "mention" if key == "mention" else "item"
+            raise ParseError(line_no, f"{key} references undeclared {noun} {ref!r}", raw)
 
     # Dialogue-derived capability tags: an entity named as an argument of a
     # proposition picks up that proposition's predicate as a pred: tag.
-    for draft in items.values():
-        if draft.kind is ItemKind.PROPOSITION and draft.predicate:
-            for arg in draft.args:
+    for item in list(items.values()):
+        if item.kind is ItemKind.PROPOSITION and item.predicate:
+            tag = derived_tag(item.predicate)
+            for arg in item.args:
                 target = items[arg]
-                if target.kind is ItemKind.ENTITY:
-                    target.sel_classes.add(derived_tag(draft.predicate))
+                if target.kind is ItemKind.ENTITY and tag not in target.sel_classes:
+                    items[arg] = replace(target, sel_classes=target.sel_classes | {tag})
 
-    table = {
-        draft.id: DiscourseItem(
-            id=draft.id,
-            kind=draft.kind,
-            gender=draft.gender,
-            number=draft.number,
-            predicate=draft.predicate,
-            args=draft.args,
-            sel_classes=frozenset(draft.sel_classes),
-            realizes=draft.realizes,
-            introduced_at=draft.introduced_at,
-        )
-        for draft in items.values()
-    }
     return Transcript(
         dialogue_id=dialogue_id,
         utterances=tuple(
             Utterance(
-                id=draft.id,
-                speaker=draft.speaker,
-                index=draft.index,
-                items=tuple(draft.items),
-                mentions=tuple(draft.mentions),
-                iru_antecedents=draft.iru_antecedents,
+                id=utt_id,
+                speaker=speaker,
+                index=index,
+                items=tuple(utt_items),
+                mentions=tuple(utt_mentions),
+                iru_antecedents=antecedents,
             )
-            for draft in utterances
+            for index, (utt_id, speaker, antecedents, utt_items, utt_mentions) in enumerate(
+                utterances
+            )
         ),
         events=tuple(events),
-        item_table=table,
+        item_table=items,
         cases=tuple(cases),
     )
 

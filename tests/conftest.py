@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from attnsim import cache_model
 from attnsim.transcript_io import parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -15,6 +16,19 @@ def fixture_path(name: str) -> Path:
 
 def load_fixture(name: str):
     return parse(fixture_path(name).read_text(encoding="utf-8"))
+
+
+def cache_step(
+    state, utt, events_before, transcript, retrieval_cost=cache_model.DEFAULT_RETRIEVAL_COST
+):
+    """Advance a cache across one utterance the way the replay fold does:
+    segment boundaries, then redundancy handling, then the utterance's own
+    items. Returns the state and the store events in order."""
+
+    state, log = cache_model.apply_events(state, events_before, transcript, retrieval_cost)
+    state, iru_events = cache_model.apply_iru(state, utt, transcript)
+    state, absorb_events = cache_model.absorb(state, utt)
+    return state, log + iru_events + absorb_events
 
 
 @pytest.fixture(scope="session")

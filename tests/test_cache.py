@@ -10,11 +10,11 @@ from attnsim.cache_model import (
     CueSetTooLarge,
     Disposition,
     RetrievalFailure,
+    absorb,
     check_invariants,
     evict_one,
     insert_items,
     new_cache,
-    process_utterance,
     retrieve,
     view,
 )
@@ -27,6 +27,8 @@ from attnsim.core import (
     Transcript,
     Utterance,
 )
+
+from conftest import cache_step
 
 EMPTY = Transcript(dialogue_id="unit")
 
@@ -70,7 +72,7 @@ def utterance(*items, index=0, utt_id=None, iru=()):
 def fold_cache(transcript, upto_id, capacity=7):
     state = new_cache(transcript.item_table, capacity)
     for utt in transcript.utterances:
-        state, _ = process_utterance(
+        state, _ = cache_step(
             state, utt, transcript.events_at(utt.index), transcript
         )
         if utt.id == upto_id:
@@ -166,10 +168,10 @@ def test_retrieve_cue_set_capped_by_capacity():
         retrieve(state, ["a", "b", "c"], 1)
 
 
-def test_process_utterance_inserts_items():
+def test_absorb_inserts_items():
     items = table("a", "b")
     state = new_cache(items, capacity=7)
-    state, events = process_utterance(state, utterance("a", "b"), (), EMPTY)
+    state, events = absorb(state, utterance("a", "b"))
     assert state.entry_ids() == ("a", "b")
     assert state.effort == 0
     assert events == []
@@ -206,9 +208,9 @@ def test_completed_segment_items_stay_until_displaced():
     events = [
         SegmentEvent(kind=EventKind.PUSH, segment_id="S", position=0),
     ]
-    state, _ = process_utterance(state, utterance("a", "b"), events, EMPTY)
+    state, _ = cache_step(state, utterance("a", "b"), events, EMPTY)
     done = [SegmentEvent(kind=EventKind.POP, segment_id="S", position=1)]
-    state, _ = process_utterance(state, utterance(index=1), done, EMPTY)
+    state, _ = cache_step(state, utterance(index=1), done, EMPTY)
     assert set(view(state).immediate) == {"a", "b"}
 
 
@@ -234,7 +236,7 @@ def test_iru_reinstates_antecedent_items_at_no_cost(dialogue_c):
     assert "p_spread" in state.main_memory
     effort_before = state.effort
     utt_22b = dialogue_c.utterance_by_id("22b")
-    state, events = process_utterance(state, utt_22b, (), dialogue_c)
+    state, events = cache_step(state, utt_22b, (), dialogue_c)
     assert state.has_entry("p_spread")
     assert state.effort == effort_before
     assert any(e.kind is StoreEventKind.RETRIEVE and e.target == "p_spread" for e in events)
@@ -260,13 +262,13 @@ def test_return_triggers_costed_cued_retrieval():
     transcript = parse(text)
     state = new_cache(transcript.item_table, capacity=3)
     for utt in transcript.utterances[:2]:
-        state, _ = process_utterance(
+        state, _ = cache_step(
             state, utt, transcript.events_at(utt.index), transcript
         )
     # The interruption displaced the opening items.
     assert {"a", "b"} <= state.main_memory
     final = transcript.utterances[2]
-    state, events = process_utterance(
+    state, events = cache_step(
         state, final, transcript.events_at(final.index), transcript
     )
     retrieved = [e.target for e in events if e.kind is StoreEventKind.RETRIEVE]
@@ -279,7 +281,7 @@ def test_infinite_capacity_never_displaces():
     items = table(*[f"x{i}" for i in range(15)])
     state = new_cache(items, capacity=None)
     for index, item_id in enumerate(sorted(items)):
-        state, events = process_utterance(
+        state, events = cache_step(
             state, utterance(item_id, index=index), (), EMPTY
         )
         assert all(e.kind is not StoreEventKind.DISPLACE for e in events)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from attnsim.cache_model import RetrievalFailure, new_cache, process_utterance, retrieve
+from attnsim.cache_model import RetrievalFailure, new_cache, retrieve
 from attnsim.cli import build_parser, main
 from attnsim.core import StoreEventKind
 from attnsim.driver import (
@@ -23,7 +23,7 @@ from attnsim.driver import (
 from attnsim.resolution import FailureReason, Outcome, OutcomeKind, PopClassification
 from attnsim.transcript_io import parse, read_trace
 
-from conftest import fixture_path
+from conftest import cache_step, fixture_path
 
 
 def test_run_stack_dialogue_a(dialogue_a):
@@ -348,7 +348,7 @@ def test_return_cue_skips_discarded_surface_forms(tmp_path, capsys):
     # A direct request for the discarded record still fails.
     state = new_cache(transcript.item_table, capacity=2)
     for utt in transcript.utterances[:2]:
-        state, _ = process_utterance(
+        state, _ = cache_step(
             state, utt, transcript.events_at(utt.index), transcript
         )
     assert "s1" in state.discarded

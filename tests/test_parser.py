@@ -62,6 +62,33 @@ def test_unknown_record_type_names_it():
         ("UTT u1 speaker=A\nITEM x kind=entity bogus=1", "unknown key"),
         ("UTT u1 speaker=A\nITEM x kind=entity gender", "malformed field"),
         ("UTT u1", "requires speaker"),
+        ("DIALOGUE u", "repeated DIALOGUE record"),
+        ("UTT u1 speaker=A\nITEM x kind=entity sel=", "empty value for 'sel'"),
+        ("UTT u1 speaker=A\nITEM x kind=entity num=du", "bad num value 'du'"),
+        ("UTT u1 speaker=A\nITEM x kind=entity args=y", "pred/args are only valid"),
+        ("UTT u1 speaker=A\nITEM x kind=surface", "kind=surface requires realizes="),
+        ("UTT u1 speaker=A\nITEM x kind=prop realizes=x", "realizes= is only valid"),
+        ("UTT u1 speaker=A\nITEM p kind=prop args=ghost", "args references undeclared item"),
+        ("UTT u1 speaker=A\nITEM s kind=surface realizes=ghost", "realizes references"),
+        ("UTT u1 speaker=A\nPRON", "PRON needs an id"),
+        ("UTT u1 speaker=A\nPRON p num=sg gold=x", "PRON requires gender="),
+        ("UTT u1 speaker=A\nPRON p gender=f num=sg", "PRON requires gold="),
+        ("UTT u1 speaker=A\nPRON p gender=q num=sg gold=x", "bad gender value 'q'"),
+        ("UTT u1 speaker=A\nPRON p gender=f num=du gold=x", "bad num value 'du'"),
+        ("UTT u1 speaker=A\nPRON p gender=f num=sg gold=x gold=y", "repeated key 'gold'"),
+        ("UTT u1 speaker=A\nPRON p gender=f num=sg verb= gold=x", "empty value for 'verb'"),
+        ("UTT u1 speaker=A\nELLIPSIS", "ELLIPSIS needs an id"),
+        ("UTT u1 speaker=A\nELLIPSIS e gold=ghost", "gold references undeclared item"),
+        ("PUSH", "PUSH needs a segment id"),
+        ("PUSH S1 depth=2", "unknown key 'depth'"),
+        ("PUSH S1 iru", "malformed field 'iru'"),
+        ("PUSH S1\nPOP S1 S2", "POP takes a single segment id"),
+        ("PUSH S1\nRETURN", "RETURN takes a single segment id"),
+        ("PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE", "CASE needs an id"),
+        ("PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c1 iru", "CASE requires mention="),
+        ("PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c1 mention=", "empty value"),
+        ("PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c1 expect-return", "malformed"),
+        ("PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c1 mention=ghost", "undeclared mention"),
     ],
 )
 def test_strict_errors(body, fragment):
@@ -70,11 +97,70 @@ def test_strict_errors(body, fragment):
     assert fragment in exc.value.message
 
 
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        # "before any UTT" comes before "needs an id".
+        ("ITEM", 2, "ITEM before any UTT"),
+        # Duplicate ids are caught before the fields are split.
+        ("UTT u1 speaker=A\nUTT u1 bogus", 3, "duplicate utterance id 'u1'"),
+        ("UTT u1 speaker=A\nITEM x kind=entity\nITEM x bogus", 4, "duplicate item id 'x'"),
+        ("UTT u1 speaker=A\nELLIPSIS e gold=x\nPRON e bogus", 4, "duplicate mention id 'e'"),
+        (
+            "PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c mention=m\nCASE c bogus",
+            6,
+            "duplicate case id 'c'",
+        ),
+        # CASE's RETURN check sits between its duplicate check and splitting.
+        ("CASE c1 bogus", 2, "CASE before any RETURN"),
+        # PUSH checks reuse of the segment id only after splitting.
+        ("PUSH S1\nPOP S1\nPUSH S1 bogus", 4, "malformed field 'bogus'"),
+        # Key errors, then required keys in table order, then value lookups.
+        ("UTT u1 speaker=A\nITEM x kind=widget bogus=1", 3, "unknown key 'bogus'"),
+        ("UTT u1 speaker=A\nITEM x gender=q", 3, "ITEM requires kind="),
+        ("UTT u1 speaker=A\nPRON p gold=x", 3, "PRON requires gender="),
+        ("UTT u1 speaker=A\nPRON p gender=q gold=x", 3, "PRON requires num="),
+        # Forward references: line order, then the order within the line.
+        (
+            "UTT u1 speaker=A\nPRON p gender=f num=sg gold=g1\nITEM q kind=prop args=a,b",
+            3,
+            "gold references undeclared item 'g1'",
+        ),
+        ("UTT u1 speaker=A\nITEM q kind=prop args=q,a,b", 3, "args references undeclared item 'a'"),
+    ],
+)
+def test_error_precedence(body, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse("DIALOGUE t\n" + body + "\n")
+    assert (exc.value.line_number, exc.value.message) == (line, message)
+
+
+def test_local_error_beats_earlier_forward_reference():
+    # The undeclared gold on line 3 is only known once the file has been
+    # read, so the unknown record on line 5 is reported first.
+    text = (
+        "DIALOGUE t\nUTT u1 speaker=A\nPRON p gender=f num=sg gold=ghost\n"
+        "UTT u2 speaker=B\nFOO\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == "line 5: unknown record type 'FOO'"
+    with pytest.raises(ParseError) as exc:
+        parse(text.replace("FOO\n", ""))
+    assert str(exc.value) == "line 3: gold references undeclared item 'ghost'"
+
+
 def test_missing_dialogue_header():
     with pytest.raises(ParseError):
         parse("UTT u1 speaker=A\n")
-    with pytest.raises(ParseError):
-        parse("# just a comment\n")
+    for text in ("", "# just a comment\n"):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == "line 1: empty transcript: missing DIALOGUE record"
+        assert exc.value.offending_text == ""
+    with pytest.raises(ParseError) as exc:
+        parse("DIALOGUE a b\n")
+    assert exc.value.message == "DIALOGUE takes a single id"
 
 
 def test_comments_and_blanks_ignored():
