@@ -8,20 +8,19 @@ can be pinned across an interruption when a return is expected, retrieval
 from main memory costs effort, and redundant restatements refresh or
 reinstate their content for free.
 
-The replay fold owns one ``CacheState`` and every operation updates it in
-place, returning it with the store events it generated, so a step costs
-the same however long the transcript has run. Entries sit in a dict in
-recency order, least recently used first: a touch moves an entry to the
-end and eviction takes the first unpinned one. What leaves the state is
-an ``AccessibilityView``, an immutable snapshot; views share one frozen
-copy of main memory and of the discarded set until that store changes.
+The replay fold owns one ``CacheState`` and every step updates it in
+place and returns the store events it generated, as the stack model's
+steps do, so a step costs the same however long the transcript has run.
+Entries sit in a dict in recency order, least recently used first: a
+touch moves an entry to the end and eviction takes the first unpinned
+one. What leaves the state is an ``AccessibilityView``, an immutable
+snapshot; views share one frozen copy of main memory and of the discarded
+set until that store changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .core import (
@@ -58,19 +57,12 @@ class CueSetTooLarge(ValueError):
         self.capacity = capacity
 
 
-class Disposition(Enum):
-    STORED = "stored"
-    DISCARDED = "discarded"
-
-
 @dataclass
 class CacheEntry:
     """One cached item. ``admitted`` is the step at which it entered the
     cache: pins are taken in admission order, whatever the recency."""
 
-    item_id: str
     pinned: bool
-    last_use: int
     admitted: int = 0
 
 
@@ -84,7 +76,9 @@ class CacheState:
     discarded: set[str] = field(default_factory=set)
     effort: int = 0
     step: int = 0
+    # Per segment pushed with expect-return: the entries pinned at its push.
     pin_owners: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # The step of each item's latest touch, cached or not.
     last_touch: dict[str, int] = field(default_factory=dict)
     # Frozen copies of main_memory and discarded that views share; None
     # once the store has changed since the last view.
@@ -92,16 +86,6 @@ class CacheState:
     frozen_discarded: frozenset[str] | None = field(
         default=None, init=False, compare=False
     )
-
-    @property
-    def entries(self) -> tuple[CacheEntry, ...]:
-        return tuple(self.by_recency.values())
-
-    def entry_ids(self) -> tuple[str, ...]:
-        return tuple(self.by_recency)
-
-    def has_entry(self, item_id: str) -> bool:
-        return item_id in self.by_recency
 
 
 def new_cache(
@@ -114,17 +98,8 @@ def new_cache(
 
 def _touch(state: CacheState, item_id: str) -> None:
     state.step += 1
-    entry = state.by_recency.pop(item_id)
-    entry.last_use = state.step
-    state.by_recency[item_id] = entry
+    state.by_recency[item_id] = state.by_recency.pop(item_id)
     state.last_touch[item_id] = state.step
-
-
-def _add_entry(state: CacheState, item_id: str) -> None:
-    state.step += 1
-    step = state.step
-    state.by_recency[item_id] = CacheEntry(item_id, False, step, admitted=step)
-    state.last_touch[item_id] = step
 
 
 def _drop_pin_record(state: CacheState, item_id: str) -> None:
@@ -134,7 +109,7 @@ def _drop_pin_record(state: CacheState, item_id: str) -> None:
             return
 
 
-def evict_one(state: CacheState) -> tuple[CacheState, str, Disposition]:
+def evict_one(state: CacheState) -> list[StoreEvent]:
     """Displace one entry: the least recently used unpinned one, or the
     least recently used pinned one when everything is pinned.
 
@@ -144,36 +119,25 @@ def evict_one(state: CacheState) -> tuple[CacheState, str, Disposition]:
 
     if not state.by_recency:
         raise RuntimeError("cannot evict from an empty cache")
-    entries = state.by_recency.values()
-    victim = next((entry for entry in entries if not entry.pinned), None)
-    if victim is None:
-        victim = next(iter(entries))
-    del state.by_recency[victim.item_id]
-    if victim.pinned:
+    entries = state.by_recency
+    unpinned = (item_id for item_id, entry in entries.items() if not entry.pinned)
+    victim = next(unpinned, next(iter(entries)))
+    if entries.pop(victim).pinned:
         # A displaced entry is not in the cache, so its pin record goes too;
         # otherwise a later unpin could strip a fresh pin on a re-entry.
-        _drop_pin_record(state, victim.item_id)
-    if state.item_table[victim.item_id].kind is ItemKind.SURFACE_FORM:
-        state.discarded.add(victim.item_id)
+        _drop_pin_record(state, victim)
+    if state.item_table[victim].kind is ItemKind.SURFACE_FORM:
+        state.discarded.add(victim)
         state.frozen_discarded = None
-        return state, victim.item_id, Disposition.DISCARDED
-    state.main_memory.add(victim.item_id)
-    state.frozen_main = None
-    return state, victim.item_id, Disposition.STORED
-
-
-def _evict_logged(state: CacheState, events: list[StoreEvent]) -> None:
-    _, item_id, disposition = evict_one(state)
-    events.append(StoreEvent(StoreEventKind.DISPLACE, item_id))
-    if disposition is Disposition.STORED:
-        events.append(StoreEvent(StoreEventKind.STORE, item_id))
+        fate = StoreEventKind.DISCARD
     else:
-        events.append(StoreEvent(StoreEventKind.DISCARD, item_id))
+        state.main_memory.add(victim)
+        state.frozen_main = None
+        fate = StoreEventKind.STORE
+    return [StoreEvent(StoreEventKind.DISPLACE, victim), StoreEvent(fate, victim)]
 
 
-def _admit(
-    state: CacheState, movers: Sequence[str]
-) -> tuple[CacheState, list[StoreEvent]]:
+def _admit(state: CacheState, movers: Sequence[str]) -> list[StoreEvent]:
     """Bring absent items in, displacing as one up-front cascade.
 
     Running the cascade before any insertion keeps the displacement order
@@ -186,12 +150,12 @@ def _admit(
     if state.capacity is not None:
         deficit = len(state.by_recency) + len(movers) - state.capacity
         for _ in range(max(0, min(deficit, len(state.by_recency)))):
-            _evict_logged(state, events)
+            events.extend(evict_one(state))
     for item_id in movers:
         if state.capacity is not None and len(state.by_recency) >= state.capacity:
-            _evict_logged(state, events)
+            events.extend(evict_one(state))
         _readmit(state, item_id, events)
-    return state, events
+    return events
 
 
 def _readmit(state: CacheState, item_id: str, events: list[StoreEvent]) -> None:
@@ -205,12 +169,25 @@ def _readmit(state: CacheState, item_id: str, events: list[StoreEvent]) -> None:
         state.discarded.remove(item_id)
         state.frozen_discarded = None
         events.append(StoreEvent(StoreEventKind.RETRIEVE, item_id))
-    _add_entry(state, item_id)
+    state.step += 1
+    state.by_recency[item_id] = CacheEntry(False, admitted=state.step)
+    state.last_touch[item_id] = state.step
 
 
-def insert_items(
-    state: CacheState, item_ids: Sequence[str]
-) -> tuple[CacheState, list[StoreEvent]]:
+def _touch_cached(state: CacheState, item_ids: Sequence[str]) -> list[str]:
+    """Touch the cached items among ``item_ids`` and return the absent ones,
+    each once, in order of first mention."""
+
+    absent: list[str] = []
+    for item_id in dict.fromkeys(item_ids):
+        if item_id in state.by_recency:
+            _touch(state, item_id)
+        else:
+            absent.append(item_id)
+    return absent
+
+
+def insert_items(state: CacheState, item_ids: Sequence[str]) -> list[StoreEvent]:
     """Admit realized items at no effort: touch the ones already cached,
     then displace as needed and (re)enter the rest.
 
@@ -218,29 +195,19 @@ def insert_items(
     it is uttered again.
     """
 
-    present: list[str] = []
-    movers: list[str] = []
-    for item_id in item_ids:
-        if state.has_entry(item_id):
-            if item_id not in present:
-                present.append(item_id)
-        elif item_id not in movers:
-            movers.append(item_id)
-    for item_id in present:
-        _touch(state, item_id)
-    return _admit(state, movers)
+    return _admit(state, _touch_cached(state, item_ids))
 
 
 def retrieve(
     state: CacheState,
     item_ids: Sequence[str],
     cost_per_item: int = DEFAULT_RETRIEVAL_COST,
-) -> tuple[CacheState, int, list[StoreEvent]]:
+) -> list[StoreEvent]:
     """Cued retrieval from main memory into the cache.
 
     Items already cached are touched for free; each item actually moved
-    costs ``cost_per_item`` effort. Asking for a discarded item fails: the
-    record no longer exists anywhere.
+    adds ``cost_per_item`` to the state's effort. Asking for a discarded
+    item fails: the record no longer exists anywhere.
     """
 
     if state.capacity is not None and len(item_ids) > state.capacity:
@@ -248,21 +215,9 @@ def retrieve(
     for item_id in item_ids:
         if item_id in state.discarded:
             raise RetrievalFailure(item_id)
-
-    present: list[str] = []
-    movers: list[str] = []
-    for item_id in item_ids:
-        if state.has_entry(item_id):
-            if item_id not in present:
-                present.append(item_id)
-        elif item_id in state.main_memory and item_id not in movers:
-            movers.append(item_id)
-    for item_id in present:
-        _touch(state, item_id)
-    _, events = _admit(state, movers)
-    effort_delta = cost_per_item * len(movers)
-    state.effort += effort_delta
-    return state, effort_delta, events
+    movers = [i for i in _touch_cached(state, item_ids) if i in state.main_memory]
+    state.effort += cost_per_item * len(movers)
+    return _admit(state, movers)
 
 
 def apply_events(
@@ -270,7 +225,7 @@ def apply_events(
     events_before: Sequence[SegmentEvent],
     transcript: Transcript,
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
-) -> tuple[CacheState, list[StoreEvent]]:
+) -> list[StoreEvent]:
     """Apply segment boundaries: pin on an expected return, unpin when the
     segment closes, and cue a retrieval of the resumed segment's material.
     """
@@ -280,26 +235,38 @@ def apply_events(
         if event.kind is EventKind.PUSH:
             if not event.expect_return:
                 continue
-            unpinned = [e for e in state.by_recency.values() if not e.pinned]
-            unpinned.sort(key=attrgetter("admitted"))
-            for entry in unpinned:
-                entry.pinned = True
-            pinned_now = tuple(entry.item_id for entry in unpinned)
-            state.pin_owners[event.segment_id] = pinned_now
-            log.extend(StoreEvent(StoreEventKind.PIN, i) for i in pinned_now)
+            entries = state.by_recency
+            unpinned = [i for i, entry in entries.items() if not entry.pinned]
+            unpinned.sort(key=lambda item_id: entries[item_id].admitted)
+            for item_id in unpinned:
+                entries[item_id].pinned = True
+            state.pin_owners[event.segment_id] = tuple(unpinned)
+            log.extend(StoreEvent(StoreEventKind.PIN, i) for i in unpinned)
             continue
 
-        owned = state.pin_owners.pop(event.segment_id, None)
-        if owned is not None:
-            for item_id in owned:
-                state.by_recency[item_id].pinned = False
-            log.extend(StoreEvent(StoreEventKind.UNPIN, i) for i in owned)
+        if event.kind is EventKind.POP:
+            log.extend(_unpin(state, event.segment_id))
+            continue
 
-        if event.kind is EventKind.RETURN:
-            cue = _return_cue(state, transcript, event)
-            state, _, retrieval_events = retrieve(state, cue, retrieval_cost)
-            log.extend(retrieval_events)
-    return state, log
+        # A return also closes every segment opened inside the resumed one:
+        # their pins go first, innermost first.
+        pushed = transcript.push_positions
+        inner = [s for s in state.pin_owners if pushed[s] > pushed[event.segment_id]]
+        for segment_id in sorted(inner, key=pushed.__getitem__, reverse=True):
+            log.extend(_unpin(state, segment_id))
+        log.extend(_unpin(state, event.segment_id))
+        cue = _return_cue(state, transcript, event)
+        log.extend(retrieve(state, cue, retrieval_cost))
+    return log
+
+
+def _unpin(state: CacheState, segment_id: str) -> list[StoreEvent]:
+    """Release the pins taken when the segment was pushed."""
+
+    owned = state.pin_owners.pop(segment_id, ())
+    for item_id in owned:
+        state.by_recency[item_id].pinned = False
+    return [StoreEvent(StoreEventKind.UNPIN, item_id) for item_id in owned]
 
 
 def _return_cue(
@@ -320,7 +287,7 @@ def _return_cue(
 
 def apply_iru(
     state: CacheState, utt: Utterance, transcript: Transcript
-) -> tuple[CacheState, list[StoreEvent]]:
+) -> list[StoreEvent]:
     """Refresh or reinstate the content a redundant utterance re-realizes.
 
     Each item of each antecedent utterance is touched if cached, moved in
@@ -329,7 +296,7 @@ def apply_iru(
     """
 
     if not utt.is_iru:
-        return state, []
+        return []
     wanted: list[str] = []
     for antecedent_id in utt.iru_antecedents:
         for item_id in transcript.utterance_by_id(antecedent_id).items:
@@ -338,7 +305,7 @@ def apply_iru(
     return insert_items(state, wanted)
 
 
-def absorb(state: CacheState, utt: Utterance) -> tuple[CacheState, list[StoreEvent]]:
+def absorb(state: CacheState, utt: Utterance) -> list[StoreEvent]:
     """Admit the utterance's own items at no effort."""
 
     return insert_items(state, utt.items)
@@ -363,9 +330,7 @@ def view(state: CacheState) -> AccessibilityView:
 def check_invariants(state: CacheState) -> None:
     """Raise if a state violates the store contracts (test support)."""
 
-    ids = state.entry_ids()
-    if any(entry.item_id != key for key, entry in state.by_recency.items()):
-        raise AssertionError("entry filed under another id")
+    ids = tuple(state.by_recency)
     if state.capacity is not None and len(ids) > state.capacity:
         raise AssertionError("cache over capacity")
     cached = set(ids)
@@ -373,7 +338,7 @@ def check_invariants(state: CacheState) -> None:
         raise AssertionError("stores overlap")
     if state.main_memory & state.discarded:
         raise AssertionError("stores overlap")
-    uses = [entry.last_use for entry in state.entries]
+    uses = [state.last_touch[item_id] for item_id in ids]
     if any(earlier >= later for earlier, later in zip(uses, uses[1:])):
         raise AssertionError("entries out of recency order")
     if state.frozen_main is not None and state.frozen_main != state.main_memory:
@@ -386,6 +351,6 @@ def check_invariants(state: CacheState) -> None:
     owned = [m for members in state.pin_owners.values() for m in members]
     if len(set(owned)) != len(owned):
         raise AssertionError("pin record owned twice")
-    pinned = {entry.item_id for entry in state.entries if entry.pinned}
+    pinned = {item_id for item_id, entry in state.by_recency.items() if entry.pinned}
     if pinned != set(owned):
         raise AssertionError("pin flags and pin records disagree")

@@ -151,7 +151,7 @@ class CaseRecord:
 class Transcript:
     """An annotated dialogue.
 
-    Lookups by position, id, segment and surface carrier are indexed
+    Lookups by position, id, segment, push and surface carrier are indexed
     lazily, once per transcript; the indexes live in the instance dict,
     outside the fields, so they take no part in equality or repr.
     Utterance indexes are assumed to increase along ``utterances``, as the
@@ -191,6 +191,10 @@ class Transcript:
         return {
             seg: (tuple(seen), list(seen.values())) for seg, seen in first_seen.items()
         }
+
+    @cached_property
+    def push_positions(self) -> dict[str, int]:
+        return {e.segment_id: e.position for e in self.events if e.kind is EventKind.PUSH}
 
     @cached_property
     def surface_carriers(self) -> dict[str, DiscourseItem]:

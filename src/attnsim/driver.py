@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import cache_model, stack_model
 from .cache_model import DEFAULT_CAPACITY, DEFAULT_RETRIEVAL_COST
-from .core import EventKind, ItemKind, Transcript
+from .core import ItemKind, Transcript
 from .resolution import (
     IRUFunction,
     Outcome,
@@ -124,7 +124,8 @@ def replay(
 ) -> SimulationReport:
     """Fold the transcript through one model, utterance by utterance:
     segment boundaries, then redundancy handling, then each mention's
-    resolution, then the utterance's own items."""
+    resolution, then the utterance's own items. The fold owns the model's
+    one state; every step updates it in place and returns its store events."""
 
     _check_retrieval_cost(retrieval_cost)
     # Only the cache retrieves; the stack reports no capacity, cost or effort.
@@ -139,7 +140,7 @@ def replay(
     resolutions: list[tuple[str, Resolution]] = []
     findings: list[IRUFinding] = []
     for utt in transcript.utterances:
-        state, applied = model.apply_events(
+        applied = model.apply_events(
             state, transcript.events_at(utt.index), transcript, retrieval_cost
         )
         # Views are built on demand and reused until the state changes.
@@ -153,8 +154,7 @@ def replay(
                 function is IRUFunction.REFRESH_IN_CACHE for _, function in functions
             )
             findings.append(IRUFinding(utt.id, functions, not retrieves and all_fresh))
-            state, iru_events = model.apply_iru(state, utt, transcript)
-            applied.extend(iru_events)
+            applied.extend(model.apply_iru(state, utt, transcript))
             if retrieves and functions:
                 # The cache restates the content in place, so the view is
                 # stale; the stack leaves its state as it was.
@@ -174,15 +174,13 @@ def replay(
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
                 # Strategic retrieval: interpreting the anaphor pulls its
                 # antecedent into the cache and pays for the trip.
-                state, _, retrieval_events = model.retrieve(
-                    state, [resolution.outcome.item], retrieval_cost
+                applied.extend(
+                    model.retrieve(state, [resolution.outcome.item], retrieval_cost)
                 )
-                applied.extend(retrieval_events)
                 accessibility = None
             utt_resolutions.append(resolution)
             resolutions.append((utt.id, resolution))
-        state, absorb_events = model.absorb(state, utt)
-        applied.extend(absorb_events)
+        applied.extend(model.absorb(state, utt))
         records.append(
             TraceRecord(
                 utterance_index=utt.index,
@@ -325,14 +323,9 @@ def build_cases(transcript: Transcript) -> list[ReturnPopCase]:
     """
 
     mentions = {mention.id: mention for mention in transcript.mentions()}
-    push_positions = {
-        event.segment_id: event.position
-        for event in transcript.events
-        if event.kind is EventKind.PUSH
-    }
     cases = []
     for record in transcript.cases:
-        start = push_positions[record.segment_id]
+        start = transcript.push_positions[record.segment_id]
         stop = record.return_position
         candidate_ids: list[str] = []
         for utt in transcript.utterances[start:stop]:

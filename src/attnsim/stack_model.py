@@ -2,13 +2,19 @@
 
 A new focus space is pushed when an embedded segment opens and popped when
 it completes; accessibility covers every space still on the stack, ordered
-top-to-bottom, while popped items are lost outright. The stack is a value:
-every operation returns a new state.
+top-to-bottom, while popped items are lost outright.
+
+The replay fold owns one ``FocusStack`` and every step updates it in
+place and returns the store events it generated, as the cache model's
+steps do. An item lives in one space at a time, so a move touches only
+the items moved and a pop hands its spaces' items to the popped set as
+they are. What leaves the state is an ``AccessibilityView``, an immutable
+snapshot; views share one frozen copy of the popped set until it changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (
@@ -30,18 +36,22 @@ class StructureError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass
 class FocusSpace:
-    """One segment's grouping of items, most recently mentioned last."""
+    """One segment's grouping of items, as dict keys in insertion order,
+    most recently mentioned last."""
 
     segment_id: str | None
-    items: tuple[str, ...] = ()
+    items: dict[str, None] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass
 class FocusStack:
-    spaces: tuple[FocusSpace, ...]
-    popped: frozenset[str] = frozenset()
+    spaces: list[FocusSpace]
+    popped: set[str] = field(default_factory=set)
+    # Frozen copy of popped that views share; None once popped has changed
+    # since the last view.
+    frozen_popped: frozenset[str] | None = field(default=None, init=False, compare=False)
 
     @property
     def top(self) -> FocusSpace:
@@ -50,23 +60,18 @@ class FocusStack:
 
 def new_stack() -> FocusStack:
     # An implicit root space hosts utterances preceding any push.
-    return FocusStack(spaces=(FocusSpace(segment_id=None),))
+    return FocusStack(spaces=[FocusSpace(segment_id=None)])
 
 
-def _open_ids(stack: FocusStack) -> list[str | None]:
-    return [space.segment_id for space in stack.spaces]
-
-
-def apply_event(stack: FocusStack, event: SegmentEvent) -> FocusStack:
-    """Apply one segment boundary to the stack."""
+def apply_event(stack: FocusStack, event: SegmentEvent) -> list[StoreEvent]:
+    """Apply one segment boundary to the stack, logging each focus space
+    pushed and each one popped (innermost first)."""
 
     if event.kind is EventKind.PUSH:
-        if event.segment_id in _open_ids(stack):
+        if any(space.segment_id == event.segment_id for space in stack.spaces):
             raise StructureError(f"segment {event.segment_id!r} already open")
-        return FocusStack(
-            spaces=stack.spaces + (FocusSpace(segment_id=event.segment_id),),
-            popped=stack.popped,
-        )
+        stack.spaces.append(FocusSpace(segment_id=event.segment_id))
+        return [StoreEvent(StoreEventKind.PUSH_SPACE, event.segment_id)]
 
     if event.kind is EventKind.POP:
         if stack.top.segment_id != event.segment_id:
@@ -77,11 +82,10 @@ def apply_event(stack: FocusStack, event: SegmentEvent) -> FocusStack:
         return _pop_spaces(stack, 1)
 
     # Return: pop everything above the target segment.
-    ids = _open_ids(stack)
-    if event.segment_id not in ids:
-        raise StructureError(f"return to unknown segment {event.segment_id!r}")
-    depth = len(ids) - 1 - ids.index(event.segment_id)
-    return _pop_spaces(stack, depth)
+    for depth, space in enumerate(reversed(stack.spaces)):
+        if space.segment_id == event.segment_id:
+            return _pop_spaces(stack, depth)
+    raise StructureError(f"return to unknown segment {event.segment_id!r}")
 
 
 def apply_events(
@@ -89,81 +93,59 @@ def apply_events(
     events_before: Sequence[SegmentEvent],
     transcript: Transcript,
     retrieval_cost: int = 0,
-) -> tuple[FocusStack, list[StoreEvent]]:
-    """Apply segment boundaries, logging each focus space pushed and each
-    one popped (innermost first). The stack never retrieves, so the
-    transcript and the retrieval cost go unused."""
+) -> list[StoreEvent]:
+    """Apply segment boundaries in order. The stack never retrieves, so
+    the transcript and the retrieval cost go unused."""
 
+    return [logged for event in events_before for logged in apply_event(stack, event)]
+
+
+def _pop_spaces(stack: FocusStack, count: int) -> list[StoreEvent]:
     log: list[StoreEvent] = []
-    for event in events_before:
-        before = stack.spaces
-        stack = apply_event(stack, event)
-        if event.kind is EventKind.PUSH:
-            log.append(StoreEvent(StoreEventKind.PUSH_SPACE, event.segment_id))
-        else:
-            popped = before[len(stack.spaces) :]
-            log.extend(
-                StoreEvent(StoreEventKind.POP_SPACE, space.segment_id)
-                for space in reversed(popped)
-            )
-    return stack, log
+    for _ in range(count):
+        space = stack.spaces.pop()
+        stack.popped.update(space.items)
+        stack.frozen_popped = None
+        log.append(StoreEvent(StoreEventKind.POP_SPACE, space.segment_id))
+    return log
 
 
-def _pop_spaces(stack: FocusStack, count: int) -> FocusStack:
-    if count == 0:
-        return stack
-    remaining = stack.spaces[:-count]
-    lower_items = {item for space in remaining for item in space.items}
-    newly_popped = [
-        item
-        for space in stack.spaces[-count:]
-        for item in space.items
-        if item not in lower_items
-    ]
-    return FocusStack(spaces=remaining, popped=stack.popped | set(newly_popped))
-
-
-def apply_utterance(stack: FocusStack, utt: Utterance) -> FocusStack:
+def apply_utterance(stack: FocusStack, utt: Utterance) -> None:
     """Move the utterance's items to the end of the top space.
 
     Items live in a single space: a re-mention relocates the item rather
-    than duplicating it, and clears it from the popped set.
+    than duplicating it, and clears it from the popped set. A repeated
+    item ends where its last mention puts it.
     """
 
-    if not utt.items:
-        return stack
-    # A repeated item ends where its last mention puts it.
-    arriving = tuple(reversed(dict.fromkeys(reversed(utt.items))))
-    moved = frozenset(arriving)
-    spaces = [
-        space
-        if moved.isdisjoint(space.items)
-        else FocusSpace(
-            segment_id=space.segment_id,
-            items=tuple(i for i in space.items if i not in moved),
-        )
-        for space in stack.spaces
-    ]
-    top = spaces[-1]
-    spaces[-1] = FocusSpace(segment_id=top.segment_id, items=top.items + arriving)
-    popped = stack.popped if moved.isdisjoint(stack.popped) else stack.popped - moved
-    return FocusStack(spaces=tuple(spaces), popped=popped)
+    top = stack.top.items
+    for item_id in utt.items:
+        if item_id in stack.popped:
+            stack.popped.remove(item_id)
+            stack.frozen_popped = None
+        else:
+            for space in reversed(stack.spaces):
+                if item_id in space.items:
+                    del space.items[item_id]
+                    break
+        top[item_id] = None
 
 
 def apply_iru(
     stack: FocusStack, utt: Utterance, transcript: Transcript
-) -> tuple[FocusStack, list[StoreEvent]]:
+) -> list[StoreEvent]:
     """A restatement leaves the stack as it is: its items enter with the
     utterance, like any other."""
 
-    return stack, []
+    return []
 
 
-def absorb(stack: FocusStack, utt: Utterance) -> tuple[FocusStack, list[StoreEvent]]:
+def absorb(stack: FocusStack, utt: Utterance) -> list[StoreEvent]:
     """Absorb an utterance's items; moving items between spaces is not a
     store event."""
 
-    return apply_utterance(stack, utt), []
+    apply_utterance(stack, utt)
+    return []
 
 
 def view(stack: FocusStack) -> AccessibilityView:
@@ -174,11 +156,13 @@ def view(stack: FocusStack) -> AccessibilityView:
     is retrievable and popped items are lost.
     """
 
+    if stack.frozen_popped is None:
+        stack.frozen_popped = frozenset(stack.popped)
     immediate: list[str] = []
     for space in reversed(stack.spaces):
         immediate.extend(reversed(space.items))
     return AccessibilityView(
         immediate=tuple(immediate),
         retrievable=frozenset(),
-        lost=stack.popped,
+        lost=stack.frozen_popped,
     )

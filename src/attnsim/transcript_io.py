@@ -115,8 +115,9 @@ def parse(text: str) -> Transcript:
     partial state escapes. The error names the first line with a local
     error (one visible from that line and the lines above it), or, if no
     line has one, the first line that references an item or mention
-    declared nowhere in the file. So a local error on a later line is
-    reported before an undeclared forward reference on an earlier one.
+    declared nowhere in the file, or a CASE whose mention is an ellipsis.
+    So a local error on a later line is reported before an undeclared
+    forward reference on an earlier one.
     """
 
     dialogue_id: str | None = None
@@ -124,7 +125,7 @@ def parse(text: str) -> Transcript:
     utterances: list[tuple[str, str, tuple[str, ...], list[str], list[Mention]]] = []
     utterance_ids: set[str] = set()
     items: dict[str, DiscourseItem] = {}
-    mention_ids: set[str] = set()
+    mention_forms: dict[str, MentionForm] = {}
     events: list[SegmentEvent] = []
     open_segments: list[str] = []
     used_segments: set[str] = set()
@@ -240,7 +241,7 @@ def parse(text: str) -> Transcript:
                 deferred.append((line_no, raw, "realizes", item.realizes, items))
 
         elif record in {"PRON", "ELLIPSIS"}:
-            if record_id in mention_ids:
+            if record_id in mention_forms:
                 raise ParseError(line_no, f"duplicate mention id {record_id!r}", raw)
             fields, _ = _split_fields(record, tokens, line_no, raw)
             if record == "PRON":
@@ -257,7 +258,7 @@ def parse(text: str) -> Transcript:
                 mention = Mention(
                     id=record_id, form=MentionForm.VP_ELLIPSIS, gold_antecedent=fields["gold"]
                 )
-            mention_ids.add(record_id)
+            mention_forms[record_id] = mention.form
             utt_mentions.append(mention)
             deferred.append((line_no, raw, "gold", fields["gold"], items))
 
@@ -293,7 +294,7 @@ def parse(text: str) -> Transcript:
                     central_competitor="central-competitor" in flags,
                 )
             )
-            deferred.append((line_no, raw, "mention", fields["mention"], mention_ids))
+            deferred.append((line_no, raw, "mention", fields["mention"], mention_forms))
 
     if dialogue_id is None:
         raise ParseError(1, "empty transcript: missing DIALOGUE record", "")
@@ -302,6 +303,9 @@ def parse(text: str) -> Transcript:
         if ref not in known:
             noun = "mention" if key == "mention" else "item"
             raise ParseError(line_no, f"{key} references undeclared {noun} {ref!r}", raw)
+        if key == "mention" and mention_forms[ref] is MentionForm.VP_ELLIPSIS:
+            # A return-pop case classifies a pronoun among entity candidates.
+            raise ParseError(line_no, f"mention {ref!r} is an ellipsis, not a pronoun", raw)
 
     # Dialogue-derived capability tags: an entity named as an argument of a
     # proposition picks up that proposition's predicate as a pred: tag.

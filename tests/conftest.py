@@ -23,12 +23,11 @@ def cache_step(
 ):
     """Advance a cache across one utterance the way the replay fold does:
     segment boundaries, then redundancy handling, then the utterance's own
-    items. Returns the state and the store events in order."""
+    items. Returns the store events in order."""
 
-    state, log = cache_model.apply_events(state, events_before, transcript, retrieval_cost)
-    state, iru_events = cache_model.apply_iru(state, utt, transcript)
-    state, absorb_events = cache_model.absorb(state, utt)
-    return state, log + iru_events + absorb_events
+    log = cache_model.apply_events(state, events_before, transcript, retrieval_cost)
+    log += cache_model.apply_iru(state, utt, transcript)
+    return log + cache_model.absorb(state, utt)
 
 
 @pytest.fixture(scope="session")

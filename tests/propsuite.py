@@ -9,16 +9,20 @@ acceptance gate checks the total.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from attnsim import cache_model, stack_model
 from attnsim.cache_model import new_cache
 from attnsim.core import (
+    AccessibilityView,
     DiscourseItem,
     EventKind,
     ItemKind,
     SegmentEvent,
+    StoreEvent,
     StoreEventKind,
     Transcript,
+    Utterance,
     segment_items,
 )
 from attnsim.driver import ModelKind, replay
@@ -36,6 +40,7 @@ INVARIANCE_PAIR_TRIALS = 60
 ROUNDTRIP_TRIALS = 40
 FRESH_VIEW_TRIALS = 400
 FRESH_VIEW_CAPACITIES = (1, 2, 3, 7)
+STACK_REFERENCE_TRIALS = 400
 
 _GENDERS = ["m", "f", "n"]
 _NUMBERS = ["sg", "pl"]
@@ -165,13 +170,11 @@ def run_invariant_suite(seed: int = SEED, trials: int = INVARIANT_TRIALS) -> int
         seen: set[str] = set()
         effort_before = 0
         for utt in transcript.utterances:
-            state, _ = cache_model.apply_events(
-                state, transcript.events_at(utt.index), transcript
-            )
+            cache_model.apply_events(state, transcript.events_at(utt.index), transcript)
             cache_model.check_invariants(state)
-            state, _ = cache_model.apply_iru(state, utt, transcript)
+            cache_model.apply_iru(state, utt, transcript)
             cache_model.check_invariants(state)
-            state, _ = cache_model.insert_items(state, utt.items)
+            cache_model.insert_items(state, utt.items)
             cache_model.check_invariants(state)
             seen |= set(utt.items)
             snapshot = cache_model.view(state)
@@ -204,7 +207,7 @@ def run_lru_oracle_suite(seed: int = SEED, trials: int = ORACLE_TRIALS) -> int:
         displaced_oracle: list[str] = []
         for _ in range(rng.randint(5, 40)):
             item_id = rng.choice(sorted(table))
-            state, events = cache_model.insert_items(state, [item_id])
+            events = cache_model.insert_items(state, [item_id])
             displaced_impl.extend(
                 e.target for e in events if e.kind is StoreEventKind.DISPLACE
             )
@@ -222,7 +225,7 @@ def run_lru_oracle_suite(seed: int = SEED, trials: int = ORACLE_TRIALS) -> int:
                 oracle_cache.append(item_id)
             history.append(item_id)
         assert displaced_impl == displaced_oracle
-        assert sorted(state.entry_ids()) == sorted(oracle_cache)
+        assert sorted(state.by_recency) == sorted(oracle_cache)
         traces += 1
     return traces
 
@@ -241,28 +244,27 @@ def run_pin_cascade_suite(seed: int = SEED, trials: int = PIN_CASCADE_TRIALS) ->
         capacity = rng.randint(2, 8)
         state = new_cache(table, capacity)
         fill = rng.randint(1, capacity)
-        state, _ = cache_model.insert_items(state, [f"x{i}" for i in range(fill)])
+        cache_model.insert_items(state, [f"x{i}" for i in range(fill)])
         pin_event = SegmentEvent(
             kind=EventKind.PUSH, segment_id="hold", position=0, expect_return=True
         )
-        state, _ = cache_model.apply_events(state, [pin_event], empty)
+        cache_model.apply_events(state, [pin_event], empty)
         extra = rng.randint(0, capacity - fill) if capacity > fill else 0
-        state, _ = cache_model.insert_items(
-            state, [f"x{i}" for i in range(fill, fill + extra)]
-        )
+        cache_model.insert_items(state, [f"x{i}" for i in range(fill, fill + extra)])
         cache_model.check_invariants(state)
 
+        entries = state.by_recency
         expected_unpinned = sorted(
-            (e for e in state.entries if not e.pinned), key=lambda e: e.last_use
+            (i for i in entries if not entries[i].pinned), key=state.last_touch.get
         )
         expected_pinned = sorted(
-            (e for e in state.entries if e.pinned), key=lambda e: e.last_use
+            (i for i in entries if entries[i].pinned), key=state.last_touch.get
         )
-        expected_order = [e.item_id for e in expected_unpinned + expected_pinned]
+        expected_order = expected_unpinned + expected_pinned
 
         incoming = rng.randint(1, capacity)
         start = fill + extra
-        state, events = cache_model.insert_items(
+        events = cache_model.insert_items(
             state, [f"x{i}" for i in range(start, start + incoming)]
         )
         displaced = [e.target for e in events if e.kind is StoreEventKind.DISPLACE]
@@ -310,13 +312,16 @@ def run_stack_restore_suite(seed: int = SEED, trials: int = STACK_RESTORE_TRIALS
         state = stack_model.new_stack()
         for utt in transcript.utterances:
             for event in transcript.events_at(utt.index):
-                state = stack_model.apply_event(state, event)
-            state = stack_model.apply_utterance(state, utt)
+                stack_model.apply_event(state, event)
+            stack_model.apply_utterance(state, utt)
+        spaces = [(space.segment_id, tuple(space.items)) for space in state.spaces]
+        popped = set(state.popped)
         push = SegmentEvent(kind=EventKind.PUSH, segment_id="probe", position=0)
         pop = SegmentEvent(kind=EventKind.POP, segment_id="probe", position=0)
-        after = stack_model.apply_event(stack_model.apply_event(state, push), pop)
-        assert after.spaces == state.spaces
-        assert after.popped == state.popped
+        stack_model.apply_event(state, push)
+        stack_model.apply_event(state, pop)
+        assert [(space.segment_id, tuple(space.items)) for space in state.spaces] == spaces
+        assert state.popped == popped
         traces += 1
     return traces
 
@@ -424,11 +429,11 @@ def _fresh_view_fold(transcript: Transcript, capacity: int) -> tuple[list, list,
         for event in transcript.events_at(utt.index):
             if event.kind is EventKind.RETURN:
                 discarded_cues += _cue_names_discarded(state, transcript, event)
-            state, _ = cache_model.apply_events(state, [event], transcript)
+            cache_model.apply_events(state, [event], transcript)
         if utt.is_iru:
             functions = analyze_iru(utt, cache_model.view(state), transcript)
             findings.append((utt.id, tuple(functions)))
-            state, _ = cache_model.apply_iru(state, utt, transcript)
+            cache_model.apply_iru(state, utt, transcript)
         for mention in utt.mentions:
             resolution = resolve(
                 mention,
@@ -437,9 +442,9 @@ def _fresh_view_fold(transcript: Transcript, capacity: int) -> tuple[list, list,
                 allow_retrieval=True,
             )
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
-                state, _, _ = cache_model.retrieve(state, [resolution.outcome.item])
+                cache_model.retrieve(state, [resolution.outcome.item])
             resolutions.append((utt.id, resolution))
-        state, _ = cache_model.absorb(state, utt)
+        cache_model.absorb(state, utt)
     return resolutions, findings, discarded_cues
 
 
@@ -465,6 +470,112 @@ def run_fresh_view_suite(seed: int = SEED, trials: int = FRESH_VIEW_TRIALS) -> i
     return traces
 
 
+# The value-based focus stack that the in-place stack model replaced: each
+# step returns a new stack of tuples, an utterance rebuilds the spaces it
+# touches, and a pop rescans the lower spaces. It is the reference for the
+# stack model's space events and views.
+
+
+@dataclass(frozen=True)
+class _ValueSpace:
+    segment_id: str | None
+    items: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class _ValueStack:
+    spaces: tuple[_ValueSpace, ...] = (_ValueSpace(None),)
+    popped: frozenset[str] = frozenset()
+
+
+def _value_apply_event(stack: _ValueStack, event: SegmentEvent) -> _ValueStack:
+    ids = [space.segment_id for space in stack.spaces]
+    if event.kind is EventKind.PUSH:
+        assert event.segment_id not in ids
+        return _ValueStack(stack.spaces + (_ValueSpace(event.segment_id),), stack.popped)
+    if event.kind is EventKind.POP:
+        assert ids[-1] == event.segment_id
+        return _value_pop_spaces(stack, 1)
+    return _value_pop_spaces(stack, len(ids) - 1 - ids.index(event.segment_id))
+
+
+def _value_pop_spaces(stack: _ValueStack, count: int) -> _ValueStack:
+    if count == 0:
+        return stack
+    remaining = stack.spaces[:-count]
+    lower_items = {item for space in remaining for item in space.items}
+    newly_popped = [
+        item
+        for space in stack.spaces[-count:]
+        for item in space.items
+        if item not in lower_items
+    ]
+    return _ValueStack(remaining, stack.popped | set(newly_popped))
+
+
+def _value_apply_utterance(stack: _ValueStack, utt: Utterance) -> _ValueStack:
+    if not utt.items:
+        return stack
+    # A repeated item ends where its last mention puts it.
+    arriving = tuple(reversed(dict.fromkeys(reversed(utt.items))))
+    moved = frozenset(arriving)
+    spaces = [
+        space
+        if moved.isdisjoint(space.items)
+        else _ValueSpace(space.segment_id, tuple(i for i in space.items if i not in moved))
+        for space in stack.spaces
+    ]
+    top = spaces[-1]
+    spaces[-1] = _ValueSpace(top.segment_id, top.items + arriving)
+    return _ValueStack(tuple(spaces), stack.popped - moved)
+
+
+def _value_view(stack: _ValueStack) -> AccessibilityView:
+    immediate = [item for space in reversed(stack.spaces) for item in reversed(space.items)]
+    return AccessibilityView(tuple(immediate), frozenset(), stack.popped)
+
+
+def stack_reference_records(transcript: Transcript) -> list[tuple]:
+    """Per utterance, the value-based stack's space events and its view
+    once the utterance's items are in."""
+
+    stack = _ValueStack()
+    records = []
+    for utt in transcript.utterances:
+        events: list[StoreEvent] = []
+        for event in transcript.events_at(utt.index):
+            before = stack.spaces
+            stack = _value_apply_event(stack, event)
+            if event.kind is EventKind.PUSH:
+                events.append(StoreEvent(StoreEventKind.PUSH_SPACE, event.segment_id))
+            else:
+                events.extend(
+                    StoreEvent(StoreEventKind.POP_SPACE, space.segment_id)
+                    for space in reversed(before[len(stack.spaces) :])
+                )
+        stack = _value_apply_utterance(stack, utt)
+        records.append((tuple(events), _value_view(stack)))
+    return records
+
+
+def assert_stack_matches_reference(transcript: Transcript) -> None:
+    report = replay(transcript, ModelKind.STACK)
+    actual = [(record.events_applied, record.view) for record in report.records]
+    assert actual == stack_reference_records(transcript)
+
+
+def run_stack_reference_suite(seed: int = SEED, trials: int = STACK_REFERENCE_TRIALS) -> int:
+    """The stack replay's space events and views equal the value-based
+    reference's at every utterance."""
+
+    rng = random.Random(seed + 8)
+    traces = 0
+    for _ in range(trials):
+        assert_stack_matches_reference(parse(random_transcript_text(rng)))
+        traces += 1
+    return traces
+
+
 ALL_SUITES = (
     run_invariant_suite,
     run_lru_oracle_suite,
@@ -474,6 +585,7 @@ ALL_SUITES = (
     run_interruption_invariance_suite,
     run_roundtrip_suite,
     run_fresh_view_suite,
+    run_stack_reference_suite,
 )
 
 

@@ -8,7 +8,6 @@ from attnsim.cache_model import (
     CacheEntry,
     CacheState,
     CueSetTooLarge,
-    Disposition,
     RetrievalFailure,
     absorb,
     check_invariants,
@@ -23,10 +22,13 @@ from attnsim.core import (
     EventKind,
     ItemKind,
     SegmentEvent,
+    StoreEvent,
     StoreEventKind,
     Transcript,
     Utterance,
 )
+
+from attnsim.transcript_io import parse
 
 from conftest import cache_step
 
@@ -48,14 +50,16 @@ def table(*entries):
 
 
 def state_with(entries, item_table, capacity=7, pin_owners=None):
-    ordered = sorted(entries, key=lambda e: e.last_use)
+    """A state caching ``(item id, pinned, last use)`` entries."""
+
+    ordered = sorted(entries, key=lambda e: e[2])
     return CacheState(
         capacity=capacity,
         item_table=item_table,
-        by_recency={e.item_id: e for e in ordered},
-        step=max((e.last_use for e in entries), default=0),
+        by_recency={item_id: CacheEntry(pinned) for item_id, pinned, _ in ordered},
+        step=max((use for *_, use in entries), default=0),
         pin_owners=pin_owners or {},
-        last_touch={e.item_id: e.last_use for e in entries},
+        last_touch={item_id: use for item_id, _, use in entries},
     )
 
 
@@ -72,9 +76,7 @@ def utterance(*items, index=0, utt_id=None, iru=()):
 def fold_cache(transcript, upto_id, capacity=7):
     state = new_cache(transcript.item_table, capacity)
     for utt in transcript.utterances:
-        state, _ = cache_step(
-            state, utt, transcript.events_at(utt.index), transcript
-        )
+        cache_step(state, utt, transcript.events_at(utt.index), transcript)
         if utt.id == upto_id:
             break
     return state
@@ -83,40 +85,36 @@ def fold_cache(transcript, upto_id, capacity=7):
 def test_evict_one_takes_least_recently_used():
     items = table("a", "b", "c")
     state = state_with(
-        [
-            CacheEntry("a", False, 1),
-            CacheEntry("b", False, 2),
-            CacheEntry("c", False, 3),
-        ],
+        [("a", False, 1), ("b", False, 2), ("c", False, 3)],
         items,
     )
-    state, displaced, disposition = evict_one(state)
-    assert displaced == "a"
-    assert disposition is Disposition.STORED
+    assert evict_one(state) == [
+        StoreEvent(StoreEventKind.DISPLACE, "a"),
+        StoreEvent(StoreEventKind.STORE, "a"),
+    ]
     assert "a" in state.main_memory
-    assert state.entry_ids() == ("b", "c")
+    assert tuple(state.by_recency) == ("b", "c")
 
 
 def test_evict_one_prefers_unpinned():
     items = table("a", "b")
     state = state_with(
-        [CacheEntry("a", True, 1), CacheEntry("b", False, 2)],
+        [("a", True, 1), ("b", False, 2)],
         items,
         pin_owners={"seg": ("a",)},
     )
-    state, displaced, _ = evict_one(state)
-    assert displaced == "b"
-    assert state.entry_ids() == ("a",)
+    displaced, _ = evict_one(state)
+    assert displaced.target == "b"
+    assert tuple(state.by_recency) == ("a",)
 
 
 def test_evict_one_discards_surface_forms():
     items = table(("host", ItemKind.PROPOSITION), ("s", ItemKind.SURFACE_FORM))
-    state = state_with(
-        [CacheEntry("s", True, 1)], items, pin_owners={"seg": ("s",)}
-    )
-    state, displaced, disposition = evict_one(state)
-    assert displaced == "s"
-    assert disposition is Disposition.DISCARDED
+    state = state_with([("s", True, 1)], items, pin_owners={"seg": ("s",)})
+    assert evict_one(state) == [
+        StoreEvent(StoreEventKind.DISPLACE, "s"),
+        StoreEvent(StoreEventKind.DISCARD, "s"),
+    ]
     assert "s" in state.discarded
     assert "s" not in state.main_memory
     assert state.pin_owners == {"seg": ()}
@@ -131,26 +129,25 @@ def test_evict_empty_cache_is_internal_error():
 def test_retrieve_moves_item_in_at_cost():
     items = table("x")
     state = new_cache(items, capacity=3)
-    state, _ = insert_items(state, ["x"])
+    insert_items(state, ["x"])
     # Push x out to main memory by hand via eviction.
-    state, _, _ = evict_one(state)
+    evict_one(state)
     assert "x" in state.main_memory
-    state, delta, events = retrieve(state, ["x"], 1)
-    assert delta == 1
+    assert state.effort == 0
+    events = retrieve(state, ["x"], 1)
     assert state.effort == 1
-    assert state.has_entry("x")
+    assert "x" in state.by_recency
     assert [e.kind for e in events] == [StoreEventKind.RETRIEVE]
 
 
 def test_retrieve_touches_cached_items_for_free():
     items = table("x", "y")
     state = new_cache(items, capacity=3)
-    state, _ = insert_items(state, ["x", "y"])
-    before = [e for e in state.entries if e.item_id == "x"][0].last_use
-    state, delta, events = retrieve(state, ["x"], 1)
-    assert delta == 0 and state.effort == 0 and events == []
-    after = [e for e in state.entries if e.item_id == "x"][0].last_use
-    assert after > before
+    insert_items(state, ["x", "y"])
+    before = state.last_touch["x"]
+    events = retrieve(state, ["x"], 1)
+    assert state.effort == 0 and events == []
+    assert state.last_touch["x"] > before
 
 
 def test_retrieve_discarded_item_fails(dialogue_b):
@@ -171,15 +168,15 @@ def test_retrieve_cue_set_capped_by_capacity():
 def test_absorb_inserts_items():
     items = table("a", "b")
     state = new_cache(items, capacity=7)
-    state, events = absorb(state, utterance("a", "b"))
-    assert state.entry_ids() == ("a", "b")
+    events = absorb(state, utterance("a", "b"))
+    assert tuple(state.by_recency) == ("a", "b")
     assert state.effort == 0
     assert events == []
 
 
 def test_dialogue_a_retains_opening_material(dialogue_a):
     state = fold_cache(dialogue_a, upto_id="7")
-    entries = {entry.item_id: entry for entry in state.entries}
+    entries = state.by_recency
     assert entries["p1"].pinned and entries["daughter"].pinned
     assert state.effort == 0
     # Nothing has been displaced anywhere in the run.
@@ -208,9 +205,9 @@ def test_completed_segment_items_stay_until_displaced():
     events = [
         SegmentEvent(kind=EventKind.PUSH, segment_id="S", position=0),
     ]
-    state, _ = cache_step(state, utterance("a", "b"), events, EMPTY)
+    cache_step(state, utterance("a", "b"), events, EMPTY)
     done = [SegmentEvent(kind=EventKind.POP, segment_id="S", position=1)]
-    state, _ = cache_step(state, utterance(index=1), done, EMPTY)
+    cache_step(state, utterance(index=1), done, EMPTY)
     assert set(view(state).immediate) == {"a", "b"}
 
 
@@ -225,8 +222,8 @@ def test_dialogue_c_certificate_material_retrievable_by_21(dialogue_c):
 def test_re_realization_recovers_discarded_surface(dialogue_b):
     state = fold_cache(dialogue_b, upto_id="7")
     assert "s1" in state.discarded
-    state, events = insert_items(state, ["s1"])
-    assert state.has_entry("s1")
+    events = insert_items(state, ["s1"])
+    assert "s1" in state.by_recency
     assert "s1" not in state.discarded
     assert any(e.kind is StoreEventKind.RETRIEVE and e.target == "s1" for e in events)
 
@@ -236,8 +233,8 @@ def test_iru_reinstates_antecedent_items_at_no_cost(dialogue_c):
     assert "p_spread" in state.main_memory
     effort_before = state.effort
     utt_22b = dialogue_c.utterance_by_id("22b")
-    state, events = cache_step(state, utt_22b, (), dialogue_c)
-    assert state.has_entry("p_spread")
+    events = cache_step(state, utt_22b, (), dialogue_c)
+    assert "p_spread" in state.by_recency
     assert state.effort == effort_before
     assert any(e.kind is StoreEventKind.RETRIEVE and e.target == "p_spread" for e in events)
 
@@ -257,56 +254,79 @@ def test_return_triggers_costed_cued_retrieval():
         "RETURN G\n"
         "UTT r1 speaker=A\n"
     )
-    from attnsim.transcript_io import parse
-
     transcript = parse(text)
     state = new_cache(transcript.item_table, capacity=3)
     for utt in transcript.utterances[:2]:
-        state, _ = cache_step(
-            state, utt, transcript.events_at(utt.index), transcript
-        )
+        cache_step(state, utt, transcript.events_at(utt.index), transcript)
     # The interruption displaced the opening items.
     assert {"a", "b"} <= state.main_memory
     final = transcript.utterances[2]
-    state, events = cache_step(
-        state, final, transcript.events_at(final.index), transcript
-    )
+    events = cache_step(state, final, transcript.events_at(final.index), transcript)
     retrieved = [e.target for e in events if e.kind is StoreEventKind.RETRIEVE]
     # Budget is capacity - 1, most recently used first.
     assert retrieved == ["b", "a"][: state.capacity - 1]
     assert state.effort == len(retrieved)
 
 
+def test_return_releases_pins_of_the_segments_it_closes():
+    # b's and c's pushes pin their parents' material; RETURN a closes both
+    # segments, so both pin records go, innermost first, and the closed
+    # segments' items no longer outlast a's own.
+    lines = ["DIALOGUE leak", "PUSH a"]
+    for utt_id, item_id, boundary in (
+        ("u1", "x", "PUSH b expect-return"),
+        ("u2", "y", "PUSH c expect-return"),
+        ("u3", "w", "RETURN a"),
+        ("u4", "z", "POP a"),
+        ("u5", "n5", None),
+        ("u6", "n6", None),
+        ("u7", "n7", None),
+        ("u8", "n8", None),
+    ):
+        lines += [f"UTT {utt_id} speaker=A", f"ITEM {item_id} kind=entity"]
+        if boundary:
+            lines.append(boundary)
+    transcript = parse("\n".join(lines) + "\n")
+    state = new_cache(transcript.item_table, capacity=4)
+    events = []
+    for utt in transcript.utterances:
+        events += cache_step(state, utt, transcript.events_at(utt.index), transcript)
+        check_invariants(state)
+    assert [e.target for e in events if e.kind is StoreEventKind.UNPIN] == ["y", "x"]
+    assert state.pin_owners == {}
+    displaced = [e.target for e in events if e.kind is StoreEventKind.DISPLACE]
+    # The return's cue touched x.
+    assert displaced == ["y", "w", "x", "z"]
+
+
 def test_infinite_capacity_never_displaces():
     items = table(*[f"x{i}" for i in range(15)])
     state = new_cache(items, capacity=None)
     for index, item_id in enumerate(sorted(items)):
-        state, events = cache_step(
-            state, utterance(item_id, index=index), (), EMPTY
-        )
+        events = cache_step(state, utterance(item_id, index=index), (), EMPTY)
         assert all(e.kind is not StoreEventKind.DISPLACE for e in events)
-    assert len(state.entries) == 15
+    assert len(state.by_recency) == 15
     assert state.effort == 0
 
 
 def test_pin_scope_is_cache_contents_at_push_time():
     items = table("a", "b", "c")
     state = new_cache(items, capacity=7)
-    state, _ = insert_items(state, ["a"])
+    insert_items(state, ["a"])
     push = SegmentEvent(
         kind=EventKind.PUSH, segment_id="S", position=0, expect_return=True
     )
     from attnsim.cache_model import apply_events
 
-    state, events = apply_events(state, [push], EMPTY)
+    events = apply_events(state, [push], EMPTY)
     assert [e.target for e in events if e.kind is StoreEventKind.PIN] == ["a"]
-    state, _ = insert_items(state, ["b"])
-    entries = {entry.item_id: entry.pinned for entry in state.entries}
+    insert_items(state, ["b"])
+    entries = {item_id: entry.pinned for item_id, entry in state.by_recency.items()}
     assert entries == {"a": True, "b": False}
     pop = SegmentEvent(kind=EventKind.POP, segment_id="S", position=1)
-    state, events = apply_events(state, [pop], EMPTY)
+    events = apply_events(state, [pop], EMPTY)
     assert [e.target for e in events if e.kind is StoreEventKind.UNPIN] == ["a"]
-    assert not any(entry.pinned for entry in state.entries)
+    assert not any(entry.pinned for entry in state.by_recency.values())
     check_invariants(state)
 
 
@@ -314,18 +334,18 @@ def test_pins_follow_admission_order_not_recency():
     from attnsim.cache_model import apply_events
 
     state = new_cache(table("a", "b"), capacity=7)
-    state, _ = insert_items(state, ["a", "b"])
-    state, _ = insert_items(state, ["a"])
+    insert_items(state, ["a", "b"])
+    insert_items(state, ["a"])
     assert view(state).immediate == ("a", "b")
     push = SegmentEvent(
         kind=EventKind.PUSH, segment_id="S", position=0, expect_return=True
     )
-    state, events = apply_events(state, [push], EMPTY)
+    events = apply_events(state, [push], EMPTY)
     assert [(e.kind, e.target) for e in events] == [
         (StoreEventKind.PIN, "a"),
         (StoreEventKind.PIN, "b"),
     ]
     pop = SegmentEvent(kind=EventKind.POP, segment_id="S", position=1)
-    state, events = apply_events(state, [pop], EMPTY)
+    events = apply_events(state, [pop], EMPTY)
     assert [e.target for e in events if e.kind is StoreEventKind.UNPIN] == ["a", "b"]
     check_invariants(state)

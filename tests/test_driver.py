@@ -348,9 +348,7 @@ def test_return_cue_skips_discarded_surface_forms(tmp_path, capsys):
     # A direct request for the discarded record still fails.
     state = new_cache(transcript.item_table, capacity=2)
     for utt in transcript.utterances[:2]:
-        state, _ = cache_step(
-            state, utt, transcript.events_at(utt.index), transcript
-        )
+        cache_step(state, utt, transcript.events_at(utt.index), transcript)
     assert "s1" in state.discarded
     with pytest.raises(RetrievalFailure):
         retrieve(state, ["s1"], 1)

@@ -27,12 +27,14 @@ COMMANDS = {
     "run-stack": ["run", "--model", "stack"],
     "run-cache": ["run", "--model", "cache"],
     "run-cache-inf": ["run", "--model", "cache", "--capacity", "inf"],
+    # Displaces, pins and pays for retrievals even on the short fixtures.
+    "run-cache-cap2": ["run", "--model", "cache", "--capacity", "2", "--cost", "3"],
     "compare": ["compare"],
     "pops": ["pops"],
 }
 
 # Commands whose --trace file is recorded too, by the model it traces.
-TRACED = {"run-stack": "stack", "run-cache": "cache"}
+TRACED = {"run-stack": "stack", "run-cache": "cache", "run-cache-cap2": "cache-cap2"}
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -89,6 +89,11 @@ def test_unknown_record_type_names_it():
         ("PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c1 mention=", "empty value"),
         ("PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c1 expect-return", "malformed"),
         ("PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c1 mention=ghost", "undeclared mention"),
+        (
+            "PUSH S1\nUTT u1 speaker=A\nITEM x kind=prop\nRETURN S1\nCASE c1 mention=e1\n"
+            "UTT u2 speaker=A\nELLIPSIS e1 gold=x",
+            "mention 'e1' is an ellipsis, not a pronoun",
+        ),
     ],
 )
 def test_strict_errors(body, fragment):
@@ -127,6 +132,32 @@ def test_strict_errors(body, fragment):
             "gold references undeclared item 'g1'",
         ),
         ("UTT u1 speaker=A\nITEM q kind=prop args=q,a,b", 3, "args references undeclared item 'a'"),
+        # A CASE naming an ellipsis is a reference error on the CASE line,
+        # found with the forward references, in line order.
+        (
+            "PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c1 mention=e1\n"
+            "UTT u2 speaker=A\nITEM x kind=prop\nELLIPSIS e1 gold=x",
+            5,
+            "mention 'e1' is an ellipsis, not a pronoun",
+        ),
+        (
+            "PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c1 mention=e1\n"
+            "UTT u2 speaker=A\nELLIPSIS e1 gold=ghost",
+            5,
+            "mention 'e1' is an ellipsis, not a pronoun",
+        ),
+        (
+            "PUSH S1\nUTT u1 speaker=A\nPRON p gender=f num=sg gold=ghost\nRETURN S1\n"
+            "CASE c1 mention=e1\nUTT u2 speaker=A\nELLIPSIS e1 gold=ghost",
+            4,
+            "gold references undeclared item 'ghost'",
+        ),
+        (
+            "PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c1 mention=e1\n"
+            "UTT u2 speaker=A\nELLIPSIS e1 gold=x\nFOO",
+            8,
+            "unknown record type 'FOO'",
+        ),
     ],
 )
 def test_error_precedence(body, line, message):

@@ -38,3 +38,7 @@ def test_round_trips_and_determinism():
 
 def test_view_reuse_matches_fresh_views():
     assert propsuite.run_fresh_view_suite() == propsuite.FRESH_VIEW_TRIALS
+
+
+def test_stack_matches_value_based_reference():
+    assert propsuite.run_stack_reference_suite() == propsuite.STACK_REFERENCE_TRIALS

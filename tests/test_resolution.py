@@ -326,7 +326,7 @@ def test_stacked_antecedent_needs_no_surviving_top_space_competitor(dialogue_a, 
         state = stack_model.new_stack()
         for utt in transcript.utterances:
             for event in transcript.events_at(utt.index):
-                state = stack_model.apply_event(state, event)
+                stack_model.apply_event(state, event)
             snapshot = stack_model.view(state)
             top_items = set(state.top.items)
             for mention in utt.mentions:
@@ -341,7 +341,7 @@ def test_stacked_antecedent_needs_no_surviving_top_space_competitor(dialogue_a, 
                         [transcript.item_table[i] for i in state.top.items], mention
                     )
                     assert not survivors
-            state = stack_model.apply_utterance(state, utt)
+            stack_model.apply_utterance(state, utt)
 
 
 def test_lower_space_resolution_allowed_when_top_blocks():
@@ -352,14 +352,14 @@ def test_lower_space_resolution_allowed_when_top_blocks():
     cat = entity("cat", gender=Gender.NEUT)
     dog = entity("dog", gender=Gender.MASC)
     table = {"cat": cat, "dog": dog}
-    state = stack_model.apply_utterance(
-        stack_model.new_stack(),
-        Utterance(id="u0", speaker="A", index=0, items=("cat",)),
+    state = stack_model.new_stack()
+    stack_model.apply_utterance(
+        state, Utterance(id="u0", speaker="A", index=0, items=("cat",))
     )
-    state = stack_model.apply_event(
+    stack_model.apply_event(
         state, SegmentEvent(kind=EventKind.PUSH, segment_id="S", position=1)
     )
-    state = stack_model.apply_utterance(
+    stack_model.apply_utterance(
         state, Utterance(id="u1", speaker="B", index=1, items=("dog",))
     )
     resolution = resolve(

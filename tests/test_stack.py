@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from attnsim.core import EventKind, SegmentEvent, Utterance
+from attnsim.core import EventKind, SegmentEvent, StoreEvent, StoreEventKind, Utterance
 from attnsim.driver import ModelKind, replay
 from attnsim.stack_model import (
     StructureError,
@@ -13,6 +13,9 @@ from attnsim.stack_model import (
     new_stack,
     view,
 )
+
+import propsuite
+from conftest import load_fixture
 
 
 def push(seg, position=0):
@@ -31,23 +34,33 @@ def utterance(*items, index=0):
     return Utterance(id=f"u{index}", speaker="A", index=index, items=tuple(items))
 
 
+def spaces_of(state):
+    return [(space.segment_id, tuple(space.items)) for space in state.spaces]
+
+
 def test_push_pop_is_inverse_on_spaces():
-    state = apply_utterance(new_stack(), utterance("a", "b"))
-    after = apply_event(apply_event(state, push("S2")), pop("S2"))
-    assert after.spaces == state.spaces
-    assert after.popped == state.popped
+    state = new_stack()
+    apply_utterance(state, utterance("a", "b"))
+    spaces, popped = spaces_of(state), set(state.popped)
+    apply_event(state, push("S2"))
+    apply_event(state, pop("S2"))
+    assert spaces_of(state) == spaces
+    assert state.popped == popped
 
 
 def test_pop_moves_segment_items_to_popped():
-    state = apply_event(new_stack(), push("S2"))
-    state = apply_utterance(state, utterance("x"))
-    state = apply_event(state, pop("S2"))
+    state = new_stack()
+    apply_event(state, push("S2"))
+    apply_utterance(state, utterance("x"))
+    apply_event(state, pop("S2"))
     assert state.popped == {"x"}
     assert view(state).lost == {"x"}
 
 
 def test_pop_must_name_the_top_segment():
-    state = apply_event(apply_event(new_stack(), push("S1")), push("S2"))
+    state = new_stack()
+    apply_event(state, push("S1"))
+    apply_event(state, push("S2"))
     with pytest.raises(StructureError):
         apply_event(state, pop("S1"))
 
@@ -60,7 +73,8 @@ def test_pop_of_absent_segment_is_structural_error():
 
 
 def test_push_of_open_segment_rejected():
-    state = apply_event(new_stack(), push("S1"))
+    state = new_stack()
+    apply_event(state, push("S1"))
     with pytest.raises(StructureError):
         apply_event(state, push("S1"))
 
@@ -68,16 +82,20 @@ def test_push_of_open_segment_rejected():
 def test_return_pops_everything_above_target():
     state = new_stack()
     for seg in ("S1", "S2", "S3"):
-        state = apply_event(state, push(seg))
-        state = apply_utterance(state, utterance(f"item_{seg}"))
-    state = apply_event(state, ret("S1"))
+        assert apply_event(state, push(seg)) == [StoreEvent(StoreEventKind.PUSH_SPACE, seg)]
+        apply_utterance(state, utterance(f"item_{seg}"))
+    assert apply_event(state, ret("S1")) == [
+        StoreEvent(StoreEventKind.POP_SPACE, "S3"),
+        StoreEvent(StoreEventKind.POP_SPACE, "S2"),
+    ]
     assert [space.segment_id for space in state.spaces] == [None, "S1"]
     assert state.popped == {"item_S2", "item_S3"}
 
 
 def test_apply_utterance_into_root():
-    state = apply_utterance(new_stack(), utterance("daughter"))
-    assert state.top.items == ("daughter",)
+    state = new_stack()
+    apply_utterance(state, utterance("daughter"))
+    assert tuple(state.top.items) == ("daughter",)
 
 
 def test_embedded_segment_keeps_lower_space_unchanged(dialogue_a):
@@ -89,23 +107,25 @@ def test_embedded_segment_keeps_lower_space_unchanged(dialogue_a):
 
 
 def test_re_mention_of_popped_item_restores_it():
-    state = apply_event(new_stack(), push("S2"))
-    state = apply_utterance(state, utterance("x"))
-    state = apply_event(state, pop("S2"))
+    state = new_stack()
+    apply_event(state, push("S2"))
+    apply_utterance(state, utterance("x"))
+    apply_event(state, pop("S2"))
     assert "x" in state.popped
-    state = apply_utterance(state, utterance("x", index=1))
+    apply_utterance(state, utterance("x", index=1))
     assert "x" not in state.popped
-    assert state.top.items[-1] == "x"
+    assert list(state.top.items)[-1] == "x"
     assert "x" in view(state).immediate
 
 
 def test_re_mention_moves_item_to_top_space():
-    state = apply_utterance(new_stack(), utterance("a", "b"))
-    state = apply_event(state, push("S2"))
-    state = apply_utterance(state, utterance("a", index=1))
+    state = new_stack()
+    apply_utterance(state, utterance("a", "b"))
+    apply_event(state, push("S2"))
+    apply_utterance(state, utterance("a", index=1))
     root, top = state.spaces
-    assert root.items == ("b",)
-    assert top.items == ("a",)
+    assert tuple(root.items) == ("b",)
+    assert tuple(top.items) == ("a",)
 
 
 def test_fresh_stack_view_is_empty():
@@ -140,10 +160,10 @@ def test_view_right_after_the_pop_orders_opening_material(dialogue_a):
     state = new_stack()
     for utt in dialogue_a.utterances:
         for event in dialogue_a.events_at(utt.index):
-            state = apply_event(state, event)
+            apply_event(state, event)
         if utt.id == "8a":
             break
-        state = apply_utterance(state, utt)
+        apply_utterance(state, utt)
     snapshot = view(state)
     assert snapshot.immediate == ("p1", "daughter", "s1")
     assert snapshot.lost == {"m_name", "hank"}
@@ -157,3 +177,8 @@ def test_dialogue_b_view_matches_dialogue_a_after_pop(dialogue_a, dialogue_b):
         record_a = report_a.records[dialogue_a.utterance_by_id(utt_id).index]
         record_b = report_b.records[dialogue_b.utterance_by_id(utt_id).index]
         assert record_a.view.immediate == record_b.view.immediate
+
+
+@pytest.mark.parametrize("name", ["dialogue_a", "dialogue_b", "dialogue_c", "return_pops"])
+def test_fixture_views_match_value_based_reference(name):
+    propsuite.assert_stack_matches_reference(load_fixture(f"{name}.dlg"))
