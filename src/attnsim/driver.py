@@ -3,9 +3,11 @@
 The driver folds utterances through the selected model, resolving each
 mention against the accessibility state at its utterance (after segment
 boundaries and any redundancy handling, before the utterance's own items
-enter), and collects per-utterance trace records. Under the cache model a
-resolution that needed the retrievable store actually performs the
-retrieval, so its cost lands in the state's effort ledger.
+enter), and collects per-utterance trace records. A record carries the
+accessibility view after its utterance only when the caller asks for
+views, as ``run --trace`` does. Under the cache model a resolution that
+needed the retrievable store actually performs the retrieval, so its cost
+lands in the state's effort ledger.
 """
 
 from __future__ import annotations
@@ -121,11 +123,15 @@ def replay(
     model_kind: ModelKind,
     capacity: int | None = DEFAULT_CAPACITY,
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
+    *,
+    views: bool = False,
 ) -> SimulationReport:
     """Fold the transcript through one model, utterance by utterance:
     segment boundaries, then redundancy handling, then each mention's
     resolution, then the utterance's own items. The fold owns the model's
-    one state; every step updates it in place and returns its store events."""
+    one state; every step updates it in place and returns its store events.
+    A record carries the view after its utterance only with ``views``;
+    otherwise views are built only for the steps that read them."""
 
     _check_retrieval_cost(retrieval_cost)
     # Only the cache retrieves; the stack reports no capacity, cost or effort.
@@ -185,7 +191,7 @@ def replay(
             TraceRecord(
                 utterance_index=utt.index,
                 events_applied=tuple(applied),
-                view=model.view(state),
+                view=model.view(state) if views else None,
                 resolutions=tuple(utt_resolutions),
                 cumulative_effort=state.effort if retrieves else 0,
             )
@@ -205,7 +211,11 @@ def replay(
 def run(config: RunConfig) -> SimulationReport:
     transcript = load_transcript(config.transcript_path)
     report = replay(
-        transcript, config.model_kind, config.capacity, config.retrieval_cost
+        transcript,
+        config.model_kind,
+        config.capacity,
+        config.retrieval_cost,
+        views=config.trace_out_path is not None,
     )
     if config.trace_out_path is not None:
         text = write_trace(report.records)

@@ -166,3 +166,15 @@ def view(stack: FocusStack) -> AccessibilityView:
         retrievable=frozenset(),
         lost=stack.frozen_popped,
     )
+
+
+def check_invariants(stack: FocusStack) -> None:
+    """Raise if a stack violates the store contracts (test support)."""
+
+    stacked = [item_id for space in stack.spaces for item_id in space.items]
+    if len(set(stacked)) != len(stacked):
+        raise AssertionError("item in more than one space")
+    if not stack.popped.isdisjoint(stacked):
+        raise AssertionError("popped item still stacked")
+    if stack.frozen_popped is not None and stack.frozen_popped != stack.popped:
+        raise AssertionError("stale popped snapshot")

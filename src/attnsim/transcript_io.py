@@ -424,11 +424,12 @@ def write_transcript(transcript: Transcript) -> str:
 @dataclass(frozen=True)
 class TraceRecord:
     """What one utterance did to the model: store events applied, the
-    resulting accessibility snapshot, resolutions, and effort so far."""
+    resulting accessibility snapshot (None unless the replay was asked
+    for views), resolutions, and effort so far."""
 
     utterance_index: int
     events_applied: tuple[StoreEvent, ...]
-    view: AccessibilityView
+    view: AccessibilityView | None
     resolutions: tuple[Resolution, ...]
     cumulative_effort: int
 
@@ -480,6 +481,9 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
     efforts = [record.cumulative_effort for record in records]
     if efforts != sorted(efforts):
         raise ValueError("cumulative effort must be non-decreasing")
+    for record in records:
+        if record.view is None:
+            raise ValueError(f"trace record {record.utterance_index} has no view")
     return json.dumps([_record_to_json(r) for r in records], indent=2) + "\n"
 
 

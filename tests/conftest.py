@@ -7,6 +7,11 @@ import pytest
 from attnsim import cache_model
 from attnsim.transcript_io import parse
 
+# The property suites live in a helper module; rewrite its asserts too, so
+# a failure shows the compared values. This must run before any test
+# module imports it.
+pytest.register_assert_rewrite("propsuite")
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 

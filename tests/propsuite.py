@@ -2,8 +2,9 @@
 acceptance gate.
 
 Everything is driven by one recorded seed so failures replay exactly.
-Each suite returns the number of generated traces it exercised; the
-acceptance gate checks the total.
+A failure names its suite, seed and trial index, and the utterance index
+where there is one. Each suite returns the number of generated traces it
+exercised; the acceptance gate checks the total.
 """
 
 from __future__ import annotations
@@ -158,30 +159,64 @@ def _introduced_prefixes(transcript: Transcript) -> list[set[str]]:
     return prefixes
 
 
+def _where(suite: str, seed: int, trial: int) -> str:
+    return f"{suite}(seed={seed}) trial {trial}"
+
+
+def _check(check, state, where: str) -> None:
+    """Run a model's ``check_invariants``, naming where it failed."""
+
+    try:
+        check(state)
+    except AssertionError as error:
+        raise AssertionError(f"{where}: {error}") from error
+
+
+def _track_segments(open_segments: list[str], events) -> None:
+    """Advance the list of open segments, outermost first, across
+    segment boundaries."""
+
+    for event in events:
+        if event.kind is EventKind.PUSH:
+            open_segments.append(event.segment_id)
+        elif event.kind is EventKind.POP:
+            open_segments.pop()
+        else:
+            del open_segments[open_segments.index(event.segment_id) + 1 :]
+
+
 def run_invariant_suite(seed: int = SEED, trials: int = INVARIANT_TRIALS) -> int:
-    """Cache bound, store disjointness, and conservation at every step."""
+    """Cache bound, store disjointness, and conservation at every step;
+    pins are held only for open segments pushed with expect-return."""
 
     rng = random.Random(seed)
     traces = 0
-    for _ in range(trials):
+    for trial in range(trials):
         transcript = parse(random_transcript_text(rng))
         capacity = rng.randint(1, 8)
         state = new_cache(transcript.item_table, capacity)
         seen: set[str] = set()
         effort_before = 0
+        open_segments: list[str] = []
+        expecting = {e.segment_id for e in transcript.events if e.expect_return}
         for utt in transcript.utterances:
-            cache_model.apply_events(state, transcript.events_at(utt.index), transcript)
-            cache_model.check_invariants(state)
+            where = f"{_where('run_invariant_suite', seed, trial)} utterance {utt.index}"
+            events = transcript.events_at(utt.index)
+            cache_model.apply_events(state, events, transcript)
+            _check(cache_model.check_invariants, state, where)
+            _track_segments(open_segments, events)
+            leaked = set(state.pin_owners) - expecting.intersection(open_segments)
+            assert not leaked, f"{where}: pins held for closed segments {sorted(leaked)}"
             cache_model.apply_iru(state, utt, transcript)
-            cache_model.check_invariants(state)
+            _check(cache_model.check_invariants, state, where)
             cache_model.insert_items(state, utt.items)
-            cache_model.check_invariants(state)
+            _check(cache_model.check_invariants, state, where)
             seen |= set(utt.items)
             snapshot = cache_model.view(state)
-            assert len(snapshot.immediate) <= capacity
+            assert len(snapshot.immediate) <= capacity, f"{where}: over capacity"
             everywhere = set(snapshot.immediate) | snapshot.retrievable | snapshot.lost
-            assert everywhere == seen, "conservation violated"
-            assert state.effort >= effort_before, "effort regressed"
+            assert everywhere == seen, f"{where}: conservation violated"
+            assert state.effort >= effort_before, f"{where}: effort regressed"
             effort_before = state.effort
         traces += 1
     return traces
@@ -193,7 +228,8 @@ def run_lru_oracle_suite(seed: int = SEED, trials: int = ORACLE_TRIALS) -> int:
 
     rng = random.Random(seed + 1)
     traces = 0
-    for _ in range(trials):
+    for trial in range(trials):
+        where = _where("run_lru_oracle_suite", seed, trial)
         n_items = rng.randint(2, 20)
         table = {
             f"x{i}": DiscourseItem(id=f"x{i}", kind=ItemKind.ENTITY)
@@ -224,8 +260,8 @@ def run_lru_oracle_suite(seed: int = SEED, trials: int = ORACLE_TRIALS) -> int:
                     displaced_oracle.append(victim)
                 oracle_cache.append(item_id)
             history.append(item_id)
-        assert displaced_impl == displaced_oracle
-        assert sorted(state.by_recency) == sorted(oracle_cache)
+        assert displaced_impl == displaced_oracle, f"{where}: displacement order"
+        assert sorted(state.by_recency) == sorted(oracle_cache), f"{where}: cache contents"
         traces += 1
     return traces
 
@@ -237,7 +273,8 @@ def run_pin_cascade_suite(seed: int = SEED, trials: int = PIN_CASCADE_TRIALS) ->
     rng = random.Random(seed + 2)
     empty = Transcript(dialogue_id="synthetic")
     traces = 0
-    for _ in range(trials):
+    for trial in range(trials):
+        where = _where("run_pin_cascade_suite", seed, trial)
         table = {
             f"x{i}": DiscourseItem(id=f"x{i}", kind=ItemKind.ENTITY) for i in range(20)
         }
@@ -251,7 +288,7 @@ def run_pin_cascade_suite(seed: int = SEED, trials: int = PIN_CASCADE_TRIALS) ->
         cache_model.apply_events(state, [pin_event], empty)
         extra = rng.randint(0, capacity - fill) if capacity > fill else 0
         cache_model.insert_items(state, [f"x{i}" for i in range(fill, fill + extra)])
-        cache_model.check_invariants(state)
+        _check(cache_model.check_invariants, state, where)
 
         entries = state.by_recency
         expected_unpinned = sorted(
@@ -268,8 +305,8 @@ def run_pin_cascade_suite(seed: int = SEED, trials: int = PIN_CASCADE_TRIALS) ->
             state, [f"x{i}" for i in range(start, start + incoming)]
         )
         displaced = [e.target for e in events if e.kind is StoreEventKind.DISPLACE]
-        assert displaced == expected_order[: len(displaced)]
-        cache_model.check_invariants(state)
+        assert displaced == expected_order[: len(displaced)], f"{where}: cascade order"
+        _check(cache_model.check_invariants, state, where)
         traces += 1
     return traces
 
@@ -285,19 +322,23 @@ def run_infinite_capacity_suite(seed: int = SEED, trials: int = INFINITE_TRIALS)
         StoreEventKind.DISCARD,
     }
     traces = 0
-    for _ in range(trials):
+    for trial in range(trials):
         transcript = parse(random_transcript_text(rng))
-        cache_report = replay(transcript, ModelKind.CACHE, capacity=None)
-        stack_report = replay(transcript, ModelKind.STACK)
-        assert cache_report.total_effort == 0
+        cache_report = replay(transcript, ModelKind.CACHE, capacity=None, views=True)
+        stack_report = replay(transcript, ModelKind.STACK, views=True)
+        trial_where = _where("run_infinite_capacity_suite", seed, trial)
+        assert cache_report.total_effort == 0, f"{trial_where}: effort spent"
         for cache_record, stack_record in zip(
             cache_report.records, stack_report.records
         ):
-            assert cache_record.cumulative_effort == 0
+            where = f"{trial_where} utterance {cache_record.utterance_index}"
+            assert cache_record.cumulative_effort == 0, f"{where}: effort spent"
             assert not any(
                 e.kind in forbidden for e in cache_record.events_applied
-            )
-            assert set(cache_record.view.immediate) >= set(stack_record.view.immediate)
+            ), f"{where}: displaced, stored or discarded"
+            assert set(cache_record.view.immediate) >= set(
+                stack_record.view.immediate
+            ), f"{where}: stack item not immediate in the cache"
         traces += 1
     return traces
 
@@ -307,7 +348,8 @@ def run_stack_restore_suite(seed: int = SEED, trials: int = STACK_RESTORE_TRIALS
 
     rng = random.Random(seed + 4)
     traces = 0
-    for _ in range(trials):
+    for trial in range(trials):
+        where = _where("run_stack_restore_suite", seed, trial)
         transcript = parse(random_transcript_text(rng))
         state = stack_model.new_stack()
         for utt in transcript.utterances:
@@ -320,8 +362,9 @@ def run_stack_restore_suite(seed: int = SEED, trials: int = STACK_RESTORE_TRIALS
         pop = SegmentEvent(kind=EventKind.POP, segment_id="probe", position=0)
         stack_model.apply_event(state, push)
         stack_model.apply_event(state, pop)
-        assert [(space.segment_id, tuple(space.items)) for space in state.spaces] == spaces
-        assert state.popped == popped
+        restored = [(space.segment_id, tuple(space.items)) for space in state.spaces]
+        assert restored == spaces, f"{where}: spaces changed"
+        assert state.popped == popped, f"{where}: popped set changed"
         traces += 1
     return traces
 
@@ -367,17 +410,19 @@ def run_interruption_invariance_suite(
 
     rng = random.Random(seed + 5)
     traces = 0
-    for _ in range(trials):
+    for trial in range(trials):
         base_text, longer_text = _interruption_pair(rng)
-        base = replay(parse(base_text), ModelKind.STACK)
-        longer = replay(parse(longer_text), ModelKind.STACK)
+        base = replay(parse(base_text), ModelKind.STACK, views=True)
+        longer = replay(parse(longer_text), ModelKind.STACK, views=True)
         n_suffix = sum(
             1 for u in parse(base_text).utterances if u.id.startswith("s")
         )
         for offset in range(1, n_suffix + 1):
-            assert (
-                base.records[-offset].view.immediate
-                == longer.records[-offset].view.immediate
+            base_record, longer_record = base.records[-offset], longer.records[-offset]
+            assert base_record.view.immediate == longer_record.view.immediate, (
+                f"{_where('run_interruption_invariance_suite', seed, trial)} "
+                f"utterance {base_record.utterance_index} (longer: "
+                f"{longer_record.utterance_index}): views differ"
             )
         traces += 1
     return traces
@@ -388,16 +433,17 @@ def run_roundtrip_suite(seed: int = SEED, trials: int = ROUNDTRIP_TRIALS) -> int
 
     rng = random.Random(seed + 6)
     traces = 0
-    for _ in range(trials):
+    for trial in range(trials):
+        where = _where("run_roundtrip_suite", seed, trial)
         text = random_transcript_text(rng)
         transcript = parse(text)
-        assert parse(write_transcript(transcript)) == transcript
+        assert parse(write_transcript(transcript)) == transcript, f"{where}: transcript"
         capacity = rng.choice([2, 4, 7, None])
-        first = replay(transcript, ModelKind.CACHE, capacity=capacity)
-        second = replay(transcript, ModelKind.CACHE, capacity=capacity)
+        first = replay(transcript, ModelKind.CACHE, capacity=capacity, views=True)
+        second = replay(transcript, ModelKind.CACHE, capacity=capacity, views=True)
         serialized = write_trace(first.records)
-        assert serialized == write_trace(second.records)
-        assert read_trace(serialized) == list(first.records)
+        assert serialized == write_trace(second.records), f"{where}: replays differ"
+        assert read_trace(serialized) == list(first.records), f"{where}: trace"
         traces += 1
     return traces
 
@@ -457,16 +503,21 @@ def run_fresh_view_suite(seed: int = SEED, trials: int = FRESH_VIEW_TRIALS) -> i
     rng = random.Random(seed + 7)
     traces = 0
     discarded_cues = 0
-    for _ in range(trials):
+    for trial in range(trials):
         transcript = parse(random_transcript_text(rng))
         for capacity in FRESH_VIEW_CAPACITIES:
+            where = f"{_where('run_fresh_view_suite', seed, trial)} capacity {capacity}"
             report = replay(transcript, ModelKind.CACHE, capacity=capacity)
             resolutions, findings, reached = _fresh_view_fold(transcript, capacity)
-            assert list(report.resolutions) == resolutions
-            assert [(f.utterance_id, f.functions) for f in report.iru_findings] == findings
+            assert list(report.resolutions) == resolutions, f"{where}: resolutions"
+            assert [
+                (f.utterance_id, f.functions) for f in report.iru_findings
+            ] == findings, f"{where}: IRU findings"
             discarded_cues += reached
         traces += 1
-    assert discarded_cues > 0, "no return cue met a discarded surface form"
+    assert discarded_cues > 0, (
+        f"run_fresh_view_suite(seed={seed}): no return cue met a discarded surface form"
+    )
     return traces
 
 
@@ -558,20 +609,50 @@ def stack_reference_records(transcript: Transcript) -> list[tuple]:
     return records
 
 
-def assert_stack_matches_reference(transcript: Transcript) -> None:
-    report = replay(transcript, ModelKind.STACK)
-    actual = [(record.events_applied, record.view) for record in report.records]
-    assert actual == stack_reference_records(transcript)
+def _checked_stack_records(transcript: Transcript, where: str) -> list[tuple]:
+    """Per utterance, the stack's space events and its view once the
+    utterance's items are in, stepping the stack as the replay fold does
+    and checking its contracts after every step. A view after each step
+    freezes the popped set, so the next step's check would catch a stale copy."""
+
+    stack = stack_model.new_stack()
+    records = []
+    for utt in transcript.utterances:
+        at = f"{where} utterance {utt.index}"
+        events = stack_model.apply_events(stack, transcript.events_at(utt.index), transcript)
+        _check(stack_model.check_invariants, stack, at)
+        stack_model.view(stack)
+        events += stack_model.absorb(stack, utt)
+        _check(stack_model.check_invariants, stack, at)
+        records.append((tuple(events), stack_model.view(stack)))
+    return records
+
+
+def assert_stack_matches_reference(transcript: Transcript, where: str) -> None:
+    """The stack replay's records and the checked stack steps both equal
+    the value-based reference at every utterance."""
+
+    expected = stack_reference_records(transcript)
+    stepped = _checked_stack_records(transcript, where)
+    report = replay(transcript, ModelKind.STACK, views=True)
+    replayed = [(record.events_applied, record.view) for record in report.records]
+    for utt, reference, by_replay, by_steps in zip(
+        transcript.utterances, expected, replayed, stepped
+    ):
+        assert by_replay == reference, f"{where} utterance {utt.index}: replay record"
+        assert by_steps == reference, f"{where} utterance {utt.index}: stepped record"
+    assert len(replayed) == len(stepped) == len(expected), f"{where}: record count"
 
 
 def run_stack_reference_suite(seed: int = SEED, trials: int = STACK_REFERENCE_TRIALS) -> int:
     """The stack replay's space events and views equal the value-based
-    reference's at every utterance."""
+    reference's at every utterance, and the stack keeps its contracts."""
 
     rng = random.Random(seed + 8)
     traces = 0
-    for _ in range(trials):
-        assert_stack_matches_reference(parse(random_transcript_text(rng)))
+    for trial in range(trials):
+        where = _where("run_stack_reference_suite", seed, trial)
+        assert_stack_matches_reference(parse(random_transcript_text(rng)), where)
         traces += 1
     return traces
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from attnsim import cache_model, stack_model
 from attnsim.cache_model import RetrievalFailure, new_cache, retrieve
 from attnsim.cli import build_parser, main
 from attnsim.core import StoreEventKind
@@ -23,7 +25,8 @@ from attnsim.driver import (
 from attnsim.resolution import FailureReason, Outcome, OutcomeKind, PopClassification
 from attnsim.transcript_io import parse, read_trace
 
-from conftest import cache_step, fixture_path
+import propsuite
+from conftest import cache_step, fixture_path, load_fixture
 
 
 def test_run_stack_dialogue_a(dialogue_a):
@@ -79,6 +82,52 @@ def test_compare_dialogue_c_iru_findings(dialogue_c):
             fn.value in ("RetrieveFromMemory", "Reinstantiate")
             for _, fn in cache_finding.functions
         )
+
+
+def test_records_carry_views_only_when_asked(dialogue_b):
+    for model in ModelKind:
+        plain = replay(dialogue_b, model)
+        viewed = replay(dialogue_b, model, views=True)
+        assert all(record.view is None for record in plain.records)
+        assert all(record.view is not None for record in viewed.records)
+        assert [r.events_applied for r in plain.records] == [
+            r.events_applied for r in viewed.records
+        ]
+        assert plain.resolutions == viewed.resolutions
+        assert plain.iru_findings == viewed.iru_findings
+        assert plain.total_effort == viewed.total_effort
+
+
+@pytest.mark.parametrize(
+    "name", ["dialogue_a", "dialogue_b", "dialogue_c", "return_pops", "propsuite"]
+)
+def test_compare_builds_views_only_for_readers(name, monkeypatch):
+    """A view is built for an utterance only when a restatement or a
+    mention reads it, and again only after a step inside the utterance
+    made it stale: a resolution that retrieved, or a cache restatement
+    with functions."""
+
+    if name == "propsuite":
+        rng = random.Random(propsuite.SEED)
+        transcript = parse(propsuite.random_transcript_text(rng))
+    else:
+        transcript = load_fixture(f"{name}.dlg")
+    built = {"stack": 0, "cache": 0}
+    for model_name, module in (("stack", stack_model), ("cache", cache_model)):
+
+        def counting(state, _view=module.view, _name=model_name):
+            built[_name] += 1
+            return _view(state)
+
+        monkeypatch.setattr(module, "view", counting)
+    report = compare_transcript(transcript)
+    readers = sum(1 for utt in transcript.utterances if utt.mentions or utt.is_iru)
+    retrieved = sum(
+        row.cache_outcome.kind is OutcomeKind.AFTER_RETRIEVAL for row in report.per_mention
+    )
+    restated = sum(bool(cache_f.functions) for _, _, cache_f in report.iru_findings)
+    assert built["stack"] <= readers
+    assert built["cache"] <= readers + retrieved + restated
 
 
 def test_compare_lists_every_mention_once(dialogue_b, return_pops):
@@ -283,8 +332,8 @@ def test_infinite_cache_view_covers_stack_view_on_fixtures(
     dialogue_a, dialogue_b, dialogue_c, return_pops
 ):
     for transcript in (dialogue_a, dialogue_b, dialogue_c, return_pops):
-        cache_report = replay(transcript, ModelKind.CACHE, capacity=None)
-        stack_report = replay(transcript, ModelKind.STACK)
+        cache_report = replay(transcript, ModelKind.CACHE, capacity=None, views=True)
+        stack_report = replay(transcript, ModelKind.STACK, views=True)
         assert cache_report.total_effort == 0
         for cache_record, stack_record in zip(
             cache_report.records, stack_report.records
@@ -335,7 +384,7 @@ def test_return_cue_skips_discarded_surface_forms(tmp_path, capsys):
     capsys.readouterr()
 
     transcript = parse(RETURN_AFTER_DISCARD)
-    report = replay(transcript, ModelKind.CACHE, capacity=2)
+    report = replay(transcript, ModelKind.CACHE, capacity=2, views=True)
     returned = report.records[2]
     assert "s1" in returned.view.lost
     retrieved = [

@@ -298,11 +298,11 @@ def test_write_trace_rejects_disordered_or_regressing_records():
     from attnsim.core import AccessibilityView
     from attnsim.transcript_io import TraceRecord, write_trace
 
-    def record(index, effort):
+    def record(index, effort, view=AccessibilityView()):
         return TraceRecord(
             utterance_index=index,
             events_applied=(),
-            view=AccessibilityView(),
+            view=view,
             resolutions=(),
             cumulative_effort=effort,
         )
@@ -311,3 +311,6 @@ def test_write_trace_rejects_disordered_or_regressing_records():
         write_trace([record(1, 0), record(0, 0)])
     with pytest.raises(ValueError, match="non-decreasing"):
         write_trace([record(0, 3), record(1, 1)])
+    # A record replayed without views cannot be written.
+    with pytest.raises(ValueError, match="trace record 1 has no view"):
+        write_trace([record(0, 0), record(1, 0, view=None)])

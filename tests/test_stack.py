@@ -99,7 +99,7 @@ def test_apply_utterance_into_root():
 
 
 def test_embedded_segment_keeps_lower_space_unchanged(dialogue_a):
-    report = replay(dialogue_a, ModelKind.STACK)
+    report = replay(dialogue_a, ModelKind.STACK, views=True)
     # At utterance 5 the pushed space holds only the interruption's item.
     record = report.records[dialogue_a.utterance_by_id("5").index]
     assert record.view.immediate[0] == "m_name"
@@ -136,12 +136,12 @@ def test_fresh_stack_view_is_empty():
 
 
 def test_view_has_no_retrieval_notion(dialogue_b):
-    report = replay(dialogue_b, ModelKind.STACK)
+    report = replay(dialogue_b, ModelKind.STACK, views=True)
     assert all(record.view.retrievable == frozenset() for record in report.records)
 
 
 def test_dialogue_a_view_after_pop(dialogue_a):
-    report = replay(dialogue_a, ModelKind.STACK)
+    report = replay(dialogue_a, ModelKind.STACK, views=True)
     # The record before 8a's own items land: utterance 7 closes with the
     # interruption still stacked; the pop applies at 8a.
     record_8a = report.records[dialogue_a.utterance_by_id("8a").index]
@@ -171,8 +171,8 @@ def test_view_right_after_the_pop_orders_opening_material(dialogue_a):
 
 
 def test_dialogue_b_view_matches_dialogue_a_after_pop(dialogue_a, dialogue_b):
-    report_a = replay(dialogue_a, ModelKind.STACK)
-    report_b = replay(dialogue_b, ModelKind.STACK)
+    report_a = replay(dialogue_a, ModelKind.STACK, views=True)
+    report_b = replay(dialogue_b, ModelKind.STACK, views=True)
     for utt_id in ("8a", "8b", "8c"):
         record_a = report_a.records[dialogue_a.utterance_by_id(utt_id).index]
         record_b = report_b.records[dialogue_b.utterance_by_id(utt_id).index]
@@ -181,4 +181,4 @@ def test_dialogue_b_view_matches_dialogue_a_after_pop(dialogue_a, dialogue_b):
 
 @pytest.mark.parametrize("name", ["dialogue_a", "dialogue_b", "dialogue_c", "return_pops"])
 def test_fixture_views_match_value_based_reference(name):
-    propsuite.assert_stack_matches_reference(load_fixture(f"{name}.dlg"))
+    propsuite.assert_stack_matches_reference(load_fixture(f"{name}.dlg"), name)
