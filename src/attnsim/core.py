@@ -151,9 +151,9 @@ class CaseRecord:
 class Transcript:
     """An annotated dialogue.
 
-    Lookups by position, id, segment, push and surface carrier are indexed
-    lazily, once per transcript; the indexes live in the instance dict,
-    outside the fields, so they take no part in equality or repr.
+    Lookups by position, id, segment and push are indexed lazily, once
+    per transcript; the indexes live in the instance dict, outside the
+    fields, so they take no part in equality or repr.
     Utterance indexes are assumed to increase along ``utterances``, as the
     parser assigns them.
     """
@@ -196,10 +196,6 @@ class Transcript:
     def push_positions(self) -> dict[str, int]:
         return {e.segment_id: e.position for e in self.events if e.kind is EventKind.PUSH}
 
-    @cached_property
-    def surface_carriers(self) -> dict[str, DiscourseItem]:
-        return first_carriers(self.item_table)
-
     def utterance_by_id(self, utt_id: str) -> Utterance:
         return self._utterances_by_id[utt_id]
 
@@ -211,16 +207,6 @@ class Transcript:
         for utt in self.utterances:
             out.extend(utt.mentions)
         return tuple(out)
-
-
-def first_carriers(table: Mapping[str, DiscourseItem]) -> dict[str, DiscourseItem]:
-    """The first surface form, in table order, that realizes each item."""
-
-    carriers: dict[str, DiscourseItem] = {}
-    for item in table.values():
-        if item.kind is ItemKind.SURFACE_FORM:
-            carriers.setdefault(item.realizes, item)
-    return carriers
 
 
 def segment_assignments(transcript: Transcript) -> tuple[str | None, ...]:

@@ -18,12 +18,13 @@ from pathlib import Path
 
 from . import cache_model, stack_model
 from .cache_model import DEFAULT_CAPACITY, DEFAULT_RETRIEVAL_COST
-from .core import ItemKind, Transcript
+from .core import DiscourseItem, ItemKind, Transcript
 from .resolution import (
     IRUFunction,
     Outcome,
     OutcomeKind,
     PopClassification,
+    ReferentIndex,
     Resolution,
     ReturnPopCase,
     analyze_iru,
@@ -142,6 +143,7 @@ def replay(
     else:
         model, state = stack_model, stack_model.new_stack()
         capacity, retrieval_cost = None, 0
+    index = ReferentIndex(transcript.item_table)
     records: list[TraceRecord] = []
     resolutions: list[tuple[str, Resolution]] = []
     findings: list[IRUFinding] = []
@@ -175,7 +177,7 @@ def replay(
                 transcript.item_table,
                 allow_retrieval=retrieves,
                 retrieval_cost=retrieval_cost,
-                carriers=transcript.surface_carriers,
+                index=index,
             )
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
                 # Strategic retrieval: interpreting the anaphor pulls its
@@ -337,7 +339,7 @@ def build_cases(transcript: Transcript) -> list[ReturnPopCase]:
     for record in transcript.cases:
         start = transcript.push_positions[record.segment_id]
         stop = record.return_position
-        candidate_ids: list[str] = []
+        candidates: dict[str, DiscourseItem] = {}
         for utt in transcript.utterances[start:stop]:
             for item_id in utt.items:
                 item = transcript.item_table[item_id]
@@ -345,15 +347,12 @@ def build_cases(transcript: Transcript) -> list[ReturnPopCase]:
                     continue
                 if not (start <= item.introduced_at < stop):
                     continue
-                if item_id not in candidate_ids:
-                    candidate_ids.append(item_id)
+                candidates.setdefault(item_id, item)
         cases.append(
             ReturnPopCase(
                 case_id=record.case_id,
                 mention=mentions[record.mention_id],
-                candidates_at_return=tuple(
-                    transcript.item_table[i] for i in candidate_ids
-                ),
+                candidates_at_return=tuple(candidates.values()),
                 iru_at_return=record.iru_at_return,
                 competitor_ever_central=record.central_competitor,
             )
@@ -368,7 +367,7 @@ def classify_corpus(transcript: Transcript) -> PopsReport:
         results.append(
             CaseResult(
                 case=case,
-                classification=classify_return_pop(case),
+                classification=classify_return_pop(case, trace),
                 competing_after_agreement=len(trace.after_agreement) > 1,
                 competing_after_static=len(trace.after_static_selection) > 1,
                 competing_after_dialogue=len(trace.after_dialogue_selection) > 1,

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from .core import (
     DERIVED_TAG_PREFIX,
@@ -19,7 +20,6 @@ from .core import (
     Utterance,
     agreement_filter,
     derived_tag,
-    first_carriers,
     selection_filter,
 )
 
@@ -140,20 +140,52 @@ def staged_filter(
     )
 
 
-def _referents(
-    item_ids: Iterable[str], mention: Mention, table: Mapping[str, DiscourseItem]
-) -> tuple[str, ...]:
-    # A verb-phrase ellipsis picks out an elided predication, so only
-    # proposition records can antecede it; referring forms pick out
-    # entities or propositions. Surface-form records are never referents.
-    items = [table[item_id] for item_id in item_ids]
-    if mention.form is MentionForm.VP_ELLIPSIS:
-        proposition = ItemKind.PROPOSITION
-        pool = [item for item in items if item.kind is proposition]
-    else:
-        surface = ItemKind.SURFACE_FORM
-        pool = [item for item in items if item.kind is not surface]
-    return staged_filter(pool, mention).after_dialogue_selection
+class ReferentIndex:
+    """Lookups that depend only on the item table, built lazily, once per
+    replay: the first surface carrier of each item, and the ids that pass
+    the kind step and ``staged_filter`` for each cue signature. Every stage
+    is a pointwise test on features fixed at parse time, so filtering a
+    store keeps exactly its members in that set, in store order."""
+
+    def __init__(self, table: Mapping[str, DiscourseItem]) -> None:
+        self.table = table
+        self._survivors: dict[tuple, frozenset[str]] = {}
+
+    @cached_property
+    def carriers(self) -> dict[str, DiscourseItem]:
+        """The first surface form, in table order, that realizes each item."""
+
+        carriers: dict[str, DiscourseItem] = {}
+        for item in self.table.values():
+            if item.kind is ItemKind.SURFACE_FORM:
+                carriers.setdefault(item.realizes, item)
+        return carriers
+
+    def survivors(self, mention: Mention) -> frozenset[str]:
+        signature = (
+            mention.form,
+            mention.gender,
+            mention.number,
+            mention.required_sel_classes,
+            mention.verb_lemma,
+        )
+        found = self._survivors.get(signature)
+        if found is None:
+            pool = self._pools[mention.form is MentionForm.VP_ELLIPSIS]
+            found = frozenset(staged_filter(pool, mention).after_dialogue_selection)
+            self._survivors[signature] = found
+        return found
+
+    @cached_property
+    def _pools(self) -> dict[bool, list[DiscourseItem]]:
+        # Keyed by "is a verb-phrase ellipsis": an ellipsis picks out an elided
+        # predication, so only propositions can antecede it; referring forms
+        # pick out entities or propositions. Surface forms are never referents.
+        items = self.table.values()
+        return {
+            True: [item for item in items if item.kind is ItemKind.PROPOSITION],
+            False: [item for item in items if item.kind is not ItemKind.SURFACE_FORM],
+        }
 
 
 def _surface_carrier(
@@ -168,7 +200,7 @@ def resolve(
     table: Mapping[str, DiscourseItem],
     allow_retrieval: bool,
     retrieval_cost: int = 1,
-    carriers: Mapping[str, DiscourseItem] | None = None,
+    index: ReferentIndex | None = None,
 ) -> Resolution:
     """Resolve one mention against an accessibility snapshot.
 
@@ -176,9 +208,11 @@ def resolve(
     most salient survivor wins. Failing that, retrieval-capable models may
     find a unique survivor in the retrievable store at a cost; several
     survivors there have no salience order to separate them, so the mention
-    is ambiguous. Failures are data, not faults. ``carriers`` maps an item
-    to the first surface form realizing it (``Transcript.surface_carriers``);
-    without it the map is built from ``table``.
+    is ambiguous. Failures are data, not faults. A verb-phrase ellipsis
+    fails outright when the first surface form in table order that realizes
+    its antecedent is lost, whatever became of later carriers. ``index`` is
+    the replay's ``ReferentIndex`` over ``table``; without it a throwaway
+    one is built.
     """
 
     gold = mention.gold_antecedent
@@ -186,21 +220,21 @@ def resolve(
     def resolution(outcome: Outcome, considered: tuple[str, ...] = ()) -> Resolution:
         return Resolution(mention.id, outcome, considered, correct=outcome.item == gold)
 
+    if index is None:
+        index = ReferentIndex(table)
     if mention.form is MentionForm.VP_ELLIPSIS:
-        if carriers is None:
-            carriers = first_carriers(table)
-        carrier = _surface_carrier(gold, carriers)
+        carrier = _surface_carrier(gold, index.carriers)
         if carrier is not None and carrier.id in accessibility.lost:
             return resolution(Outcome.failure(FailureReason.SURFACE_FORM_LOST))
 
-    winners = _referents(accessibility.immediate, mention, table)
+    survivors = index.survivors(mention)
+    winners = tuple(item for item in accessibility.immediate if item in survivors)
     if winners:
         return resolution(Outcome.immediate(winners[0]), winners)
 
     if allow_retrieval:
-        # The filters keep order, so sorting only the survivors by id gives
-        # the same list as filtering the sorted store.
-        winners = tuple(sorted(_referents(accessibility.retrievable, mention, table)))
+        # The retrievable store has no salience order; survivors go by id.
+        winners = tuple(sorted(survivors & accessibility.retrievable))
         if len(winners) == 1:
             outcome = Outcome.after_retrieval(winners[0], retrieval_cost)
             return resolution(outcome, winners)
@@ -214,16 +248,20 @@ def cascade_survivors(case: ReturnPopCase) -> CascadeTrace:
     return staged_filter(case.candidates_at_return, case.mention)
 
 
-def classify_return_pop(case: ReturnPopCase) -> PopClassification:
+def classify_return_pop(
+    case: ReturnPopCase, trace: CascadeTrace | None = None
+) -> PopClassification:
     """Decide which cue suffices to pick out the resumed antecedent.
 
     Each stage narrows the previous stage's survivors; the first stage
     that leaves the gold antecedent alone names the classification, with
-    redundancy and centrality as the final fallbacks.
+    redundancy and centrality as the final fallbacks. ``trace`` is the
+    case's ``cascade_survivors``, computed here when not given.
     """
 
     gold = {case.mention.gold_antecedent}
-    trace = cascade_survivors(case)
+    if trace is None:
+        trace = cascade_survivors(case)
     if set(trace.after_agreement) == gold:
         return PopClassification.PRONOUN_SUFFICIENT
     if set(trace.after_static_selection) == gold:

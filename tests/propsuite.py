@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 from attnsim import cache_model, stack_model
 from attnsim.cache_model import new_cache
@@ -19,6 +20,7 @@ from attnsim.core import (
     DiscourseItem,
     EventKind,
     ItemKind,
+    MentionForm,
     SegmentEvent,
     StoreEvent,
     StoreEventKind,
@@ -27,7 +29,15 @@ from attnsim.core import (
     segment_items,
 )
 from attnsim.driver import ModelKind, replay
-from attnsim.resolution import OutcomeKind, analyze_iru, resolve
+from attnsim.resolution import (
+    FailureReason,
+    Outcome,
+    OutcomeKind,
+    Resolution,
+    analyze_iru,
+    resolve,
+    staged_filter,
+)
 from attnsim.transcript_io import parse, read_trace, write_trace, write_transcript
 
 SEED = 20260808
@@ -42,6 +52,10 @@ ROUNDTRIP_TRIALS = 40
 FRESH_VIEW_TRIALS = 400
 FRESH_VIEW_CAPACITIES = (1, 2, 3, 7)
 STACK_REFERENCE_TRIALS = 400
+REFERENT_INDEX_TRIALS = 400
+REFERENT_INDEX_CAPACITIES = (1, 2, 7, None)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 _GENDERS = ["m", "f", "n"]
 _NUMBERS = ["sg", "pl"]
@@ -57,6 +71,8 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
     Dialogues run to 16 utterances with up to three surface forms, so the
     seeded trials reach returns whose resumed segment's most recent
     material is a discarded surface form (see ``run_fresh_view_suite``).
+    Pronouns carry verb and selectional cues too, so mentions that differ
+    in one cue meet in one replay (see ``run_referent_index_suite``).
     """
 
     n_entities = rng.randint(1, max(1, max_items - 4))
@@ -138,8 +154,13 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
             else:
                 gender = rng.choice(_GENDERS)
                 number = rng.choice(_NUMBERS)
+                cues = ""
+                if rng.random() < 0.3:
+                    cues += f" verb={rng.choice(_PREDS)}"
+                if rng.random() < 0.2:
+                    cues += f" sel={rng.choice(_TAGS)}"
                 lines.append(
-                    f"PRON m{mention_counter} gender={gender} num={number} gold={gold}"
+                    f"PRON m{mention_counter} gender={gender} num={number}{cues} gold={gold}"
                 )
 
     if pending:
@@ -657,6 +678,102 @@ def run_stack_reference_suite(seed: int = SEED, trials: int = STACK_REFERENCE_TR
     return traces
 
 
+# Resolution as it ran before the per-signature referent index: the kind
+# step and ``staged_filter`` over each store, for every mention. It is the
+# reference for ``resolve``'s survivor sets.
+
+
+def _reference_referents(item_ids, mention, table) -> tuple[str, ...]:
+    items = [table[item_id] for item_id in item_ids]
+    if mention.form is MentionForm.VP_ELLIPSIS:
+        pool = [item for item in items if item.kind is ItemKind.PROPOSITION]
+    else:
+        pool = [item for item in items if item.kind is not ItemKind.SURFACE_FORM]
+    return staged_filter(pool, mention).after_dialogue_selection
+
+
+def _reference_resolve(mention, view: AccessibilityView, table, allow_retrieval: bool):
+    gold = mention.gold_antecedent
+
+    def resolution(outcome: Outcome, considered: tuple[str, ...] = ()) -> Resolution:
+        return Resolution(mention.id, outcome, considered, correct=outcome.item == gold)
+
+    if mention.form is MentionForm.VP_ELLIPSIS:
+        carriers = [
+            item.id
+            for item in table.values()
+            if item.kind is ItemKind.SURFACE_FORM and item.realizes == gold
+        ]
+        if carriers and carriers[0] in view.lost:
+            return resolution(Outcome.failure(FailureReason.SURFACE_FORM_LOST))
+    winners = _reference_referents(view.immediate, mention, table)
+    if winners:
+        return resolution(Outcome.immediate(winners[0]), winners)
+    if allow_retrieval:
+        winners = tuple(sorted(_reference_referents(view.retrievable, mention, table)))
+        if len(winners) == 1:
+            return resolution(Outcome.after_retrieval(winners[0], 1), winners)
+        if winners:
+            return resolution(Outcome.failure(FailureReason.AMBIGUOUS), winners)
+    return resolution(Outcome.failure(FailureReason.NO_CANDIDATE))
+
+
+def _reference_resolutions(transcript: Transcript, capacity, retrieves: bool) -> list:
+    """The replay fold with every mention resolved by the reference, at
+    retrieval cost 1, against a fresh view."""
+
+    if retrieves:
+        model, state = cache_model, new_cache(transcript.item_table, capacity)
+    else:
+        model, state = stack_model, stack_model.new_stack()
+    resolutions: list = []
+    for utt in transcript.utterances:
+        model.apply_events(state, transcript.events_at(utt.index), transcript, 1)
+        if utt.is_iru:
+            model.apply_iru(state, utt, transcript)
+        for mention in utt.mentions:
+            resolution = _reference_resolve(
+                mention, model.view(state), transcript.item_table, retrieves
+            )
+            if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
+                model.retrieve(state, [resolution.outcome.item], 1)
+            resolutions.append((utt.id, resolution))
+        model.absorb(state, utt)
+    return resolutions
+
+
+def assert_resolutions_match_reference(transcript: Transcript, where: str) -> None:
+    """``replay``'s resolutions equal the reference's at every mention,
+    under the stack and under the cache at each suite capacity."""
+
+    expected = _reference_resolutions(transcript, None, retrieves=False)
+    report = replay(transcript, ModelKind.STACK)
+    assert list(report.resolutions) == expected, f"{where} stack: resolutions"
+    for capacity in REFERENT_INDEX_CAPACITIES:
+        expected = _reference_resolutions(transcript, capacity, retrieves=True)
+        report = replay(transcript, ModelKind.CACHE, capacity=capacity, retrieval_cost=1)
+        assert list(report.resolutions) == expected, (
+            f"{where} cache capacity {capacity}: resolutions"
+        )
+
+
+def run_referent_index_suite(seed: int = SEED, trials: int = REFERENT_INDEX_TRIALS) -> int:
+    """Resolving against per-signature survivor sets gives the same
+    resolutions as filtering each store for each mention, on the fixtures
+    and on generated texts."""
+
+    for path in sorted(FIXTURES.glob("*.dlg")):
+        transcript = parse(path.read_text(encoding="utf-8"))
+        assert_resolutions_match_reference(transcript, f"run_referent_index_suite {path.name}")
+    rng = random.Random(seed + 9)
+    traces = 0
+    for trial in range(trials):
+        where = _where("run_referent_index_suite", seed, trial)
+        assert_resolutions_match_reference(parse(random_transcript_text(rng)), where)
+        traces += 1
+    return traces
+
+
 ALL_SUITES = (
     run_invariant_suite,
     run_lru_oracle_suite,
@@ -667,6 +784,7 @@ ALL_SUITES = (
     run_roundtrip_suite,
     run_fresh_view_suite,
     run_stack_reference_suite,
+    run_referent_index_suite,
 )
 
 

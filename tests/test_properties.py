@@ -42,3 +42,7 @@ def test_view_reuse_matches_fresh_views():
 
 def test_stack_matches_value_based_reference():
     assert propsuite.run_stack_reference_suite() == propsuite.STACK_REFERENCE_TRIALS
+
+
+def test_referent_index_matches_per_store_filtering():
+    assert propsuite.run_referent_index_suite() == propsuite.REFERENT_INDEX_TRIALS

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from attnsim.core import (
@@ -22,6 +24,7 @@ from attnsim.resolution import (
     Outcome,
     OutcomeKind,
     PopClassification,
+    ReferentIndex,
     ReturnPopCase,
     analyze_iru,
     classify_return_pop,
@@ -149,6 +152,56 @@ def test_ellipsis_with_lost_carrier_fails():
     )
     resolution = resolve(mention, snapshot, table, allow_retrieval=True)
     assert resolution.outcome == Outcome.failure(FailureReason.SURFACE_FORM_LOST)
+
+
+@pytest.mark.parametrize(
+    "lost, outcome",
+    [
+        ("first", Outcome.failure(FailureReason.SURFACE_FORM_LOST)),
+        ("second", Outcome.immediate("host")),
+    ],
+)
+def test_ellipsis_fails_only_when_the_first_carrier_is_lost(lost, outcome):
+    # The first surface form in table order decides, whatever became of
+    # later carriers of the same antecedent.
+    host = DiscourseItem(id="host", kind=ItemKind.PROPOSITION)
+    first = DiscourseItem(id="first", kind=ItemKind.SURFACE_FORM, realizes="host")
+    second = DiscourseItem(id="second", kind=ItemKind.SURFACE_FORM, realizes="host")
+    table = {"host": host, "first": first, "second": second}
+    mention = Mention(id="e", form=MentionForm.VP_ELLIPSIS, gold_antecedent="host")
+    snapshot = AccessibilityView(immediate=("host",), lost=frozenset({lost}))
+    resolution = resolve(mention, snapshot, table, allow_retrieval=True)
+    assert resolution.outcome == outcome
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("verb_lemma", "lift", {"held"}),
+        ("required_sel_classes", frozenset({"liftable"}), {"box"}),
+        ("form", MentionForm.VP_ELLIPSIS, {"deed"}),
+        ("gender", Gender.FEM, {"sue"}),
+        ("number", Number.PL, {"kids"}),
+    ],
+)
+def test_survivors_are_kept_per_cue_signature(field, value, expected):
+    # One index answers both mentions, which differ in one cue only; each
+    # must get its own survivors, not the other's memoized set.
+    items = (
+        entity("held", sel={"pred:lift"}),
+        entity("box", sel={"liftable"}),
+        entity("sue", gender=Gender.FEM),
+        entity("kids", number=Number.PL),
+        DiscourseItem(
+            id="deed", kind=ItemKind.PROPOSITION, gender=Gender.NEUT, number=Number.SG
+        ),
+    )
+    index = ReferentIndex({item.id: item for item in items})
+    plain = Mention(id="m", form=MentionForm.PRONOUN, gold_antecedent="held")
+    assert index.survivors(plain) == {item.id for item in items}
+    cued = dataclasses.replace(plain, **{field: value})
+    assert index.survivors(cued) == expected
+    assert index.survivors(plain) == {item.id for item in items}
 
 
 def test_ellipsis_considers_only_propositions():
