@@ -2,11 +2,14 @@
 
 The fixtures are too small to reach the retrievable tier at scale, so the
 benchmark's generator (``bench/gen.py``, imported, not changed) writes
-three longer transcripts from fixed seeds. ``tests/golden/generated_outputs.txt``
+longer transcripts from fixed seeds. ``tests/golden/generated_outputs.txt``
 holds one line per (input, command): the exit code and the sha256 of
-stdout. To re-record after a deliberate change of an output shape:
+stdout. ``tests/golden/generated_traces.txt`` holds the same for the bytes
+of each traced run's ``--trace`` file. To re-record after a deliberate
+change of an output shape:
 
     PYTHONPATH=src python tests/test_generated_golden.py > tests/golden/generated_outputs.txt
+    PYTHONPATH=src python tests/test_generated_golden.py traces > tests/golden/generated_traces.txt
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from attnsim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "generated_outputs.txt"
+TRACE_GOLDEN = ROOT / "tests" / "golden" / "generated_traces.txt"
 
 
 def _load_gen():
@@ -54,10 +58,19 @@ COMMANDS = {
     "run-cache-inf": ["run", "--model", "cache", "--capacity", "inf"],
 }
 
+TRACE_INPUTS = {
+    # trace-unbounded's shape (bench/run.py), at a fifth of its length.
+    "trace-unbounded-200": _gen.Shape(200, case_gold_outside=0.25),
+    "root-surfaces-200": _gen.Shape(200, surface_in_segments=False),
+}
+
+TRACE_COMMANDS = ("run-cache-inf", "run-cache-cap2", "run-cache", "run-stack")
+
 
 @lru_cache(maxsize=None)
 def _input_path(name: str, directory: Path) -> Path:
-    text, _ = _gen.generate(random.Random(f"golden:{name}"), INPUTS[name], name)
+    shape = INPUTS[name] if name in INPUTS else TRACE_INPUTS[name]
+    text, _ = _gen.generate(random.Random(f"golden:{name}"), shape, name)
     path = directory / f"{name}.dlg"
     path.write_text(text, encoding="utf-8")
     return path
@@ -71,8 +84,20 @@ def output_line(name: str, command: str, directory: Path) -> str:
     return f"{name} {command} exit={code} {digest}"
 
 
-def _recorded() -> dict[tuple[str, str], str]:
-    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+def trace_line(name: str, command: str, directory: Path) -> str:
+    """The exit code and the sha256 of the ``--trace`` file ("-" if the
+    run wrote none)."""
+
+    trace = directory / f"{name}.{command}.trace.json"
+    trace.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*COMMANDS[command], "--trace", str(trace), str(_input_path(name, directory))])
+    digest = hashlib.sha256(trace.read_bytes()).hexdigest() if trace.exists() else "-"
+    return f"{name} {command} exit={code} {digest}"
+
+
+def _recorded(golden: Path = GOLDEN) -> dict[tuple[str, str], str]:
+    lines = golden.read_text(encoding="utf-8").splitlines()
     return {tuple(line.split()[:2]): line for line in lines}
 
 
@@ -91,10 +116,23 @@ def test_golden_covers_every_input_and_command():
     assert set(_recorded()) == {(name, command) for name in INPUTS for command in COMMANDS}
 
 
+@pytest.mark.parametrize("command", TRACE_COMMANDS)
+@pytest.mark.parametrize("name", TRACE_INPUTS)
+def test_generated_trace_matches_golden(name, command, workdir):
+    assert trace_line(name, command, workdir) == _recorded(TRACE_GOLDEN)[(name, command)]
+
+
+def test_trace_golden_covers_every_input_and_command():
+    expected = {(name, command) for name in TRACE_INPUTS for command in TRACE_COMMANDS}
+    assert set(_recorded(TRACE_GOLDEN)) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
+    traces = sys.argv[1:] == ["traces"]
     with tempfile.TemporaryDirectory() as directory:
-        for name in INPUTS:
-            for command in COMMANDS:
-                print(output_line(name, command, Path(directory)))
+        for name in TRACE_INPUTS if traces else INPUTS:
+            for command in TRACE_COMMANDS if traces else COMMANDS:
+                line = trace_line if traces else output_line
+                print(line(name, command, Path(directory)))
