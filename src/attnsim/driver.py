@@ -126,13 +126,16 @@ def replay(
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
     *,
     views: bool = False,
+    index: ReferentIndex | None = None,
 ) -> SimulationReport:
     """Fold the transcript through one model, utterance by utterance:
     segment boundaries, then redundancy handling, then each mention's
     resolution, then the utterance's own items. The fold owns the model's
     one state; every step updates it in place and returns its store events.
     A record carries the view after its utterance only with ``views``;
-    otherwise views are built only for the steps that read them."""
+    otherwise views are built only for the steps that read them. ``index``
+    is a ``ReferentIndex`` over the transcript's item table, shared by
+    replays of one transcript; without it the replay builds its own."""
 
     _check_retrieval_cost(retrieval_cost)
     # Only the cache retrieves; the stack reports no capacity, cost or effort.
@@ -143,7 +146,8 @@ def replay(
     else:
         model, state = stack_model, stack_model.new_stack()
         capacity, retrieval_cost = None, 0
-    index = ReferentIndex(transcript.item_table)
+    if index is None:
+        index = ReferentIndex(transcript.item_table)
     records: list[TraceRecord] = []
     resolutions: list[tuple[str, Resolution]] = []
     findings: list[IRUFinding] = []
@@ -235,8 +239,10 @@ def compare_transcript(
     capacity: int | None = DEFAULT_CAPACITY,
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
 ) -> DivergenceReport:
-    stack_report = replay(transcript, ModelKind.STACK)
-    cache_report = replay(transcript, ModelKind.CACHE, capacity, retrieval_cost)
+    # Both replays filter the same item table by the same cue signatures.
+    index = ReferentIndex(transcript.item_table)
+    stack_report = replay(transcript, ModelKind.STACK, index=index)
+    cache_report = replay(transcript, ModelKind.CACHE, capacity, retrieval_cost, index=index)
     stack_outcomes = {res.mention_id: res for _, res in stack_report.resolutions}
     cache_outcomes = {res.mention_id: res for _, res in cache_report.resolutions}
     rows = tuple(

@@ -142,10 +142,11 @@ def staged_filter(
 
 class ReferentIndex:
     """Lookups that depend only on the item table, built lazily, once per
-    replay: the first surface carrier of each item, and the ids that pass
-    the kind step and ``staged_filter`` for each cue signature. Every stage
-    is a pointwise test on features fixed at parse time, so filtering a
-    store keeps exactly its members in that set, in store order."""
+    transcript (``compare`` shares one between its two replays): the first
+    surface carrier of each item, and the ids that pass the kind step and
+    ``staged_filter`` for each cue signature. Every stage is a pointwise
+    test on features fixed at parse time, so filtering a store keeps
+    exactly its members in that set, in store order."""
 
     def __init__(self, table: Mapping[str, DiscourseItem]) -> None:
         self.table = table

@@ -449,31 +449,76 @@ def resolution_json(resolution: Resolution) -> dict:
     return {
         "mentionId": resolution.mention_id,
         "outcome": outcome_json(resolution.outcome),
-        "candidatesConsidered": list(resolution.candidates_considered),
+        "candidatesConsidered": resolution.candidates_considered,
         "correct": resolution.correct,
     }
 
 
 def _record_to_json(record: TraceRecord) -> dict:
+    # The view's frozensets go in as they are: ``_encode`` writes each as
+    # its sorted list.
+    view = record.view
     return {
         "utteranceIndex": record.utterance_index,
         "eventsApplied": [
             {"kind": event.kind.value, "target": event.target}
             for event in record.events_applied
         ],
-        "view": {
-            "immediate": list(record.view.immediate),
-            "retrievable": sorted(record.view.retrievable),
-            "lost": sorted(record.view.lost),
-        },
+        "view": {"immediate": view.immediate, "retrievable": view.retrievable, "lost": view.lost},
         "resolutions": [resolution_json(r) for r in record.resolutions],
         "cumulativeEffort": record.cumulative_effort,
     }
 
 
+_quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
+
+
+def _encode(value, pad: str, sets: dict) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it when it opens
+    at indentation ``pad``, for the types a trace holds: dict, list or
+    tuple, str, int, bool and None. A frozenset is written as its sorted
+    list; ``sets`` keeps each one's text, since views share a set until
+    its store changes."""
+
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, frozenset):
+        text = sets.get((value, pad))
+        if text is None:
+            text = sets[value, pad] = _encode(sorted(value), pad, sets)
+        return text
+    if not isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"a trace holds no {type(value).__name__}")
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    separator = ",\n" + inner
+    if isinstance(value, dict):
+        body = separator.join(
+            [f"{_quote(key)}: {_encode(item, inner, sets)}" for key, item in value.items()]
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    try:
+        # Lists of ids carry almost all of a trace's bytes: escape them in C.
+        body = separator.join(map(_quote, value))
+    except TypeError:  # not a list of strings
+        body = separator.join([_encode(item, inner, sets) for item in value])
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def write_trace(records: Sequence[TraceRecord]) -> str:
     """Serialize trace records deterministically: equal traces produce
-    byte-identical output."""
+    byte-identical output, the bytes ``json.dumps(..., indent=2)`` writes.
+
+    It does not call ``json.dumps`` itself: with an indent, CPython falls
+    back from its C encoder to the pure-Python one, which yields one token
+    at a time and took most of a traced run's time.
+    ``_encode`` lays out the same text with one join per container and
+    escapes the id lists with the same C function."""
 
     ordered = [record.utterance_index for record in records]
     if ordered != sorted(ordered):
@@ -484,7 +529,7 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
     for record in records:
         if record.view is None:
             raise ValueError(f"trace record {record.utterance_index} has no view")
-    return json.dumps([_record_to_json(r) for r in records], indent=2) + "\n"
+    return _encode([_record_to_json(r) for r in records], "", {}) + "\n"
 
 
 def _outcome_from_json(data: Mapping) -> Outcome:

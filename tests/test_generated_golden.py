@@ -130,9 +130,10 @@ def test_trace_golden_covers_every_input_and_command():
 if __name__ == "__main__":
     import tempfile
 
-    traces = sys.argv[1:] == ["traces"]
+    inputs, commands, line = (INPUTS, COMMANDS, output_line)
+    if sys.argv[1:] == ["traces"]:
+        inputs, commands, line = (TRACE_INPUTS, TRACE_COMMANDS, trace_line)
     with tempfile.TemporaryDirectory() as directory:
-        for name in TRACE_INPUTS if traces else INPUTS:
-            for command in TRACE_COMMANDS if traces else COMMANDS:
-                line = trace_line if traces else output_line
+        for name in inputs:
+            for command in commands:
                 print(line(name, command, Path(directory)))
