@@ -455,8 +455,6 @@ def resolution_json(resolution: Resolution) -> dict:
 
 
 def _record_to_json(record: TraceRecord) -> dict:
-    # The view's frozensets go in as they are: ``_encode`` writes each as
-    # its sorted list.
     view = record.view
     return {
         "utteranceIndex": record.utterance_index,
@@ -464,7 +462,11 @@ def _record_to_json(record: TraceRecord) -> dict:
             {"kind": event.kind.value, "target": event.target}
             for event in record.events_applied
         ],
-        "view": {"immediate": view.immediate, "retrievable": view.retrievable, "lost": view.lost},
+        "view": {
+            "immediate": view.immediate,
+            "retrievable": sorted(view.retrievable),
+            "lost": sorted(view.lost),
+        },
         "resolutions": [resolution_json(r) for r in record.resolutions],
         "cumulativeEffort": record.cumulative_effort,
     }
@@ -473,12 +475,10 @@ def _record_to_json(record: TraceRecord) -> dict:
 _quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
 
 
-def _encode(value, pad: str, sets: dict) -> str:
+def _encode(value, pad: str = "") -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it when it opens
     at indentation ``pad``, for the types a trace holds: dict, list or
-    tuple, str, int, bool and None. A frozenset is written as its sorted
-    list; ``sets`` keeps each one's text, since views share a set until
-    its store changes."""
+    tuple, str, int, bool and None."""
 
     if isinstance(value, str):
         return _quote(value)
@@ -486,11 +486,6 @@ def _encode(value, pad: str, sets: dict) -> str:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, frozenset):
-        text = sets.get((value, pad))
-        if text is None:
-            text = sets[value, pad] = _encode(sorted(value), pad, sets)
-        return text
     if not isinstance(value, (dict, list, tuple)):
         raise TypeError(f"a trace holds no {type(value).__name__}")
     if not value:
@@ -499,14 +494,14 @@ def _encode(value, pad: str, sets: dict) -> str:
     separator = ",\n" + inner
     if isinstance(value, dict):
         body = separator.join(
-            [f"{_quote(key)}: {_encode(item, inner, sets)}" for key, item in value.items()]
+            [f"{_quote(key)}: {_encode(item, inner)}" for key, item in value.items()]
         )
         return f"{{\n{inner}{body}\n{pad}}}"
     try:
         # Lists of ids carry almost all of a trace's bytes: escape them in C.
         body = separator.join(map(_quote, value))
     except TypeError:  # not a list of strings
-        body = separator.join([_encode(item, inner, sets) for item in value])
+        body = separator.join([_encode(item, inner) for item in value])
     return f"[\n{inner}{body}\n{pad}]"
 
 
@@ -529,7 +524,7 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
     for record in records:
         if record.view is None:
             raise ValueError(f"trace record {record.utterance_index} has no view")
-    return _encode([_record_to_json(r) for r in records], "", {}) + "\n"
+    return _encode([_record_to_json(r) for r in records]) + "\n"
 
 
 def _outcome_from_json(data: Mapping) -> Outcome:

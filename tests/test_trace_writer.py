@@ -123,19 +123,9 @@ def test_empty_record_list():
     ],
 )
 def test_encode_matches_json_dumps_for_trace_types(value):
-    assert _encode(value, "", {}) == json.dumps(value, indent=2)
-
-
-def test_encode_writes_a_frozenset_as_its_sorted_list():
-    items = frozenset({"b", "a", "é"})
-    sets: dict = {}
-    nested = {"s": items, "t": [items]}
-    assert _encode(nested, "", sets) == json.dumps(
-        {"s": sorted(items), "t": [sorted(items)]}, indent=2
-    )
-    assert len(sets) == 2  # one text per indentation
+    assert _encode(value) == json.dumps(value, indent=2)
 
 
 def test_encode_rejects_types_a_trace_does_not_hold():
     with pytest.raises(TypeError):
-        _encode([1.5], "", {})
+        _encode([1.5])
