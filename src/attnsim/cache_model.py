@@ -6,7 +6,8 @@ entities and propositions are stored in main memory, while surface forms
 are discarded outright and can only come back by being re-uttered. Entries
 can be pinned across an interruption when a return is expected, retrieval
 from main memory costs effort, and redundant restatements refresh or
-reinstate their content for free.
+reinstate their content for free. An unbounded cache never displaces, so
+it pins nothing.
 
 The replay fold owns one ``CacheState`` and every step updates it in
 place and returns the store events it generated, as the stack model's
@@ -228,12 +229,15 @@ def apply_events(
 ) -> list[StoreEvent]:
     """Apply segment boundaries: pin on an expected return, unpin when the
     segment closes, and cue a retrieval of the resumed segment's material.
+
+    An unbounded cache never displaces, so a pin could protect nothing: it
+    takes none, and its closing segments find no pins to release.
     """
 
     log: list[StoreEvent] = []
     for event in events_before:
         if event.kind is EventKind.PUSH:
-            if not event.expect_return:
+            if not event.expect_return or state.capacity is None:
                 continue
             entries = state.by_recency
             unpinned = [i for i, entry in entries.items() if not entry.pinned]
@@ -352,5 +356,7 @@ def check_invariants(state: CacheState) -> None:
     if len(set(owned)) != len(owned):
         raise AssertionError("pin record owned twice")
     pinned = {item_id for item_id, entry in state.by_recency.items() if entry.pinned}
+    if state.capacity is None and (state.pin_owners or pinned):
+        raise AssertionError("unbounded cache holds pins")
     if pinned != set(owned):
         raise AssertionError("pin flags and pin records disagree")

@@ -475,10 +475,15 @@ def _record_to_json(record: TraceRecord) -> dict:
 _quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
 
 
-def _encode(value, pad: str = "") -> str:
+def indented_json(value, pad: str = "") -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it when it opens
-    at indentation ``pad``, for the types a trace holds: dict, list or
-    tuple, str, int, bool and None."""
+    at indentation ``pad``, for the types a trace or a command's report
+    holds: dict with str keys, list or tuple, str, int, bool and None.
+
+    With an indent, CPython's ``json.dumps`` falls back from its C encoder
+    to the pure-Python one, which yields one token at a time. This lays
+    out the same text with one join per container and escapes strings with
+    the same C function."""
 
     if isinstance(value, str):
         return _quote(value)
@@ -487,33 +492,29 @@ def _encode(value, pad: str = "") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if not isinstance(value, (dict, list, tuple)):
-        raise TypeError(f"a trace holds no {type(value).__name__}")
+        raise TypeError(f"cannot write a {type(value).__name__} as JSON")
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     inner = pad + "  "
     separator = ",\n" + inner
     if isinstance(value, dict):
         body = separator.join(
-            [f"{_quote(key)}: {_encode(item, inner)}" for key, item in value.items()]
+            [f"{_quote(key)}: {indented_json(item, inner)}" for key, item in value.items()]
         )
         return f"{{\n{inner}{body}\n{pad}}}"
     try:
         # Lists of ids carry almost all of a trace's bytes: escape them in C.
         body = separator.join(map(_quote, value))
     except TypeError:  # not a list of strings
-        body = separator.join([_encode(item, inner) for item in value])
+        body = separator.join([indented_json(item, inner) for item in value])
     return f"[\n{inner}{body}\n{pad}]"
 
 
 def write_trace(records: Sequence[TraceRecord]) -> str:
     """Serialize trace records deterministically: equal traces produce
-    byte-identical output, the bytes ``json.dumps(..., indent=2)`` writes.
-
-    It does not call ``json.dumps`` itself: with an indent, CPython falls
-    back from its C encoder to the pure-Python one, which yields one token
-    at a time and took most of a traced run's time.
-    ``_encode`` lays out the same text with one join per container and
-    escapes the id lists with the same C function."""
+    byte-identical output, the bytes ``json.dumps(..., indent=2)`` writes,
+    through ``indented_json`` (``json.dumps`` itself took most of a traced
+    run's time)."""
 
     ordered = [record.utterance_index for record in records]
     if ordered != sorted(ordered):
@@ -524,7 +525,7 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
     for record in records:
         if record.view is None:
             raise ValueError(f"trace record {record.utterance_index} has no view")
-    return _encode([_record_to_json(r) for r in records]) + "\n"
+    return indented_json([_record_to_json(r) for r in records]) + "\n"
 
 
 def _outcome_from_json(data: Mapping) -> Outcome:

@@ -10,7 +10,7 @@ exercised; the acceptance gate checks the total.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from attnsim import cache_model, stack_model
@@ -54,6 +54,7 @@ FRESH_VIEW_CAPACITIES = (1, 2, 3, 7)
 STACK_REFERENCE_TRIALS = 400
 REFERENT_INDEX_TRIALS = 400
 REFERENT_INDEX_CAPACITIES = (1, 2, 7, None)
+UNBOUNDED_EQUIVALENCE_TRIALS = 400
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -208,39 +209,46 @@ def _track_segments(open_segments: list[str], events) -> None:
 
 def run_invariant_suite(seed: int = SEED, trials: int = INVARIANT_TRIALS) -> int:
     """Cache bound, store disjointness, and conservation at every step;
-    pins are held only for open segments pushed with expect-return."""
+    pins are held only for open segments pushed with expect-return. Each
+    trial steps a bounded cache and an unbounded one, which holds no pins."""
 
     rng = random.Random(seed)
     traces = 0
     for trial in range(trials):
         transcript = parse(random_transcript_text(rng))
-        capacity = rng.randint(1, 8)
-        state = new_cache(transcript.item_table, capacity)
-        seen: set[str] = set()
-        effort_before = 0
-        open_segments: list[str] = []
-        expecting = {e.segment_id for e in transcript.events if e.expect_return}
-        for utt in transcript.utterances:
-            where = f"{_where('run_invariant_suite', seed, trial)} utterance {utt.index}"
-            events = transcript.events_at(utt.index)
-            cache_model.apply_events(state, events, transcript)
-            _check(cache_model.check_invariants, state, where)
-            _track_segments(open_segments, events)
-            leaked = set(state.pin_owners) - expecting.intersection(open_segments)
-            assert not leaked, f"{where}: pins held for closed segments {sorted(leaked)}"
-            cache_model.apply_iru(state, utt, transcript)
-            _check(cache_model.check_invariants, state, where)
-            cache_model.insert_items(state, utt.items)
-            _check(cache_model.check_invariants, state, where)
-            seen |= set(utt.items)
-            snapshot = cache_model.view(state)
-            assert len(snapshot.immediate) <= capacity, f"{where}: over capacity"
-            everywhere = set(snapshot.immediate) | snapshot.retrievable | snapshot.lost
-            assert everywhere == seen, f"{where}: conservation violated"
-            assert state.effort >= effort_before, f"{where}: effort regressed"
-            effort_before = state.effort
+        for capacity in (rng.randint(1, 8), None):
+            where = f"{_where('run_invariant_suite', seed, trial)} capacity {capacity}"
+            _step_checking_invariants(transcript, capacity, where)
         traces += 1
     return traces
+
+
+def _step_checking_invariants(transcript: Transcript, capacity: int | None, where: str) -> None:
+    state = new_cache(transcript.item_table, capacity)
+    seen: set[str] = set()
+    effort_before = 0
+    open_segments: list[str] = []
+    expecting = {e.segment_id for e in transcript.events if e.expect_return}
+    for utt in transcript.utterances:
+        at = f"{where} utterance {utt.index}"
+        events = transcript.events_at(utt.index)
+        cache_model.apply_events(state, events, transcript)
+        _check(cache_model.check_invariants, state, at)
+        _track_segments(open_segments, events)
+        leaked = set(state.pin_owners) - expecting.intersection(open_segments)
+        assert not leaked, f"{at}: pins held for closed segments {sorted(leaked)}"
+        cache_model.apply_iru(state, utt, transcript)
+        _check(cache_model.check_invariants, state, at)
+        cache_model.insert_items(state, utt.items)
+        _check(cache_model.check_invariants, state, at)
+        seen |= set(utt.items)
+        snapshot = cache_model.view(state)
+        bound = len(seen) if capacity is None else capacity
+        assert len(snapshot.immediate) <= bound, f"{at}: over capacity"
+        everywhere = set(snapshot.immediate) | snapshot.retrievable | snapshot.lost
+        assert everywhere == seen, f"{at}: conservation violated"
+        assert state.effort >= effort_before, f"{at}: effort regressed"
+        effort_before = state.effort
 
 
 def run_lru_oracle_suite(seed: int = SEED, trials: int = ORACLE_TRIALS) -> int:
@@ -360,6 +368,48 @@ def run_infinite_capacity_suite(seed: int = SEED, trials: int = INFINITE_TRIALS)
             assert set(cache_record.view.immediate) >= set(
                 stack_record.view.immediate
             ), f"{where}: stack item not immediate in the cache"
+        traces += 1
+    return traces
+
+
+_PINNING = {StoreEventKind.PIN, StoreEventKind.UNPIN}
+
+
+def assert_unbounded_matches_oversized(transcript: Transcript, where: str) -> None:
+    """A cache with room for every item never displaces either, so an
+    unbounded replay must equal it once its pins are set aside, and must
+    take no pins itself."""
+
+    unbounded = replay(transcript, ModelKind.CACHE, capacity=None, views=True)
+    capacity = len(transcript.item_table) + 1
+    oversized = replay(transcript, ModelKind.CACHE, capacity=capacity, views=True)
+    assert unbounded.iru_findings == oversized.iru_findings, f"{where}: IRU findings"
+    assert unbounded.total_effort == oversized.total_effort, f"{where}: effort"
+    assert len(unbounded.records) == len(oversized.records), f"{where}: record count"
+    for free, roomy in zip(unbounded.records, oversized.records):
+        at = f"{where} utterance {free.utterance_index}"
+        assert not any(e.kind in _PINNING for e in free.events_applied), f"{at}: pinned"
+        assert not any(
+            e.kind is StoreEventKind.DISPLACE for e in roomy.events_applied
+        ), f"{at}: capacity {capacity} displaced"
+        unpinned = tuple(e for e in roomy.events_applied if e.kind not in _PINNING)
+        assert free == replace(roomy, events_applied=unpinned), f"{at}: records differ"
+
+
+def run_unbounded_equivalence_suite(
+    seed: int = SEED, trials: int = UNBOUNDED_EQUIVALENCE_TRIALS
+) -> int:
+    """An unbounded cache replays as one with room for every item, minus
+    the pins, on the fixtures and on generated texts."""
+
+    for path in sorted(FIXTURES.glob("*.dlg")):
+        where = f"run_unbounded_equivalence_suite {path.name}"
+        assert_unbounded_matches_oversized(parse(path.read_text(encoding="utf-8")), where)
+    rng = random.Random(seed + 10)
+    traces = 0
+    for trial in range(trials):
+        where = _where("run_unbounded_equivalence_suite", seed, trial)
+        assert_unbounded_matches_oversized(parse(random_transcript_text(rng)), where)
         traces += 1
     return traces
 
@@ -779,6 +829,7 @@ ALL_SUITES = (
     run_lru_oracle_suite,
     run_pin_cascade_suite,
     run_infinite_capacity_suite,
+    run_unbounded_equivalence_suite,
     run_stack_restore_suite,
     run_interruption_invariance_suite,
     run_roundtrip_suite,

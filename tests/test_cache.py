@@ -309,6 +309,29 @@ def test_infinite_capacity_never_displaces():
     assert state.effort == 0
 
 
+def test_unbounded_cache_takes_no_pins():
+    from attnsim.cache_model import apply_events
+
+    state = new_cache(table("a", "b"), capacity=None)
+    insert_items(state, ["a", "b"])
+    push = SegmentEvent(
+        kind=EventKind.PUSH, segment_id="S", position=0, expect_return=True
+    )
+    assert apply_events(state, [push], EMPTY) == []
+    assert state.pin_owners == {}
+    assert not any(entry.pinned for entry in state.by_recency.values())
+    pop = SegmentEvent(kind=EventKind.POP, segment_id="S", position=1)
+    assert apply_events(state, [pop], EMPTY) == []
+    check_invariants(state)
+
+
+@pytest.mark.parametrize("pin_owners", [{"S": ("a",)}, None])
+def test_check_invariants_rejects_pins_in_an_unbounded_cache(pin_owners):
+    state = state_with([("a", True, 1)], table("a"), capacity=None, pin_owners=pin_owners)
+    with pytest.raises(AssertionError, match="unbounded cache holds pins"):
+        check_invariants(state)
+
+
 def test_pin_scope_is_cache_contents_at_push_time():
     items = table("a", "b", "c")
     state = new_cache(items, capacity=7)

@@ -5,8 +5,9 @@ benchmark's generator (``bench/gen.py``, imported, not changed) writes
 longer transcripts from fixed seeds. ``tests/golden/generated_outputs.txt``
 holds one line per (input, command): the exit code and the sha256 of
 stdout. ``tests/golden/generated_traces.txt`` holds the same for the bytes
-of each traced run's ``--trace`` file. To re-record after a deliberate
-change of an output shape:
+of each traced run's ``--trace`` file. The same transcripts also feed
+``propsuite.assert_unbounded_matches_oversized``. To re-record after a
+deliberate change of an output shape:
 
     PYTHONPATH=src python tests/test_generated_golden.py > tests/golden/generated_outputs.txt
     PYTHONPATH=src python tests/test_generated_golden.py traces > tests/golden/generated_traces.txt
@@ -25,7 +26,9 @@ from pathlib import Path
 
 import pytest
 
+import propsuite
 from attnsim.cli import main
+from attnsim.transcript_io import parse
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "generated_outputs.txt"
@@ -125,6 +128,12 @@ def test_generated_trace_matches_golden(name, command, workdir):
 def test_trace_golden_covers_every_input_and_command():
     expected = {(name, command) for name in TRACE_INPUTS for command in TRACE_COMMANDS}
     assert set(_recorded(TRACE_GOLDEN)) == expected
+
+
+@pytest.mark.parametrize("name", ["short-block12-60", *TRACE_INPUTS])
+def test_unbounded_cache_replays_as_an_oversized_one_without_pins(name, workdir):
+    transcript = parse(_input_path(name, workdir).read_text(encoding="utf-8"))
+    propsuite.assert_unbounded_matches_oversized(transcript, name)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,12 @@ COMMANDS = {
 }
 
 # Commands whose --trace file is recorded too, by the model it traces.
-TRACED = {"run-stack": "stack", "run-cache": "cache", "run-cache-cap2": "cache-cap2"}
+TRACED = {
+    "run-stack": "stack",
+    "run-cache": "cache",
+    "run-cache-inf": "cache-inf",
+    "run-cache-cap2": "cache-cap2",
+}
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -21,6 +21,13 @@ def test_infinite_capacity_dominates_stack_views():
     assert propsuite.run_infinite_capacity_suite() == propsuite.INFINITE_TRIALS
 
 
+def test_unbounded_cache_replays_as_an_oversized_one_without_pins():
+    assert (
+        propsuite.run_unbounded_equivalence_suite()
+        == propsuite.UNBOUNDED_EQUIVALENCE_TRIALS
+    )
+
+
 def test_push_pop_restores_spaces():
     assert propsuite.run_stack_restore_suite() == propsuite.STACK_RESTORE_TRIALS
 

@@ -3,7 +3,8 @@
 The reference below is the serializer ``write_trace`` replaced: records
 mapped to plain JSON values, then the standard library's indent-2 encoder.
 Every trace here must come out byte for byte the same, and read back to
-the records it was written from.
+the records it was written from. ``indented_json`` must also write every
+command's report as ``json.dumps(..., indent=2)`` does.
 """
 
 from __future__ import annotations
@@ -13,10 +14,18 @@ import random
 
 import pytest
 
-from attnsim.driver import ModelKind, replay
+from attnsim.driver import (
+    ModelKind,
+    classify_corpus,
+    compare_transcript,
+    divergence_report_json,
+    pops_report_json,
+    replay,
+    simulation_report_json,
+)
 from attnsim.transcript_io import (
     TraceRecord,
-    _encode,
+    indented_json,
     parse,
     read_trace,
     resolution_json,
@@ -25,6 +34,7 @@ from attnsim.transcript_io import (
 
 from conftest import load_fixture
 from propsuite import random_transcript_text
+from test_generated_golden import _gen
 
 FIXTURES = ("dialogue_a.dlg", "dialogue_b.dlg", "dialogue_c.dlg", "return_pops.dlg")
 RANDOM_TEXTS = 40
@@ -79,6 +89,9 @@ def _transcripts():
     for trial in range(RANDOM_TEXTS):
         yield f"random-{trial}", parse(random_transcript_text(rng))
     yield "escaped", parse(ESCAPED)
+    for length in (60, 200):
+        text, _ = _gen.generate(random.Random(SEED), _gen.Shape(length), f"gen-{length}")
+        yield f"gen-{length}", parse(text)
 
 
 TRANSCRIPTS = dict(_transcripts())
@@ -123,9 +136,22 @@ def test_empty_record_list():
     ],
 )
 def test_encode_matches_json_dumps_for_trace_types(value):
-    assert _encode(value) == json.dumps(value, indent=2)
+    assert indented_json(value) == json.dumps(value, indent=2)
 
 
 def test_encode_rejects_types_a_trace_does_not_hold():
     with pytest.raises(TypeError):
-        _encode([1.5])
+        indented_json([1.5])
+
+
+@pytest.mark.parametrize("name", TRANSCRIPTS)
+def test_report_payloads_encode_as_json_dumps(name):
+    transcript = TRANSCRIPTS[name]
+    payloads = [
+        simulation_report_json(replay(transcript, kind, capacity))
+        for kind, capacity in MODELS
+    ]
+    payloads.append(divergence_report_json(compare_transcript(transcript)))
+    payloads.append(pops_report_json(classify_corpus(transcript)))
+    for payload in payloads:
+        assert indented_json(payload) == json.dumps(payload, indent=2)
