@@ -14,9 +14,10 @@ place and returns the store events it generated, as the stack model's
 steps do, so a step costs the same however long the transcript has run.
 Entries sit in a dict in recency order, least recently used first: a
 touch moves an entry to the end and eviction takes the first unpinned
-one. What leaves the state is an ``AccessibilityView``, an immutable
-snapshot; views share one frozen copy of main memory and of the discarded
-set until that store changes.
+one. A move between stores checks that the item has no other record.
+Resolution reads the live stores; a trace record's ``AccessibilityView``
+snapshots share one frozen copy of main memory and of the discarded set
+until that store changes.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from .core import (
     DiscourseItem,
     EventKind,
     ItemKind,
+    AccessibilityView,
+    SalienceOrder,
     SegmentEvent,
     StoreEvent,
     StoreEventKind,
-    AccessibilityView,
     Transcript,
     Utterance,
     segment_items,
@@ -88,6 +90,11 @@ class CacheState:
         default=None, init=False, compare=False
     )
 
+    # The stores as resolution reads them, cached ids most recent first.
+    immediate = property(lambda self: SalienceOrder((self.by_recency,)))
+    retrievable = property(lambda self: self.main_memory)
+    lost = property(lambda self: self.discarded)
+
 
 def new_cache(
     item_table: Mapping[str, DiscourseItem], capacity: int | None = DEFAULT_CAPACITY
@@ -127,6 +134,8 @@ def evict_one(state: CacheState) -> list[StoreEvent]:
         # A displaced entry is not in the cache, so its pin record goes too;
         # otherwise a later unpin could strip a fresh pin on a re-entry.
         _drop_pin_record(state, victim)
+    if victim in state.main_memory or victim in state.discarded:
+        raise ValueError(AccessibilityView.OVERLAP)
     if state.item_table[victim].kind is ItemKind.SURFACE_FORM:
         state.discarded.add(victim)
         state.frozen_discarded = None
@@ -170,6 +179,8 @@ def _readmit(state: CacheState, item_id: str, events: list[StoreEvent]) -> None:
         state.discarded.remove(item_id)
         state.frozen_discarded = None
         events.append(StoreEvent(StoreEventKind.RETRIEVE, item_id))
+    if item_id in state.main_memory or item_id in state.discarded:
+        raise ValueError(AccessibilityView.OVERLAP)
     state.step += 1
     state.by_recency[item_id] = CacheEntry(False, admitted=state.step)
     state.last_touch[item_id] = state.step
@@ -316,8 +327,8 @@ def absorb(state: CacheState, utt: Utterance) -> list[StoreEvent]:
 
 
 def view(state: CacheState) -> AccessibilityView:
-    """Accessibility under the cache model: cached items by recency, main
-    memory retrievable at a cost, discarded records lost.
+    """A trace record's snapshot under the cache model: cached items by
+    recency, main memory retrievable at a cost, discarded records lost.
     """
 
     if state.frozen_main is None:
@@ -325,7 +336,7 @@ def view(state: CacheState) -> AccessibilityView:
     if state.frozen_discarded is None:
         state.frozen_discarded = frozenset(state.discarded)
     return AccessibilityView(
-        immediate=tuple(reversed(state.by_recency)),
+        immediate=tuple(state.immediate),
         retrievable=state.frozen_main,
         lost=state.frozen_discarded,
     )

@@ -12,7 +12,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, Mapping, Sequence
+from itertools import chain
+from typing import AbstractSet, Iterator, Mapping, Sequence
 
 
 class ItemKind(Enum):
@@ -252,6 +253,7 @@ class AccessibilityView:
     immediate: tuple[str, ...] = ()
     retrievable: frozenset[str] = frozenset()
     lost: frozenset[str] = frozenset()
+    OVERLAP = "accessibility stores must be pairwise disjoint"
 
     def __post_init__(self) -> None:
         if not (
@@ -259,7 +261,21 @@ class AccessibilityView:
             and self.lost.isdisjoint(self.immediate)
             and self.retrievable.isdisjoint(self.lost)
         ):
-            raise ValueError("accessibility stores must be pairwise disjoint")
+            raise ValueError(self.OVERLAP)
+
+
+class SalienceOrder:
+    """A live immediate tier: the keys of ``stores``, last store first and
+    each from its last key, re-iterable and with membership by lookup."""
+
+    def __init__(self, stores: Sequence[Mapping[str, object]]) -> None:
+        self.stores = stores
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(map(reversed, reversed(self.stores)))
+
+    def __contains__(self, item_id: object) -> bool:
+        return any(item_id in store for store in self.stores)
 
 
 def agreement_filter(

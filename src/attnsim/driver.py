@@ -1,13 +1,14 @@
 """Replay a transcript through an attentional model and report on it.
 
 The driver folds utterances through the selected model, resolving each
-mention against the accessibility state at its utterance (after segment
+mention against the model's live state at its utterance (after segment
 boundaries and any redundancy handling, before the utterance's own items
-enter), and collects per-utterance trace records. A record carries the
-accessibility view after its utterance only when the caller asks for
-views, as ``run --trace`` does. Under the cache model a resolution that
-needed the retrievable store actually performs the retrieval, so its cost
-lands in the state's effort ledger.
+enter), and collects per-utterance trace records. A record carries an
+``AccessibilityView`` snapshot after its utterance only when the caller
+asks for views, as ``run --trace`` does; a resolution lists candidates
+unless the caller turns them off, as ``compare`` does. Under the cache
+model a resolution that needed the retrievable store actually performs
+the retrieval, so its cost lands in the state's effort ledger.
 """
 
 from __future__ import annotations
@@ -126,16 +127,18 @@ def replay(
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
     *,
     views: bool = False,
+    candidates: bool = True,
     index: ReferentIndex | None = None,
 ) -> SimulationReport:
     """Fold the transcript through one model, utterance by utterance:
     segment boundaries, then redundancy handling, then each mention's
     resolution, then the utterance's own items. The fold owns the model's
-    one state; every step updates it in place and returns its store events.
-    A record carries the view after its utterance only with ``views``;
-    otherwise views are built only for the steps that read them. ``index``
-    is a ``ReferentIndex`` over the transcript's item table, shared by
-    replays of one transcript; without it the replay builds its own."""
+    one state, which resolution reads live; every step updates it in place
+    and returns its store events. A record carries the view after its
+    utterance only with ``views``. Without ``candidates`` a resolution
+    stops once its outcome is known and lists none. ``index`` is a
+    ``ReferentIndex`` over the transcript's item table, shared by replays
+    of one transcript; without it the replay builds its own."""
 
     _check_retrieval_cost(retrieval_cost)
     # Only the cache retrieves; the stack reports no capacity, cost or effort.
@@ -155,11 +158,8 @@ def replay(
         applied = model.apply_events(
             state, transcript.events_at(utt.index), transcript, retrieval_cost
         )
-        # Views are built on demand and reused until the state changes.
-        accessibility = None
         if utt.is_iru:
-            accessibility = model.view(state)
-            functions = tuple(analyze_iru(utt, accessibility, transcript))
+            functions = tuple(analyze_iru(utt, state, transcript))
             # The stack model predicts nothing for a restatement whose
             # content is already sitting in stacked focus spaces.
             all_fresh = bool(functions) and all(
@@ -167,21 +167,16 @@ def replay(
             )
             findings.append(IRUFinding(utt.id, functions, not retrieves and all_fresh))
             applied.extend(model.apply_iru(state, utt, transcript))
-            if retrieves and functions:
-                # The cache restates the content in place, so the view is
-                # stale; the stack leaves its state as it was.
-                accessibility = None
         utt_resolutions = []
         for mention in utt.mentions:
-            if accessibility is None:
-                accessibility = model.view(state)
             resolution = resolve(
                 mention,
-                accessibility,
+                state,
                 transcript.item_table,
                 allow_retrieval=retrieves,
                 retrieval_cost=retrieval_cost,
                 index=index,
+                candidates=candidates,
             )
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
                 # Strategic retrieval: interpreting the anaphor pulls its
@@ -189,7 +184,6 @@ def replay(
                 applied.extend(
                     model.retrieve(state, [resolution.outcome.item], retrieval_cost)
                 )
-                accessibility = None
             utt_resolutions.append(resolution)
             resolutions.append((utt.id, resolution))
         applied.extend(model.absorb(state, utt))
@@ -239,10 +233,12 @@ def compare_transcript(
     capacity: int | None = DEFAULT_CAPACITY,
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
 ) -> DivergenceReport:
-    # Both replays filter the same item table by the same cue signatures.
+    # Both replays filter by the same cue signatures; only outcomes are read.
     index = ReferentIndex(transcript.item_table)
-    stack_report = replay(transcript, ModelKind.STACK, index=index)
-    cache_report = replay(transcript, ModelKind.CACHE, capacity, retrieval_cost, index=index)
+    stack_report = replay(transcript, ModelKind.STACK, candidates=False, index=index)
+    cache_report = replay(
+        transcript, ModelKind.CACHE, capacity, retrieval_cost, candidates=False, index=index
+    )
     stack_outcomes = {res.mention_id: res for _, res in stack_report.resolutions}
     cache_outcomes = {res.mention_id: res for _, res in cache_report.resolutions}
     rows = tuple(

@@ -7,7 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
     DERIVED_TAG_PREFIX,
@@ -22,6 +23,10 @@ from .core import (
     derived_tag,
     selection_filter,
 )
+
+if TYPE_CHECKING:
+    from .cache_model import CacheState
+    from .stack_model import FocusStack
 
 
 class OutcomeKind(Enum):
@@ -151,6 +156,7 @@ class ReferentIndex:
     def __init__(self, table: Mapping[str, DiscourseItem]) -> None:
         self.table = table
         self._survivors: dict[tuple, frozenset[str]] = {}
+        self._agreeing: dict[tuple, list[DiscourseItem]] = {}
 
     @cached_property
     def carriers(self) -> dict[str, DiscourseItem]:
@@ -172,7 +178,11 @@ class ReferentIndex:
         )
         found = self._survivors.get(signature)
         if found is None:
-            pool = self._pools[mention.form is MentionForm.VP_ELLIPSIS]
+            # Agreement depends only on the pool, gender and number: once per key.
+            key = (mention.form is MentionForm.VP_ELLIPSIS, mention.gender, mention.number)
+            pool = self._agreeing.get(key)
+            if pool is None:
+                pool = self._agreeing[key] = agreement_filter(self._pools[key[0]], mention)
             found = frozenset(staged_filter(pool, mention).after_dialogue_selection)
             self._survivors[signature] = found
         return found
@@ -197,13 +207,14 @@ def _surface_carrier(
 
 def resolve(
     mention: Mention,
-    accessibility: AccessibilityView,
+    accessibility: AccessibilityView | CacheState | FocusStack,
     table: Mapping[str, DiscourseItem],
     allow_retrieval: bool,
     retrieval_cost: int = 1,
     index: ReferentIndex | None = None,
+    candidates: bool = True,
 ) -> Resolution:
-    """Resolve one mention against an accessibility snapshot.
+    """Resolve one mention against a snapshot or a model's live state.
 
     Immediately accessible candidates are tried in salience order and the
     most salient survivor wins. Failing that, retrieval-capable models may
@@ -213,12 +224,14 @@ def resolve(
     fails outright when the first surface form in table order that realizes
     its antecedent is lost, whatever became of later carriers. ``index`` is
     the replay's ``ReferentIndex`` over ``table``; without it a throwaway
-    one is built.
+    one is built. Without ``candidates`` the tiers stop at their first and
+    second survivor, and the resolution lists none.
     """
 
     gold = mention.gold_antecedent
 
-    def resolution(outcome: Outcome, considered: tuple[str, ...] = ()) -> Resolution:
+    def resolution(outcome: Outcome, considered: Sequence[str] = ()) -> Resolution:
+        considered = tuple(considered) if candidates else ()
         return Resolution(mention.id, outcome, considered, correct=outcome.item == gold)
 
     if index is None:
@@ -229,13 +242,17 @@ def resolve(
             return resolution(Outcome.failure(FailureReason.SURFACE_FORM_LOST))
 
     survivors = index.survivors(mention)
-    winners = tuple(item for item in accessibility.immediate if item in survivors)
+    found = filter(survivors.__contains__, accessibility.immediate)
+    winners = tuple(islice(found, None if candidates else 1))
     if winners:
         return resolution(Outcome.immediate(winners[0]), winners)
 
     if allow_retrieval:
         # The retrievable store has no salience order; survivors go by id.
-        winners = tuple(sorted(survivors & accessibility.retrievable))
+        # Two survivors already make the mention ambiguous.
+        smaller, larger = sorted((survivors, accessibility.retrievable), key=len)
+        found = filter(larger.__contains__, smaller)
+        winners = sorted(islice(found, None if candidates else 2))
         if len(winners) == 1:
             outcome = Outcome.after_retrieval(winners[0], retrieval_cost)
             return resolution(outcome, winners)
@@ -277,17 +294,19 @@ def classify_return_pop(
 
 
 def analyze_iru(
-    utt: Utterance, before: AccessibilityView, transcript: Transcript
+    utt: Utterance,
+    before: AccessibilityView | CacheState | FocusStack,
+    transcript: Transcript,
 ) -> list[tuple[str, IRUFunction]]:
     """Classify what restating buys for each item the utterance re-realizes,
-    judged against the accessibility state just before the utterance.
+    judged against the state just before the utterance, as ``resolve`` reads it.
     """
 
     if not utt.is_iru:
         raise ValueError(f"utterance {utt.id!r} is not redundant")
     functions: list[tuple[str, IRUFunction]] = []
     seen: set[str] = set()
-    immediate = set(before.immediate)
+    immediate = before.immediate
     for antecedent_id in utt.iru_antecedents:
         for item_id in transcript.utterance_by_id(antecedent_id).items:
             if item_id in seen:

@@ -7,9 +7,10 @@ top-to-bottom, while popped items are lost outright.
 The replay fold owns one ``FocusStack`` and every step updates it in
 place and returns the store events it generated, as the cache model's
 steps do. An item lives in one space at a time, so a move touches only
-the items moved and a pop hands its spaces' items to the popped set as
-they are. What leaves the state is an ``AccessibilityView``, an immutable
-snapshot; views share one frozen copy of the popped set until it changes.
+the items moved, each checked to have at most one home, and a pop hands
+its spaces' items to the popped set as they are. Resolution reads the live
+stores; a trace record's ``AccessibilityView`` snapshots share one frozen
+copy of the popped set until it changes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Sequence
 
 from .core import (
     AccessibilityView,
+    SalienceOrder,
     EventKind,
     SegmentEvent,
     StoreEvent,
@@ -52,6 +54,11 @@ class FocusStack:
     # Frozen copy of popped that views share; None once popped has changed
     # since the last view.
     frozen_popped: frozenset[str] | None = field(default=None, init=False, compare=False)
+
+    # The stores as resolution reads them, stacked ids top space first.
+    immediate = property(lambda self: SalienceOrder([s.items for s in self.spaces]))
+    retrievable = frozenset()
+    lost = property(lambda self: self.popped)
 
     @property
     def top(self) -> FocusSpace:
@@ -115,19 +122,20 @@ def apply_utterance(stack: FocusStack, utt: Utterance) -> None:
 
     Items live in a single space: a re-mention relocates the item rather
     than duplicating it, and clears it from the popped set. A repeated
-    item ends where its last mention puts it.
+    item ends where its last mention puts it; one found twice raises.
     """
 
     top = stack.top.items
     for item_id in utt.items:
-        if item_id in stack.popped:
+        homes = [space.items for space in stack.spaces if item_id in space.items]
+        popped = item_id in stack.popped
+        if len(homes) + popped > 1:
+            raise ValueError(AccessibilityView.OVERLAP)
+        if popped:
             stack.popped.remove(item_id)
             stack.frozen_popped = None
-        else:
-            for space in reversed(stack.spaces):
-                if item_id in space.items:
-                    del space.items[item_id]
-                    break
+        elif homes:
+            del homes[0][item_id]
         top[item_id] = None
 
 
@@ -149,7 +157,7 @@ def absorb(stack: FocusStack, utt: Utterance) -> list[StoreEvent]:
 
 
 def view(stack: FocusStack) -> AccessibilityView:
-    """Accessibility under the stack model.
+    """A trace record's snapshot of accessibility under the stack model.
 
     All stacked spaces are accessible, top space first and each space's
     items most-recent-first; the model has no retrieval notion, so nothing
@@ -158,12 +166,9 @@ def view(stack: FocusStack) -> AccessibilityView:
 
     if stack.frozen_popped is None:
         stack.frozen_popped = frozenset(stack.popped)
-    immediate: list[str] = []
-    for space in reversed(stack.spaces):
-        immediate.extend(reversed(space.items))
     return AccessibilityView(
-        immediate=tuple(immediate),
-        retrievable=frozenset(),
+        immediate=tuple(stack.immediate),
+        retrievable=stack.retrievable,
         lost=stack.frozen_popped,
     )
 

@@ -120,6 +120,29 @@ def test_evict_one_discards_surface_forms():
     assert state.pin_owners == {"seg": ()}
 
 
+@pytest.mark.parametrize(
+    "stores", [("main_memory",), ("discarded",), ("main_memory", "discarded")]
+)
+def test_evict_one_rejects_a_victim_already_filed(stores):
+    """Eviction checks the item it files, so a record left behind in main
+    memory or the discarded set surfaces at the step that would file it
+    twice, not at a later view."""
+
+    state = state_with([("a", False, 1), ("b", False, 2)], table("a", "b"))
+    for store in stores:
+        getattr(state, store).add("a")
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        evict_one(state)
+
+
+def test_readmit_rejects_an_item_filed_in_two_stores():
+    state = new_cache(table("x"))
+    state.main_memory.add("x")
+    state.discarded.add("x")
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        insert_items(state, ["x"])
+
+
 def test_evict_empty_cache_is_internal_error():
     state = new_cache(table("a"))
     with pytest.raises(RuntimeError):

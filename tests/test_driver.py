@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from attnsim import cache_model, stack_model
+from attnsim import cache_model, driver, stack_model
 from attnsim.cache_model import RetrievalFailure, new_cache, retrieve
 from attnsim.cli import build_parser, main
-from attnsim.core import StoreEventKind
+from attnsim.core import AccessibilityView, StoreEventKind
 from attnsim.driver import (
     ModelKind,
     RunConfig,
@@ -98,21 +98,68 @@ def test_records_carry_views_only_when_asked(dialogue_b):
         assert plain.total_effort == viewed.total_effort
 
 
-@pytest.mark.parametrize(
-    "name", ["dialogue_a", "dialogue_b", "dialogue_c", "return_pops", "propsuite"]
-)
+FIXTURE_NAMES = ["dialogue_a", "dialogue_b", "dialogue_c", "return_pops"]
+# (model, capacity) pairs; the stack ignores capacity.
+REPLAY_MODELS = [
+    (ModelKind.STACK, None),
+    (ModelKind.CACHE, 7),
+    (ModelKind.CACHE, 2),
+    (ModelKind.CACHE, None),
+]
+EQUIVALENCE_TEXTS = 120
+
+
+def _equivalence_transcripts():
+    yield from (load_fixture(f"{name}.dlg") for name in FIXTURE_NAMES)
+    rng = random.Random(propsuite.SEED + 11)
+    for _ in range(EQUIVALENCE_TEXTS):
+        yield parse(propsuite.random_transcript_text(rng))
+
+
+def _outcomes(report):
+    # Outcome equality covers its effort.
+    return [
+        (utt_id, res.mention_id, res.outcome, res.correct)
+        for utt_id, res in report.resolutions
+    ]
+
+
+def test_replay_without_candidates_matches_full_candidate_lists():
+    """A replay that stops each resolution once its outcome is known gives
+    the same outcomes, efforts, correctness, IRU findings and store events
+    as one that lists every candidate, and lists none itself."""
+
+    listed = 0
+    for number, transcript in enumerate(_equivalence_transcripts()):
+        for model, capacity in REPLAY_MODELS:
+            where = f"transcript {number}, {model.value} at capacity {capacity}"
+            full = replay(transcript, model, capacity)
+            lean = replay(transcript, model, capacity, candidates=False)
+            assert _outcomes(lean) == _outcomes(full), where
+            assert lean.iru_findings == full.iru_findings, where
+            assert lean.total_effort == full.total_effort, where
+            assert [r.events_applied for r in lean.records] == [
+                r.events_applied for r in full.records
+            ], where
+            assert not any(res.candidates_considered for _, res in lean.resolutions), where
+            listed += sum(len(res.candidates_considered) > 1 for _, res in full.resolutions)
+    # The full replays did list candidates that the lean ones skipped.
+    assert listed > 0
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "propsuite"])
 def test_compare_builds_views_only_for_readers(name, monkeypatch):
-    """A view is built for an utterance only when a restatement or a
-    mention reads it, and again only after a step inside the utterance
-    made it stale: a resolution that retrieved, or a cache restatement
-    with functions."""
+    """Nothing in ``compare`` reads a snapshot or a candidate list: its
+    replays resolve and classify restatements against the models' live
+    stores, so they build no ``AccessibilityView``, and every resolution
+    stops at its outcome and lists no candidates."""
 
     if name == "propsuite":
         rng = random.Random(propsuite.SEED)
         transcript = parse(propsuite.random_transcript_text(rng))
     else:
         transcript = load_fixture(f"{name}.dlg")
-    built = {"stack": 0, "cache": 0}
+    built = {"stack": 0, "cache": 0, "snapshot": 0}
     for model_name, module in (("stack", stack_model), ("cache", cache_model)):
 
         def counting(state, _view=module.view, _name=model_name):
@@ -120,14 +167,24 @@ def test_compare_builds_views_only_for_readers(name, monkeypatch):
             return _view(state)
 
         monkeypatch.setattr(module, "view", counting)
-    report = compare_transcript(transcript)
-    readers = sum(1 for utt in transcript.utterances if utt.mentions or utt.is_iru)
-    retrieved = sum(
-        row.cache_outcome.kind is OutcomeKind.AFTER_RETRIEVAL for row in report.per_mention
-    )
-    restated = sum(bool(cache_f.functions) for _, _, cache_f in report.iru_findings)
-    assert built["stack"] <= readers
-    assert built["cache"] <= readers + retrieved + restated
+    check = AccessibilityView.__post_init__
+
+    def counting_check(snapshot):
+        built["snapshot"] += 1
+        check(snapshot)
+
+    monkeypatch.setattr(AccessibilityView, "__post_init__", counting_check)
+    resolutions = []
+
+    def recording(*args, _resolve=driver.resolve, **kwargs):
+        resolutions.append(_resolve(*args, **kwargs))
+        return resolutions[-1]
+
+    monkeypatch.setattr(driver, "resolve", recording)
+    compare_transcript(transcript)
+    assert built == {"stack": 0, "cache": 0, "snapshot": 0}
+    assert len(resolutions) == 2 * len(transcript.mentions())
+    assert all(res.candidates_considered == () for res in resolutions)
 
 
 def test_compare_lists_every_mention_once(dialogue_b, return_pops):

@@ -118,6 +118,23 @@ def test_re_mention_of_popped_item_restores_it():
     assert "x" in view(state).immediate
 
 
+def test_apply_utterance_rejects_a_popped_item_left_stacked():
+    state = new_stack()
+    apply_utterance(state, utterance("x"))
+    state.popped.add("x")
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        apply_utterance(state, utterance("x", index=1))
+
+
+def test_apply_utterance_rejects_an_item_in_two_spaces():
+    state = new_stack()
+    apply_utterance(state, utterance("x"))
+    apply_event(state, push("S2"))
+    state.top.items["x"] = None
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        apply_utterance(state, utterance("x", index=1))
+
+
 def test_re_mention_moves_item_to_top_space():
     state = new_stack()
     apply_utterance(state, utterance("a", "b"))
