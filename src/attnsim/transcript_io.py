@@ -10,7 +10,7 @@ double as regression oracles and silent tolerance would mask drift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Container, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -57,6 +57,7 @@ _FIELDS = {
     "PUSH": _Fields((), flags=("expect-return",)),
     "CASE": _Fields(("mention",), flags=("iru", "central-competitor")),
 }
+_KEYS = {record: frozenset(spec.required + spec.optional) for record, spec in _FIELDS.items()}
 
 
 class ParseError(Exception):
@@ -71,16 +72,17 @@ def _split_fields(
     record: str, tokens: Sequence[str], line_no: int, text: str
 ) -> tuple[dict[str, str], set[str]]:
     spec = _FIELDS[record]
+    keys = _KEYS[record]
     fields: dict[str, str] = {}
     seen_flags: set[str] = set()
     for token in tokens:
         if token in spec.flags:
             seen_flags.add(token)
             continue
-        if "=" not in token:
+        key, equals, value = token.partition("=")
+        if not equals:
             raise ParseError(line_no, f"malformed field {token!r}", text)
-        key, value = token.split("=", 1)
-        if key not in spec.required and key not in spec.optional:
+        if key not in keys:
             raise ParseError(line_no, f"unknown key {key!r}", text)
         if not value:
             raise ParseError(line_no, f"empty value for {key!r}", text)
@@ -117,14 +119,22 @@ def parse(text: str) -> Transcript:
     line has one, the first line that references an item or mention
     declared nowhere in the file, or a CASE whose mention is an ellipsis.
     So a local error on a later line is reported before an undeclared
-    forward reference on an earlier one.
+    forward reference on an earlier one. A reference to an item or mention
+    declared above it is settled on its own line. Only forward references,
+    and CASE mentions not yet declared as pronouns, wait for the end of the
+    file, in line order, so the error reported is the same as if every
+    reference waited.
     """
 
     dialogue_id: str | None = None
     # Per utterance: id, speaker, iru antecedents, item ids, mentions.
     utterances: list[tuple[str, str, tuple[str, ...], list[str], list[Mention]]] = []
+    utt_items, utt_mentions = [], []  # the current utterance's item ids and mentions
     utterance_ids: set[str] = set()
-    items: dict[str, DiscourseItem] = {}
+    # Item id -> its DiscourseItem fields after the id. Items are built once
+    # the file has been read, when every pred: tag an entity takes is known.
+    items: dict[str, tuple] = {}
+    derived_tags: dict[str, set[str]] = {}  # argument id -> its pred: tags
     mention_forms: dict[str, MentionForm] = {}
     events: list[SegmentEvent] = []
     open_segments: list[str] = []
@@ -132,12 +142,12 @@ def parse(text: str) -> Transcript:
     last_return: SegmentEvent | None = None
     cases: list[CaseRecord] = []
     case_ids: set[str] = set()
-    # References that may point forward: (line, text, key, ref, known ids),
-    # checked in order once every line has been read.
+    # References not settled on their line: (line, text, key, ref, known
+    # ids), checked in order once every line has been read.
     deferred: list[tuple[int, str, str, str, Container[str]]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         record, *rest = line.split()
@@ -180,10 +190,8 @@ def parse(text: str) -> Transcript:
 
         if record not in _FIELDS:
             raise ParseError(line_no, f"unknown record type {record!r}", raw)
-        if record in {"ITEM", "PRON", "ELLIPSIS"}:
-            if not utterances:
-                raise ParseError(line_no, f"{record} before any UTT", raw)
-            *_, utt_items, utt_mentions = utterances[-1]
+        if not utterances and record in {"ITEM", "PRON", "ELLIPSIS"}:
+            raise ParseError(line_no, f"{record} before any UTT", raw)
         if not rest:
             needs = "a segment id" if record == "PUSH" else "an id"
             raise ParseError(line_no, f"{record} needs {needs}", raw)
@@ -200,7 +208,8 @@ def parse(text: str) -> Transcript:
                         line_no, f"iru antecedent {ref!r} is not an earlier utterance", raw
                     )
             utterance_ids.add(record_id)
-            utterances.append((record_id, fields["speaker"], antecedents, [], []))
+            utt_items, utt_mentions = [], []
+            utterances.append((record_id, fields["speaker"], antecedents, utt_items, utt_mentions))
 
         elif record == "ITEM":
             if not tokens:
@@ -223,22 +232,20 @@ def parse(text: str) -> Transcript:
                 raise ParseError(line_no, "kind=surface requires realizes=", raw)
             if kind is not ItemKind.SURFACE_FORM and "realizes" in fields:
                 raise ParseError(line_no, "realizes= is only valid on kind=surface", raw)
-            item = DiscourseItem(
-                id=record_id,
-                kind=kind,
-                gender=gender,
-                number=number,
-                predicate=fields.get("pred"),
-                args=_listed(fields, "args"),
-                sel_classes=frozenset(_listed(fields, "sel")),
-                realizes=fields.get("realizes"),
-                introduced_at=len(utterances) - 1,
-            )
-            items[record_id] = item
+            predicate, realizes = fields.get("pred"), fields.get("realizes")
+            args, sel_classes = _listed(fields, "args"), frozenset(_listed(fields, "sel"))
+            at = len(utterances) - 1
+            items[record_id] = (kind, gender, number, predicate, args, sel_classes, realizes, at)
             utt_items.append(record_id)
-            deferred.extend((line_no, raw, "args", ref, items) for ref in item.args)
-            if item.realizes is not None:
-                deferred.append((line_no, raw, "realizes", item.realizes, items))
+            for ref in args:
+                if predicate:
+                    # Dialogue-derived capability tags: an entity named as an
+                    # argument of a proposition picks up its predicate's tag.
+                    derived_tags.setdefault(ref, set()).add(derived_tag(predicate))
+                if ref not in items:
+                    deferred.append((line_no, raw, "args", ref, items))
+            if realizes is not None and realizes not in items:
+                deferred.append((line_no, raw, "realizes", realizes, items))
 
         elif record in {"PRON", "ELLIPSIS"}:
             if record_id in mention_forms:
@@ -260,7 +267,8 @@ def parse(text: str) -> Transcript:
                 )
             mention_forms[record_id] = mention.form
             utt_mentions.append(mention)
-            deferred.append((line_no, raw, "gold", fields["gold"], items))
+            if fields["gold"] not in items:
+                deferred.append((line_no, raw, "gold", fields["gold"], items))
 
         elif record == "PUSH":
             _, flags = _split_fields(record, tokens, line_no, raw)
@@ -294,7 +302,10 @@ def parse(text: str) -> Transcript:
                     central_competitor="central-competitor" in flags,
                 )
             )
-            deferred.append((line_no, raw, "mention", fields["mention"], mention_forms))
+            # A declared ellipsis is an error found in line order with the
+            # forward references, so only a declared pronoun is settled here.
+            if mention_forms.get(fields["mention"]) is not MentionForm.PRONOUN:
+                deferred.append((line_no, raw, "mention", fields["mention"], mention_forms))
 
     if dialogue_id is None:
         raise ParseError(1, "empty transcript: missing DIALOGUE record", "")
@@ -307,15 +318,13 @@ def parse(text: str) -> Transcript:
             # A return-pop case classifies a pronoun among entity candidates.
             raise ParseError(line_no, f"mention {ref!r} is an ellipsis, not a pronoun", raw)
 
-    # Dialogue-derived capability tags: an entity named as an argument of a
-    # proposition picks up that proposition's predicate as a pred: tag.
-    for item in list(items.values()):
-        if item.kind is ItemKind.PROPOSITION and item.predicate:
-            tag = derived_tag(item.predicate)
-            for arg in item.args:
-                target = items[arg]
-                if target.kind is ItemKind.ENTITY and tag not in target.sel_classes:
-                    items[arg] = replace(target, sel_classes=target.sel_classes | {tag})
+    item_table = {}
+    for item_id, (kind, gender, number, predicate, args, sel, realizes, at) in items.items():
+        if kind is ItemKind.ENTITY and item_id in derived_tags:
+            sel |= derived_tags[item_id]
+        item_table[item_id] = DiscourseItem(
+            item_id, kind, gender, number, predicate, args, sel, realizes, at
+        )
 
     return Transcript(
         dialogue_id=dialogue_id,
@@ -333,7 +342,7 @@ def parse(text: str) -> Transcript:
             )
         ),
         events=tuple(events),
-        item_table=items,
+        item_table=item_table,
         cases=tuple(cases),
     )
 
