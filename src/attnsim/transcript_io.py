@@ -402,7 +402,8 @@ def write_transcript(transcript: Transcript) -> str:
                 lines.append(f"POP {event.segment_id}")
             else:
                 lines.append(f"RETURN {event.segment_id}")
-                for case in cases_by_return.get((event.segment_id, event.position), []):
+                # Each case once: a CASE after a repeated RETURN would re-declare it.
+                for case in cases_by_return.pop((event.segment_id, event.position), []):
                     parts = [f"CASE {case.case_id}", f"mention={case.mention_id}"]
                     if case.iru_at_return:
                         parts.append("iru")

@@ -170,6 +170,9 @@ def test_parse_outcomes_match_golden(fixture):
     assert len(corpus) == MUTANTS_PER_FIXTURE
     for label, text in corpus:
         assert outcome(text) == recorded[label], f"mutant {label}:\n{text}"
+        if recorded[label].startswith("ok "):
+            transcript = parse(text)
+            assert parse(write_transcript(transcript)) == transcript, f"mutant {label}:\n{text}"
 
 
 def test_corpus_reaches_both_outcomes():

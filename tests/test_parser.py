@@ -215,6 +215,16 @@ def test_dialogue_derived_tags_populated(dialogue_a):
     # daughter is an argument of a proposition with predicate "work".
     assert "pred:work" in dialogue_a.item_table["daughter"].sel_classes
     assert "pred:work" in dialogue_a.item_table["husband"].sel_classes
+    # Propositions that name entities declared later: only entities take
+    # tags, an entity named twice takes both, and a declared tag stays one.
+    items = parse(
+        "DIALOGUE t\nUTT u1 speaker=A\nITEM q1 kind=prop pred=lift args=box,q2\n"
+        "ITEM q2 kind=prop pred=paint args=box,crate\nITEM box kind=entity\n"
+        "ITEM crate kind=entity sel=pred:paint\n"
+    ).item_table
+    assert items["box"].sel_classes == {"pred:lift", "pred:paint"}
+    assert items["crate"].sel_classes == {"pred:paint"}
+    assert not items["q1"].sel_classes and not items["q2"].sel_classes
 
 
 def test_re_realization_keeps_introduction_slot(dialogue_a):
@@ -254,12 +264,26 @@ def test_trailing_event_allowed():
     assert transcript.events[-1].position == 1
 
 
+# Two RETURNs to one segment at one position, then a CASE: the writer must
+# declare the case once.
+REPEATED_RETURN = (
+    "DIALOGUE t\nPUSH S1\nUTT u1 speaker=A\nITEM x kind=entity gender=f num=sg\n"
+    "PRON p gender=f num=sg gold=x\nRETURN S1\nRETURN S1\nCASE c1 mention=p\n"
+)
+
+
 @pytest.mark.parametrize(
     "name",
-    ["dialogue_a.dlg", "dialogue_b.dlg", "dialogue_c.dlg", "return_pops.dlg"],
+    [
+        "dialogue_a.dlg",
+        "dialogue_b.dlg",
+        "dialogue_c.dlg",
+        "return_pops.dlg",
+        pytest.param(REPEATED_RETURN, id="repeated-return"),
+    ],
 )
 def test_fixture_round_trip(name):
-    transcript = load_fixture(name)
+    transcript = load_fixture(name) if name.endswith(".dlg") else parse(name)
     assert parse(write_transcript(transcript)) == transcript
 
 
