@@ -16,8 +16,8 @@ Entries sit in a dict in recency order, least recently used first: a
 touch moves an entry to the end and eviction takes the first unpinned
 one. A move between stores checks that the item has no other record.
 Resolution reads the live stores; a trace record's ``AccessibilityView``
-snapshots share one frozen copy of main memory and of the discarded set
-until that store changes.
+comes from ``core.snapshot``, which freezes main memory and the discarded
+set anew only where they differ from the previous record's.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .core import (
     Transcript,
     Utterance,
     segment_items,
+    snapshot,
 )
 
 DEFAULT_CAPACITY = 7
@@ -83,12 +84,6 @@ class CacheState:
     pin_owners: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # The step of each item's latest touch, cached or not.
     last_touch: dict[str, int] = field(default_factory=dict)
-    # Frozen copies of main_memory and discarded that views share; None
-    # once the store has changed since the last view.
-    frozen_main: frozenset[str] | None = field(default=None, init=False, compare=False)
-    frozen_discarded: frozenset[str] | None = field(
-        default=None, init=False, compare=False
-    )
 
     # The stores as resolution reads them, cached ids most recent first.
     immediate = property(lambda self: SalienceOrder((self.by_recency,)))
@@ -138,11 +133,9 @@ def evict_one(state: CacheState) -> list[StoreEvent]:
         raise ValueError(AccessibilityView.OVERLAP)
     if state.item_table[victim].kind is ItemKind.SURFACE_FORM:
         state.discarded.add(victim)
-        state.frozen_discarded = None
         fate = StoreEventKind.DISCARD
     else:
         state.main_memory.add(victim)
-        state.frozen_main = None
         fate = StoreEventKind.STORE
     return [StoreEvent(StoreEventKind.DISPLACE, victim), StoreEvent(fate, victim)]
 
@@ -173,11 +166,9 @@ def _readmit(state: CacheState, item_id: str, events: list[StoreEvent]) -> None:
 
     if item_id in state.main_memory:
         state.main_memory.remove(item_id)
-        state.frozen_main = None
         events.append(StoreEvent(StoreEventKind.RETRIEVE, item_id))
     elif item_id in state.discarded:
         state.discarded.remove(item_id)
-        state.frozen_discarded = None
         events.append(StoreEvent(StoreEventKind.RETRIEVE, item_id))
     if item_id in state.main_memory or item_id in state.discarded:
         raise ValueError(AccessibilityView.OVERLAP)
@@ -326,20 +317,9 @@ def absorb(state: CacheState, utt: Utterance) -> list[StoreEvent]:
     return insert_items(state, utt.items)
 
 
-def view(state: CacheState) -> AccessibilityView:
-    """A trace record's snapshot under the cache model: cached items by
-    recency, main memory retrievable at a cost, discarded records lost.
-    """
-
-    if state.frozen_main is None:
-        state.frozen_main = frozenset(state.main_memory)
-    if state.frozen_discarded is None:
-        state.frozen_discarded = frozenset(state.discarded)
-    return AccessibilityView(
-        immediate=tuple(state.immediate),
-        retrievable=state.frozen_main,
-        lost=state.frozen_discarded,
-    )
+# A trace record's snapshot: cached items by recency, main memory
+# retrievable at a cost, discarded records lost.
+view = snapshot
 
 
 def check_invariants(state: CacheState) -> None:
@@ -356,10 +336,6 @@ def check_invariants(state: CacheState) -> None:
     uses = [state.last_touch[item_id] for item_id in ids]
     if any(earlier >= later for earlier, later in zip(uses, uses[1:])):
         raise AssertionError("entries out of recency order")
-    if state.frozen_main is not None and state.frozen_main != state.main_memory:
-        raise AssertionError("stale main-memory snapshot")
-    if state.frozen_discarded is not None and state.frozen_discarded != state.discarded:
-        raise AssertionError("stale discarded snapshot")
     for item_id in state.discarded:
         if state.item_table[item_id].kind is not ItemKind.SURFACE_FORM:
             raise AssertionError("non-surface item discarded")

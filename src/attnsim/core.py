@@ -264,6 +264,23 @@ class AccessibilityView:
             raise ValueError(self.OVERLAP)
 
 
+def snapshot(state, previous: AccessibilityView | None = None) -> AccessibilityView:
+    """A trace record's view of a model's live ``immediate``, ``retrievable``
+    and ``lost`` stores. A store equal to its frozenset in ``previous``, the
+    preceding record's view, shares that frozenset; any other is frozen anew.
+    """
+
+    return AccessibilityView(
+        tuple(state.immediate),
+        _frozen(state.retrievable, previous and previous.retrievable),
+        _frozen(state.lost, previous and previous.lost),
+    )
+
+
+def _frozen(store: AbstractSet[str], earlier: frozenset[str] | None) -> frozenset[str]:
+    return earlier if earlier == store else frozenset(store)
+
+
 class SalienceOrder:
     """A live immediate tier: the keys of ``stores``, last store first and
     each from its last key, re-iterable and with membership by lookup."""

@@ -21,6 +21,7 @@ from . import cache_model, stack_model
 from .cache_model import DEFAULT_CAPACITY, DEFAULT_RETRIEVAL_COST
 from .core import DiscourseItem, ItemKind, Transcript
 from .resolution import (
+    CascadeTrace,
     IRUFunction,
     Outcome,
     OutcomeKind,
@@ -154,6 +155,7 @@ def replay(
     records: list[TraceRecord] = []
     resolutions: list[tuple[str, Resolution]] = []
     findings: list[IRUFinding] = []
+    view = None
     for utt in transcript.utterances:
         applied = model.apply_events(
             state, transcript.events_at(utt.index), transcript, retrieval_cost
@@ -187,11 +189,14 @@ def replay(
             utt_resolutions.append(resolution)
             resolutions.append((utt.id, resolution))
         applied.extend(model.absorb(state, utt))
+        if views:
+            # Each record shares the previous record's unchanged stores.
+            view = model.view(state, view)
         records.append(
             TraceRecord(
                 utterance_index=utt.index,
                 events_applied=tuple(applied),
-                view=model.view(state) if views else None,
+                view=view,
                 resolutions=tuple(utt_resolutions),
                 cumulative_effort=state.effort if retrieves else 0,
             )
@@ -277,9 +282,7 @@ def compare(
 class CaseResult:
     case: ReturnPopCase
     classification: PopClassification
-    competing_after_agreement: bool
-    competing_after_static: bool
-    competing_after_dialogue: bool
+    trace: CascadeTrace
 
 
 @dataclass(frozen=True)
@@ -296,21 +299,21 @@ class PopsReport:
 
     @property
     def stage_counts(self) -> dict[str, int]:
+        """Cases with more than one candidate left after each cue stage."""
+
+        traces = [r.trace for r in self.results]
         return {
             "cases": len(self.results),
-            "competingAfterAgreement": sum(
-                1 for r in self.results if r.competing_after_agreement
-            ),
+            "competingAfterAgreement": sum(len(t.after_agreement) > 1 for t in traces),
             "competingAfterStaticSelection": sum(
-                1 for r in self.results if r.competing_after_static
+                len(t.after_static_selection) > 1 for t in traces
             ),
             "competingAfterDialogueSelection": sum(
-                1 for r in self.results if r.competing_after_dialogue
+                len(t.after_dialogue_selection) > 1 for t in traces
             ),
             "competingAfterIru": sum(
-                1
+                len(r.trace.after_dialogue_selection) > 1 and not r.case.iru_at_return
                 for r in self.results
-                if r.competing_after_dialogue and not r.case.iru_at_return
             ),
         }
 
@@ -366,15 +369,7 @@ def classify_corpus(transcript: Transcript) -> PopsReport:
     results = []
     for case in build_cases(transcript):
         trace = cascade_survivors(case)
-        results.append(
-            CaseResult(
-                case=case,
-                classification=classify_return_pop(case, trace),
-                competing_after_agreement=len(trace.after_agreement) > 1,
-                competing_after_static=len(trace.after_static_selection) > 1,
-                competing_after_dialogue=len(trace.after_dialogue_selection) > 1,
-            )
-        )
+        results.append(CaseResult(case, classify_return_pop(case, trace), trace))
     return PopsReport(dialogue_id=transcript.dialogue_id, results=tuple(results))
 
 

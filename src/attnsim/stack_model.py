@@ -9,8 +9,9 @@ place and returns the store events it generated, as the cache model's
 steps do. An item lives in one space at a time, so a move touches only
 the items moved, each checked to have at most one home, and a pop hands
 its spaces' items to the popped set as they are. Resolution reads the live
-stores; a trace record's ``AccessibilityView`` snapshots share one frozen
-copy of the popped set until it changes.
+stores; a trace record's ``AccessibilityView`` comes from ``core.snapshot``,
+which freezes the popped set anew only where it differs from the previous
+record's.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     StoreEventKind,
     Transcript,
     Utterance,
+    snapshot,
 )
 
 
@@ -51,9 +53,6 @@ class FocusSpace:
 class FocusStack:
     spaces: list[FocusSpace]
     popped: set[str] = field(default_factory=set)
-    # Frozen copy of popped that views share; None once popped has changed
-    # since the last view.
-    frozen_popped: frozenset[str] | None = field(default=None, init=False, compare=False)
 
     # The stores as resolution reads them, stacked ids top space first.
     immediate = property(lambda self: SalienceOrder([s.items for s in self.spaces]))
@@ -112,7 +111,6 @@ def _pop_spaces(stack: FocusStack, count: int) -> list[StoreEvent]:
     for _ in range(count):
         space = stack.spaces.pop()
         stack.popped.update(space.items)
-        stack.frozen_popped = None
         log.append(StoreEvent(StoreEventKind.POP_SPACE, space.segment_id))
     return log
 
@@ -133,7 +131,6 @@ def apply_utterance(stack: FocusStack, utt: Utterance) -> None:
             raise ValueError(AccessibilityView.OVERLAP)
         if popped:
             stack.popped.remove(item_id)
-            stack.frozen_popped = None
         elif homes:
             del homes[0][item_id]
         top[item_id] = None
@@ -156,21 +153,10 @@ def absorb(stack: FocusStack, utt: Utterance) -> list[StoreEvent]:
     return []
 
 
-def view(stack: FocusStack) -> AccessibilityView:
-    """A trace record's snapshot of accessibility under the stack model.
-
-    All stacked spaces are accessible, top space first and each space's
-    items most-recent-first; the model has no retrieval notion, so nothing
-    is retrievable and popped items are lost.
-    """
-
-    if stack.frozen_popped is None:
-        stack.frozen_popped = frozenset(stack.popped)
-    return AccessibilityView(
-        immediate=tuple(stack.immediate),
-        retrievable=stack.retrievable,
-        lost=stack.frozen_popped,
-    )
+# A trace record's snapshot: all stacked spaces are accessible, top space
+# first and each space's items most-recent-first; the model has no
+# retrieval notion, so nothing is retrievable and popped items are lost.
+view = snapshot
 
 
 def check_invariants(stack: FocusStack) -> None:
@@ -181,5 +167,3 @@ def check_invariants(stack: FocusStack) -> None:
         raise AssertionError("item in more than one space")
     if not stack.popped.isdisjoint(stacked):
         raise AssertionError("popped item still stacked")
-    if stack.frozen_popped is not None and stack.frozen_popped != stack.popped:
-        raise AssertionError("stale popped snapshot")

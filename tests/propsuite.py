@@ -683,8 +683,7 @@ def stack_reference_records(transcript: Transcript) -> list[tuple]:
 def _checked_stack_records(transcript: Transcript, where: str) -> list[tuple]:
     """Per utterance, the stack's space events and its view once the
     utterance's items are in, stepping the stack as the replay fold does
-    and checking its contracts after every step. A view after each step
-    freezes the popped set, so the next step's check would catch a stale copy."""
+    and checking its contracts after every step."""
 
     stack = stack_model.new_stack()
     records = []
@@ -692,7 +691,6 @@ def _checked_stack_records(transcript: Transcript, where: str) -> list[tuple]:
         at = f"{where} utterance {utt.index}"
         events = stack_model.apply_events(stack, transcript.events_at(utt.index), transcript)
         _check(stack_model.check_invariants, stack, at)
-        stack_model.view(stack)
         events += stack_model.absorb(stack, utt)
         _check(stack_model.check_invariants, stack, at)
         records.append((tuple(events), stack_model.view(stack)))

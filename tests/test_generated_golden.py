@@ -6,7 +6,9 @@ longer transcripts from fixed seeds. ``tests/golden/generated_outputs.txt``
 holds one line per (input, command): the exit code and the sha256 of
 stdout. ``tests/golden/generated_traces.txt`` holds the same for the bytes
 of each traced run's ``--trace`` file. The same transcripts also feed
-``propsuite.assert_unbounded_matches_oversized``. To re-record after a
+``propsuite.assert_unbounded_matches_oversized``, and a transcript of the
+benchmark's trace-unbounded shape checks that trace records share unchanged
+stores. To re-record after a
 deliberate change of an output shape:
 
     PYTHONPATH=src python tests/test_generated_golden.py > tests/golden/generated_outputs.txt
@@ -28,6 +30,7 @@ import pytest
 
 import propsuite
 from attnsim.cli import main
+from attnsim.driver import ModelKind, replay
 from attnsim.transcript_io import parse
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,6 +137,27 @@ def test_trace_golden_covers_every_input_and_command():
 def test_unbounded_cache_replays_as_an_oversized_one_without_pins(name, workdir):
     transcript = parse(_input_path(name, workdir).read_text(encoding="utf-8"))
     propsuite.assert_unbounded_matches_oversized(transcript, name)
+
+
+@pytest.fixture(scope="module")
+def trace_unbounded():
+    # trace-unbounded's shape (bench/run.py) at its full length.
+    text, _ = _gen.generate(random.Random(1), _gen.Shape(1000, case_gold_outside=0.25), "t")
+    return parse(text)
+
+
+@pytest.mark.parametrize(
+    "model, capacity", [(ModelKind.STACK, None), (ModelKind.CACHE, 7), (ModelKind.CACHE, None)]
+)
+def test_consecutive_records_share_exactly_the_unchanged_stores(model, capacity, trace_unbounded):
+    # A copy per record would multiply the trace's memory: a record's
+    # retrievable and lost sets are the previous record's objects exactly
+    # when they are equal to them.
+    records = replay(trace_unbounded, model, capacity, views=True).records
+    for before, after in zip(records, records[1:]):
+        for store in ("retrievable", "lost"):
+            old, new = getattr(before.view, store), getattr(after.view, store)
+            assert (old is new) == (old == new), f"utterance {after.utterance_index}: {store}"
 
 
 if __name__ == "__main__":
