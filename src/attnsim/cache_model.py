@@ -12,9 +12,12 @@ it pins nothing.
 The replay fold owns one ``CacheState`` and every step updates it in
 place and returns the store events it generated, as the stack model's
 steps do, so a step costs the same however long the transcript has run.
-Entries sit in a dict in recency order, least recently used first: a
-touch moves an entry to the end and eviction takes the first unpinned
-one. A move between stores checks that the item has no other record.
+Cached ids sit in a dict in recency order, least recently used first,
+each mapped to the step that admitted it: a touch moves an id to the end
+and eviction takes the first unpinned one. Each pin is one entry of a
+map from the pinned item to the segment whose push took it, in pin
+order; displacing the item drops it. A move between stores checks that
+the item has no other record.
 Resolution reads the live stores; a trace record's ``AccessibilityView``
 comes from ``core.snapshot``, which freezes main memory and the discarded
 set anew only where they differ from the previous record's.
@@ -62,26 +65,20 @@ class CueSetTooLarge(ValueError):
 
 
 @dataclass
-class CacheEntry:
-    """One cached item. ``admitted`` is the step at which it entered the
-    cache: pins are taken in admission order, whatever the recency."""
-
-    pinned: bool
-    admitted: int = 0
-
-
-@dataclass
 class CacheState:
     capacity: int | None  # None means unbounded
     item_table: Mapping[str, DiscourseItem]
-    # Cached entries by item id, least recently used first.
-    by_recency: dict[str, CacheEntry] = field(default_factory=dict)
+    # Cached item ids, least recently used first, each mapped to the step
+    # that admitted it: pins are taken in admission order, whatever the
+    # recency.
+    by_recency: dict[str, int] = field(default_factory=dict)
     main_memory: set[str] = field(default_factory=set)
     discarded: set[str] = field(default_factory=set)
     effort: int = 0
     step: int = 0
-    # Per segment pushed with expect-return: the entries pinned at its push.
-    pin_owners: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # Each pinned cached item, in pin order, mapped to the segment whose
+    # expect-return push pinned it.
+    pinned: dict[str, str] = field(default_factory=dict)
     # The step of each item's latest touch, cached or not.
     last_touch: dict[str, int] = field(default_factory=dict)
 
@@ -105,13 +102,6 @@ def _touch(state: CacheState, item_id: str) -> None:
     state.last_touch[item_id] = state.step
 
 
-def _drop_pin_record(state: CacheState, item_id: str) -> None:
-    for segment_id, members in state.pin_owners.items():
-        if item_id in members:
-            state.pin_owners[segment_id] = tuple(m for m in members if m != item_id)
-            return
-
-
 def evict_one(state: CacheState) -> list[StoreEvent]:
     """Displace one entry: the least recently used unpinned one, or the
     least recently used pinned one when everything is pinned.
@@ -123,12 +113,12 @@ def evict_one(state: CacheState) -> list[StoreEvent]:
     if not state.by_recency:
         raise RuntimeError("cannot evict from an empty cache")
     entries = state.by_recency
-    unpinned = (item_id for item_id, entry in entries.items() if not entry.pinned)
+    unpinned = (item_id for item_id in entries if item_id not in state.pinned)
     victim = next(unpinned, next(iter(entries)))
-    if entries.pop(victim).pinned:
-        # A displaced entry is not in the cache, so its pin record goes too;
-        # otherwise a later unpin could strip a fresh pin on a re-entry.
-        _drop_pin_record(state, victim)
+    del entries[victim]
+    # A displaced entry is not in the cache, so its pin goes too; otherwise
+    # a later unpin could strip a fresh pin on a re-entry.
+    state.pinned.pop(victim, None)
     if victim in state.main_memory or victim in state.discarded:
         raise ValueError(AccessibilityView.OVERLAP)
     if state.item_table[victim].kind is ItemKind.SURFACE_FORM:
@@ -173,7 +163,7 @@ def _readmit(state: CacheState, item_id: str, events: list[StoreEvent]) -> None:
     if item_id in state.main_memory or item_id in state.discarded:
         raise ValueError(AccessibilityView.OVERLAP)
     state.step += 1
-    state.by_recency[item_id] = CacheEntry(False, admitted=state.step)
+    state.by_recency[item_id] = state.step
     state.last_touch[item_id] = state.step
 
 
@@ -242,11 +232,11 @@ def apply_events(
             if not event.expect_return or state.capacity is None:
                 continue
             entries = state.by_recency
-            unpinned = [i for i, entry in entries.items() if not entry.pinned]
-            unpinned.sort(key=lambda item_id: entries[item_id].admitted)
+            unpinned = sorted(
+                (i for i in entries if i not in state.pinned), key=entries.__getitem__
+            )
             for item_id in unpinned:
-                entries[item_id].pinned = True
-            state.pin_owners[event.segment_id] = tuple(unpinned)
+                state.pinned[item_id] = event.segment_id
             log.extend(StoreEvent(StoreEventKind.PIN, i) for i in unpinned)
             continue
 
@@ -257,7 +247,8 @@ def apply_events(
         # A return also closes every segment opened inside the resumed one:
         # their pins go first, innermost first.
         pushed = transcript.push_positions
-        inner = [s for s in state.pin_owners if pushed[s] > pushed[event.segment_id]]
+        owners = dict.fromkeys(state.pinned.values())
+        inner = [s for s in owners if pushed[s] > pushed[event.segment_id]]
         for segment_id in sorted(inner, key=pushed.__getitem__, reverse=True):
             log.extend(_unpin(state, segment_id))
         log.extend(_unpin(state, event.segment_id))
@@ -267,11 +258,11 @@ def apply_events(
 
 
 def _unpin(state: CacheState, segment_id: str) -> list[StoreEvent]:
-    """Release the pins taken when the segment was pushed."""
+    """Release the pins taken when the segment was pushed, in pin order."""
 
-    owned = state.pin_owners.pop(segment_id, ())
+    owned = [item_id for item_id, owner in state.pinned.items() if owner == segment_id]
     for item_id in owned:
-        state.by_recency[item_id].pinned = False
+        del state.pinned[item_id]
     return [StoreEvent(StoreEventKind.UNPIN, item_id) for item_id in owned]
 
 
@@ -296,19 +287,14 @@ def apply_iru(
 ) -> list[StoreEvent]:
     """Refresh or reinstate the content a redundant utterance re-realizes.
 
-    Each item of each antecedent utterance is touched if cached, moved in
-    from main memory, or re-created from nothing if its surface record was
-    discarded. Restating costs no effort: the speaker is doing the work.
+    Each item of each antecedent utterance, once and in order of first
+    mention, is touched if cached, moved in from main memory, or re-created
+    from nothing if its surface record was discarded. Restating costs no
+    effort: the speaker is doing the work.
     """
 
-    if not utt.is_iru:
-        return []
-    wanted: list[str] = []
-    for antecedent_id in utt.iru_antecedents:
-        for item_id in transcript.utterance_by_id(antecedent_id).items:
-            if item_id not in wanted:
-                wanted.append(item_id)
-    return insert_items(state, wanted)
+    antecedents = map(transcript.utterance_by_id, utt.iru_antecedents)
+    return insert_items(state, [i for a in antecedents for i in a.items])
 
 
 def absorb(state: CacheState, utt: Utterance) -> list[StoreEvent]:
@@ -339,11 +325,7 @@ def check_invariants(state: CacheState) -> None:
     for item_id in state.discarded:
         if state.item_table[item_id].kind is not ItemKind.SURFACE_FORM:
             raise AssertionError("non-surface item discarded")
-    owned = [m for members in state.pin_owners.values() for m in members]
-    if len(set(owned)) != len(owned):
-        raise AssertionError("pin record owned twice")
-    pinned = {item_id for item_id, entry in state.by_recency.items() if entry.pinned}
-    if state.capacity is None and (state.pin_owners or pinned):
+    if state.capacity is None and state.pinned:
         raise AssertionError("unbounded cache holds pins")
-    if pinned != set(owned):
-        raise AssertionError("pin flags and pin records disagree")
+    if not state.pinned.keys() <= cached:
+        raise AssertionError("pin on an uncached item")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import AbstractSet, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterator, Mapping, Reversible, Sequence
 
 
 class ItemKind(Enum):
@@ -285,7 +285,7 @@ class SalienceOrder:
     """A live immediate tier: the keys of ``stores``, last store first and
     each from its last key, re-iterable and with membership by lookup."""
 
-    def __init__(self, stores: Sequence[Mapping[str, object]]) -> None:
+    def __init__(self, stores: Reversible[Mapping[str, object]]) -> None:
         self.stores = stores
 
     def __iter__(self) -> Iterator[str]:

@@ -66,11 +66,6 @@ def load_transcript(path: str) -> Transcript:
     return parse(text)
 
 
-def _check_retrieval_cost(cost: int) -> None:
-    if cost < 1:
-        raise ValueError(f"retrieval cost must be at least 1, got {cost}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     model_kind: ModelKind
@@ -78,9 +73,6 @@ class RunConfig:
     capacity: int | None = DEFAULT_CAPACITY
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST
     trace_out_path: str | None = None
-
-    def __post_init__(self) -> None:
-        _check_retrieval_cost(self.retrieval_cost)
 
 
 @dataclass(frozen=True)
@@ -141,7 +133,8 @@ def replay(
     ``ReferentIndex`` over the transcript's item table, shared by replays
     of one transcript; without it the replay builds its own."""
 
-    _check_retrieval_cost(retrieval_cost)
+    if retrieval_cost < 1:
+        raise ValueError(f"retrieval cost must be at least 1, got {retrieval_cost}")
     # Only the cache retrieves; the stack reports no capacity, cost or effort.
     retrieves = model_kind is ModelKind.CACHE
     if retrieves:

@@ -6,9 +6,12 @@ top-to-bottom, while popped items are lost outright.
 
 The replay fold owns one ``FocusStack`` and every step updates it in
 place and returns the store events it generated, as the cache model's
-steps do. An item lives in one space at a time, so a move touches only
-the items moved, each checked to have at most one home, and a pop hands
-its spaces' items to the popped set as they are. Resolution reads the live
+steps do. The stack is a dict from each open segment's id to its focus
+space, bottom first, with the implicit root space keyed ``None``; a space
+is a dict of item ids in insertion order, most recently mentioned last.
+An item lives in one space at a time, so a move touches only the items
+moved, each checked to have at most one home, and a pop hands its
+spaces' items to the popped set as they are. Resolution reads the live
 stores; a trace record's ``AccessibilityView`` comes from ``core.snapshot``,
 which freezes the popped set anew only where it differs from the previous
 record's.
@@ -41,32 +44,23 @@ class StructureError(RuntimeError):
 
 
 @dataclass
-class FocusSpace:
-    """One segment's grouping of items, as dict keys in insertion order,
-    most recently mentioned last."""
-
-    segment_id: str | None
-    items: dict[str, None] = field(default_factory=dict)
-
-
-@dataclass
 class FocusStack:
-    spaces: list[FocusSpace]
+    # Each open segment's id (None for the root) mapped to its space's
+    # items, bottom space first.
+    spaces: dict[str | None, dict[str, None]]
     popped: set[str] = field(default_factory=set)
 
     # The stores as resolution reads them, stacked ids top space first.
-    immediate = property(lambda self: SalienceOrder([s.items for s in self.spaces]))
+    immediate = property(lambda self: SalienceOrder(self.spaces.values()))
     retrievable = frozenset()
     lost = property(lambda self: self.popped)
-
-    @property
-    def top(self) -> FocusSpace:
-        return self.spaces[-1]
+    # The top space's items.
+    top = property(lambda self: next(reversed(self.spaces.values())))
 
 
 def new_stack() -> FocusStack:
     # An implicit root space hosts utterances preceding any push.
-    return FocusStack(spaces=[FocusSpace(segment_id=None)])
+    return FocusStack(spaces={None: {}})
 
 
 def apply_event(stack: FocusStack, event: SegmentEvent) -> list[StoreEvent]:
@@ -74,24 +68,24 @@ def apply_event(stack: FocusStack, event: SegmentEvent) -> list[StoreEvent]:
     pushed and each one popped (innermost first)."""
 
     if event.kind is EventKind.PUSH:
-        if any(space.segment_id == event.segment_id for space in stack.spaces):
+        if event.segment_id in stack.spaces:
             raise StructureError(f"segment {event.segment_id!r} already open")
-        stack.spaces.append(FocusSpace(segment_id=event.segment_id))
+        stack.spaces[event.segment_id] = {}
         return [StoreEvent(StoreEventKind.PUSH_SPACE, event.segment_id)]
 
     if event.kind is EventKind.POP:
-        if stack.top.segment_id != event.segment_id:
+        top_id = next(reversed(stack.spaces))
+        if top_id != event.segment_id:
             raise StructureError(
-                f"pop of {event.segment_id!r} does not match top segment "
-                f"{stack.top.segment_id!r}"
+                f"pop of {event.segment_id!r} does not match top segment {top_id!r}"
             )
         return _pop_spaces(stack, 1)
 
     # Return: pop everything above the target segment.
-    for depth, space in enumerate(reversed(stack.spaces)):
-        if space.segment_id == event.segment_id:
-            return _pop_spaces(stack, depth)
-    raise StructureError(f"return to unknown segment {event.segment_id!r}")
+    if event.segment_id not in stack.spaces:
+        raise StructureError(f"return to unknown segment {event.segment_id!r}")
+    open_ids = list(stack.spaces)
+    return _pop_spaces(stack, len(open_ids) - 1 - open_ids.index(event.segment_id))
 
 
 def apply_events(
@@ -109,9 +103,9 @@ def apply_events(
 def _pop_spaces(stack: FocusStack, count: int) -> list[StoreEvent]:
     log: list[StoreEvent] = []
     for _ in range(count):
-        space = stack.spaces.pop()
-        stack.popped.update(space.items)
-        log.append(StoreEvent(StoreEventKind.POP_SPACE, space.segment_id))
+        segment_id, items = stack.spaces.popitem()
+        stack.popped.update(items)
+        log.append(StoreEvent(StoreEventKind.POP_SPACE, segment_id))
     return log
 
 
@@ -123,9 +117,9 @@ def apply_utterance(stack: FocusStack, utt: Utterance) -> None:
     item ends where its last mention puts it; one found twice raises.
     """
 
-    top = stack.top.items
+    top = stack.top
     for item_id in utt.items:
-        homes = [space.items for space in stack.spaces if item_id in space.items]
+        homes = [space for space in stack.spaces.values() if item_id in space]
         popped = item_id in stack.popped
         if len(homes) + popped > 1:
             raise ValueError(AccessibilityView.OVERLAP)
@@ -162,7 +156,7 @@ view = snapshot
 def check_invariants(stack: FocusStack) -> None:
     """Raise if a stack violates the store contracts (test support)."""
 
-    stacked = [item_id for space in stack.spaces for item_id in space.items]
+    stacked = [item_id for space in stack.spaces.values() for item_id in space]
     if len(set(stacked)) != len(stacked):
         raise AssertionError("item in more than one space")
     if not stack.popped.isdisjoint(stacked):

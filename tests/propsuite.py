@@ -235,7 +235,7 @@ def _step_checking_invariants(transcript: Transcript, capacity: int | None, wher
         cache_model.apply_events(state, events, transcript)
         _check(cache_model.check_invariants, state, at)
         _track_segments(open_segments, events)
-        leaked = set(state.pin_owners) - expecting.intersection(open_segments)
+        leaked = set(state.pinned.values()) - expecting.intersection(open_segments)
         assert not leaked, f"{at}: pins held for closed segments {sorted(leaked)}"
         cache_model.apply_iru(state, utt, transcript)
         _check(cache_model.check_invariants, state, at)
@@ -321,10 +321,10 @@ def run_pin_cascade_suite(seed: int = SEED, trials: int = PIN_CASCADE_TRIALS) ->
 
         entries = state.by_recency
         expected_unpinned = sorted(
-            (i for i in entries if not entries[i].pinned), key=state.last_touch.get
+            (i for i in entries if i not in state.pinned), key=state.last_touch.get
         )
         expected_pinned = sorted(
-            (i for i in entries if entries[i].pinned), key=state.last_touch.get
+            (i for i in entries if i in state.pinned), key=state.last_touch.get
         )
         expected_order = expected_unpinned + expected_pinned
 
@@ -427,13 +427,13 @@ def run_stack_restore_suite(seed: int = SEED, trials: int = STACK_RESTORE_TRIALS
             for event in transcript.events_at(utt.index):
                 stack_model.apply_event(state, event)
             stack_model.apply_utterance(state, utt)
-        spaces = [(space.segment_id, tuple(space.items)) for space in state.spaces]
+        spaces = [(s, tuple(items)) for s, items in state.spaces.items()]
         popped = set(state.popped)
         push = SegmentEvent(kind=EventKind.PUSH, segment_id="probe", position=0)
         pop = SegmentEvent(kind=EventKind.POP, segment_id="probe", position=0)
         stack_model.apply_event(state, push)
         stack_model.apply_event(state, pop)
-        restored = [(space.segment_id, tuple(space.items)) for space in state.spaces]
+        restored = [(s, tuple(items)) for s, items in state.spaces.items()]
         assert restored == spaces, f"{where}: spaces changed"
         assert state.popped == popped, f"{where}: popped set changed"
         traces += 1

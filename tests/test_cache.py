@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from attnsim.cache_model import (
-    CacheEntry,
     CacheState,
     CueSetTooLarge,
     RetrievalFailure,
     absorb,
+    apply_events,
     check_invariants,
     evict_one,
     insert_items,
@@ -49,17 +49,18 @@ def table(*entries):
     return items
 
 
-def state_with(entries, item_table, capacity=7, pin_owners=None):
-    """A state caching ``(item id, pinned, last use)`` entries."""
+def state_with(entries, item_table, capacity=7, pinned=None):
+    """A state caching ``(item id, last use)`` entries, each admitted at its
+    last use, with the given map from pinned item to pinning segment."""
 
-    ordered = sorted(entries, key=lambda e: e[2])
+    ordered = sorted(entries, key=lambda e: e[1])
     return CacheState(
         capacity=capacity,
         item_table=item_table,
-        by_recency={item_id: CacheEntry(pinned) for item_id, pinned, _ in ordered},
-        step=max((use for *_, use in entries), default=0),
-        pin_owners=pin_owners or {},
-        last_touch={item_id: use for item_id, _, use in entries},
+        by_recency=dict(ordered),
+        step=max((use for _, use in entries), default=0),
+        pinned=pinned or {},
+        last_touch=dict(entries),
     )
 
 
@@ -84,10 +85,7 @@ def fold_cache(transcript, upto_id, capacity=7):
 
 def test_evict_one_takes_least_recently_used():
     items = table("a", "b", "c")
-    state = state_with(
-        [("a", False, 1), ("b", False, 2), ("c", False, 3)],
-        items,
-    )
+    state = state_with([("a", 1), ("b", 2), ("c", 3)], items)
     assert evict_one(state) == [
         StoreEvent(StoreEventKind.DISPLACE, "a"),
         StoreEvent(StoreEventKind.STORE, "a"),
@@ -98,26 +96,23 @@ def test_evict_one_takes_least_recently_used():
 
 def test_evict_one_prefers_unpinned():
     items = table("a", "b")
-    state = state_with(
-        [("a", True, 1), ("b", False, 2)],
-        items,
-        pin_owners={"seg": ("a",)},
-    )
+    state = state_with([("a", 1), ("b", 2)], items, pinned={"a": "seg"})
     displaced, _ = evict_one(state)
     assert displaced.target == "b"
     assert tuple(state.by_recency) == ("a",)
+    assert state.pinned == {"a": "seg"}
 
 
 def test_evict_one_discards_surface_forms():
     items = table(("host", ItemKind.PROPOSITION), ("s", ItemKind.SURFACE_FORM))
-    state = state_with([("s", True, 1)], items, pin_owners={"seg": ("s",)})
+    state = state_with([("s", 1)], items, pinned={"s": "seg"})
     assert evict_one(state) == [
         StoreEvent(StoreEventKind.DISPLACE, "s"),
         StoreEvent(StoreEventKind.DISCARD, "s"),
     ]
     assert "s" in state.discarded
     assert "s" not in state.main_memory
-    assert state.pin_owners == {"seg": ()}
+    assert state.pinned == {}
 
 
 @pytest.mark.parametrize(
@@ -128,7 +123,7 @@ def test_evict_one_rejects_a_victim_already_filed(stores):
     memory or the discarded set surfaces at the step that would file it
     twice, not at a later view."""
 
-    state = state_with([("a", False, 1), ("b", False, 2)], table("a", "b"))
+    state = state_with([("a", 1), ("b", 2)], table("a", "b"))
     for store in stores:
         getattr(state, store).add("a")
     with pytest.raises(ValueError, match="pairwise disjoint"):
@@ -199,8 +194,7 @@ def test_absorb_inserts_items():
 
 def test_dialogue_a_retains_opening_material(dialogue_a):
     state = fold_cache(dialogue_a, upto_id="7")
-    entries = state.by_recency
-    assert entries["p1"].pinned and entries["daughter"].pinned
+    assert "p1" in state.pinned and "daughter" in state.pinned
     assert state.effort == 0
     # Nothing has been displaced anywhere in the run.
     assert state.main_memory == frozenset()
@@ -316,10 +310,40 @@ def test_return_releases_pins_of_the_segments_it_closes():
         events += cache_step(state, utt, transcript.events_at(utt.index), transcript)
         check_invariants(state)
     assert [e.target for e in events if e.kind is StoreEventKind.UNPIN] == ["y", "x"]
-    assert state.pin_owners == {}
+    assert state.pinned == {}
     displaced = [e.target for e in events if e.kind is StoreEventKind.DISPLACE]
     # The return's cue touched x.
     assert displaced == ["y", "w", "x", "z"]
+
+
+def test_an_old_segment_does_not_release_a_pin_again():
+    # S's pin on a goes when a is displaced; a's re-entry is pinned by T,
+    # so the return to S releases it once, as T's, and S holds nothing.
+    push_s, push_t, return_s = (
+        SegmentEvent(EventKind.PUSH, "S", 1, expect_return=True),
+        SegmentEvent(EventKind.PUSH, "T", 4, expect_return=True),
+        SegmentEvent(EventKind.RETURN, "S", 5),
+    )
+    transcript = Transcript(dialogue_id="unit", events=(push_s, push_t, return_s))
+    state = new_cache(table("a", "b"), capacity=1)
+    events = insert_items(state, ["a"])
+    events += apply_events(state, [push_s], transcript)
+    events += insert_items(state, ["b"])
+    events += insert_items(state, ["a"])
+    events += apply_events(state, [push_t], transcript)
+    events += apply_events(state, [return_s], transcript)
+    assert [f"{e.kind.value} {e.target}" for e in events] == [
+        "Pin a",
+        "Displace a",
+        "Store a",
+        "Displace b",
+        "Store b",
+        "Retrieve a",
+        "Pin a",
+        "Unpin a",
+    ]
+    assert state.pinned == {}
+    check_invariants(state)
 
 
 def test_infinite_capacity_never_displaces():
@@ -333,25 +357,28 @@ def test_infinite_capacity_never_displaces():
 
 
 def test_unbounded_cache_takes_no_pins():
-    from attnsim.cache_model import apply_events
-
     state = new_cache(table("a", "b"), capacity=None)
     insert_items(state, ["a", "b"])
     push = SegmentEvent(
         kind=EventKind.PUSH, segment_id="S", position=0, expect_return=True
     )
     assert apply_events(state, [push], EMPTY) == []
-    assert state.pin_owners == {}
-    assert not any(entry.pinned for entry in state.by_recency.values())
+    assert state.pinned == {}
     pop = SegmentEvent(kind=EventKind.POP, segment_id="S", position=1)
     assert apply_events(state, [pop], EMPTY) == []
     check_invariants(state)
 
 
-@pytest.mark.parametrize("pin_owners", [{"S": ("a",)}, None])
-def test_check_invariants_rejects_pins_in_an_unbounded_cache(pin_owners):
-    state = state_with([("a", True, 1)], table("a"), capacity=None, pin_owners=pin_owners)
+def test_check_invariants_rejects_pins_in_an_unbounded_cache():
+    state = state_with([("a", 1)], table("a"), capacity=None, pinned={"a": "S"})
     with pytest.raises(AssertionError, match="unbounded cache holds pins"):
+        check_invariants(state)
+
+
+def test_check_invariants_rejects_a_pin_on_an_uncached_item():
+    state = state_with([("a", 1)], table("a", "b"), pinned={"a": "S", "b": "S"})
+    state.main_memory.add("b")
+    with pytest.raises(AssertionError, match="pin on an uncached item"):
         check_invariants(state)
 
 
@@ -362,23 +389,19 @@ def test_pin_scope_is_cache_contents_at_push_time():
     push = SegmentEvent(
         kind=EventKind.PUSH, segment_id="S", position=0, expect_return=True
     )
-    from attnsim.cache_model import apply_events
-
     events = apply_events(state, [push], EMPTY)
     assert [e.target for e in events if e.kind is StoreEventKind.PIN] == ["a"]
     insert_items(state, ["b"])
-    entries = {item_id: entry.pinned for item_id, entry in state.by_recency.items()}
-    assert entries == {"a": True, "b": False}
+    assert tuple(state.by_recency) == ("a", "b")
+    assert state.pinned == {"a": "S"}
     pop = SegmentEvent(kind=EventKind.POP, segment_id="S", position=1)
     events = apply_events(state, [pop], EMPTY)
     assert [e.target for e in events if e.kind is StoreEventKind.UNPIN] == ["a"]
-    assert not any(entry.pinned for entry in state.by_recency.values())
+    assert state.pinned == {}
     check_invariants(state)
 
 
 def test_pins_follow_admission_order_not_recency():
-    from attnsim.cache_model import apply_events
-
     state = new_cache(table("a", "b"), capacity=7)
     insert_items(state, ["a", "b"])
     insert_items(state, ["a"])

@@ -352,10 +352,12 @@ def test_cli_cost_below_one_is_a_usage_error(fixture, cost, model, capsys):
 @pytest.mark.parametrize("cost", [0, -1])
 def test_cost_below_one_is_rejected_in_process(cost, dialogue_b):
     with pytest.raises(ValueError, match="retrieval cost"):
-        RunConfig(
-            model_kind=ModelKind.CACHE,
-            transcript_path=str(fixture_path("dialogue_b.dlg")),
-            retrieval_cost=cost,
+        run(
+            RunConfig(
+                model_kind=ModelKind.CACHE,
+                transcript_path=str(fixture_path("dialogue_b.dlg")),
+                retrieval_cost=cost,
+            )
         )
     with pytest.raises(ValueError, match="retrieval cost"):
         replay(dialogue_b, ModelKind.CACHE, retrieval_cost=cost)

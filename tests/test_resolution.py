@@ -381,7 +381,7 @@ def test_stacked_antecedent_needs_no_surviving_top_space_competitor(dialogue_a, 
             for event in transcript.events_at(utt.index):
                 stack_model.apply_event(state, event)
             snapshot = stack_model.view(state)
-            top_items = set(state.top.items)
+            top_items = set(state.top)
             for mention in utt.mentions:
                 resolution = resolve(
                     mention, snapshot, transcript.item_table, allow_retrieval=False
@@ -391,7 +391,7 @@ def test_stacked_antecedent_needs_no_surviving_top_space_competitor(dialogue_a, 
                     and resolution.outcome.item not in top_items
                 ):
                     survivors = agreement_filter(
-                        [transcript.item_table[i] for i in state.top.items], mention
+                        [transcript.item_table[i] for i in state.top], mention
                     )
                     assert not survivors
             stack_model.apply_utterance(state, utt)

@@ -35,7 +35,7 @@ def utterance(*items, index=0):
 
 
 def spaces_of(state):
-    return [(space.segment_id, tuple(space.items)) for space in state.spaces]
+    return [(s, tuple(items)) for s, items in state.spaces.items()]
 
 
 def test_push_pop_is_inverse_on_spaces():
@@ -88,14 +88,14 @@ def test_return_pops_everything_above_target():
         StoreEvent(StoreEventKind.POP_SPACE, "S3"),
         StoreEvent(StoreEventKind.POP_SPACE, "S2"),
     ]
-    assert [space.segment_id for space in state.spaces] == [None, "S1"]
+    assert list(state.spaces) == [None, "S1"]
     assert state.popped == {"item_S2", "item_S3"}
 
 
 def test_apply_utterance_into_root():
     state = new_stack()
     apply_utterance(state, utterance("daughter"))
-    assert tuple(state.top.items) == ("daughter",)
+    assert tuple(state.top) == ("daughter",)
 
 
 def test_embedded_segment_keeps_lower_space_unchanged(dialogue_a):
@@ -114,7 +114,7 @@ def test_re_mention_of_popped_item_restores_it():
     assert "x" in state.popped
     apply_utterance(state, utterance("x", index=1))
     assert "x" not in state.popped
-    assert list(state.top.items)[-1] == "x"
+    assert list(state.top)[-1] == "x"
     assert "x" in view(state).immediate
 
 
@@ -130,7 +130,7 @@ def test_apply_utterance_rejects_an_item_in_two_spaces():
     state = new_stack()
     apply_utterance(state, utterance("x"))
     apply_event(state, push("S2"))
-    state.top.items["x"] = None
+    state.top["x"] = None
     with pytest.raises(ValueError, match="pairwise disjoint"):
         apply_utterance(state, utterance("x", index=1))
 
@@ -140,9 +140,7 @@ def test_re_mention_moves_item_to_top_space():
     apply_utterance(state, utterance("a", "b"))
     apply_event(state, push("S2"))
     apply_utterance(state, utterance("a", index=1))
-    root, top = state.spaces
-    assert tuple(root.items) == ("b",)
-    assert tuple(top.items) == ("a",)
+    assert spaces_of(state) == [(None, ("b",)), ("S2", ("a",))]
 
 
 def test_fresh_stack_view_is_empty():
@@ -184,7 +182,7 @@ def test_view_right_after_the_pop_orders_opening_material(dialogue_a):
     snapshot = view(state)
     assert snapshot.immediate == ("p1", "daughter", "s1")
     assert snapshot.lost == {"m_name", "hank"}
-    assert state.top.segment_id is None
+    assert list(state.spaces) == [None]
 
 
 def test_dialogue_b_view_matches_dialogue_a_after_pop(dialogue_a, dialogue_b):
