@@ -369,8 +369,22 @@ def test_unbounded_cache_takes_no_pins():
     check_invariants(state)
 
 
-def test_check_invariants_rejects_pins_in_an_unbounded_cache():
-    state = state_with([("a", 1)], table("a"), capacity=None, pinned={"a": "S"})
+@pytest.mark.parametrize("pin_owners", [{"S": ("a",)}, None])
+def test_check_invariants_rejects_pins_in_an_unbounded_cache(pin_owners):
+    """``pin_owners`` maps each segment to the items it pins; ``None`` has
+    an expect-return push on a bounded cache take the pins instead."""
+
+    if pin_owners is None:
+        state = state_with([("a", 1)], table("a"))
+        push = SegmentEvent(
+            kind=EventKind.PUSH, segment_id="S", position=0, expect_return=True
+        )
+        apply_events(state, [push], EMPTY)
+        assert state.pinned == {"a": "S"}
+    else:
+        pinned = {item: seg for seg, items in pin_owners.items() for item in items}
+        state = state_with([("a", 1)], table("a"), pinned=pinned)
+    state.capacity = None
     with pytest.raises(AssertionError, match="unbounded cache holds pins"):
         check_invariants(state)
 
