@@ -26,20 +26,24 @@ from .driver import (
 from .transcript_io import ParseError
 
 
-def _capacity(value: str) -> int | None:
-    if value == "inf":
-        return None
-    count = int(value)
+def _positive(value: str, message: str) -> int:
+    try:
+        count = int(value)
+    except ValueError:  # argparse would name this function instead
+        raise argparse.ArgumentTypeError(message) from None
     if count < 1:
-        raise argparse.ArgumentTypeError("capacity must be positive or 'inf'")
+        raise argparse.ArgumentTypeError(message)
     return count
 
 
+def _capacity(value: str) -> int | None:
+    if value == "inf":
+        return None
+    return _positive(value, "capacity must be positive or 'inf'")
+
+
 def _cost(value: str) -> int:
-    cost = int(value)
-    if cost < 1:
-        raise argparse.ArgumentTypeError("retrieval cost must be at least 1")
-    return cost
+    return _positive(value, "retrieval cost must be at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:

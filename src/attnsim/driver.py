@@ -102,7 +102,8 @@ class DivergenceRow:
 
     @property
     def diverges(self) -> bool:
-        return not self.stack_outcome.same_shape(self.cache_outcome)
+        # A stack outcome never comes after retrieval, so it carries no effort.
+        return self.stack_outcome != self.cache_outcome
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,11 @@ def replay(
 
     if retrieval_cost < 1:
         raise ValueError(f"retrieval cost must be at least 1, got {retrieval_cost}")
-    # Only the cache retrieves; the stack reports no capacity, cost or effort.
-    retrieves = model_kind is ModelKind.CACHE
-    if retrieves:
+    if model_kind is ModelKind.CACHE:
         model = cache_model
         state = cache_model.new_cache(transcript.item_table, capacity)
     else:
+        # The stack reports no capacity or retrieval cost.
         model, state = stack_model, stack_model.new_stack()
         capacity, retrieval_cost = None, 0
     if index is None:
@@ -160,19 +160,11 @@ def replay(
             all_fresh = bool(functions) and all(
                 function is IRUFunction.REFRESH_IN_CACHE for _, function in functions
             )
-            findings.append(IRUFinding(utt.id, functions, not retrieves and all_fresh))
+            findings.append(IRUFinding(utt.id, functions, model is stack_model and all_fresh))
             applied.extend(model.apply_iru(state, utt, transcript))
         utt_resolutions = []
         for mention in utt.mentions:
-            resolution = resolve(
-                mention,
-                state,
-                transcript.item_table,
-                allow_retrieval=retrieves,
-                retrieval_cost=retrieval_cost,
-                index=index,
-                candidates=candidates,
-            )
+            resolution = resolve(mention, state, index, retrieval_cost, candidates)
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
                 # Strategic retrieval: interpreting the anaphor pulls its
                 # antecedent into the cache and pays for the trip.
@@ -191,7 +183,7 @@ def replay(
                 events_applied=tuple(applied),
                 view=view,
                 resolutions=tuple(utt_resolutions),
-                cumulative_effort=state.effort if retrieves else 0,
+                cumulative_effort=state.effort,
             )
         )
     return SimulationReport(
@@ -202,7 +194,7 @@ def replay(
         records=tuple(records),
         resolutions=tuple(resolutions),
         iru_findings=tuple(findings),
-        total_effort=state.effort if retrieves else 0,
+        total_effort=state.effort,
     )
 
 
@@ -237,22 +229,19 @@ def compare_transcript(
     cache_report = replay(
         transcript, ModelKind.CACHE, capacity, retrieval_cost, candidates=False, index=index
     )
-    stack_outcomes = {res.mention_id: res for _, res in stack_report.resolutions}
-    cache_outcomes = {res.mention_id: res for _, res in cache_report.resolutions}
+    # Each replay resolves every mention and analyzes every restatement
+    # once, in transcript order, so the two line up by position.
     rows = tuple(
-        DivergenceRow(
-            mention_id=mention.id,
-            stack_outcome=stack_outcomes[mention.id].outcome,
-            cache_outcome=cache_outcomes[mention.id].outcome,
+        DivergenceRow(stack.mention_id, stack.outcome, cache.outcome)
+        for (_, stack), (_, cache) in zip(
+            stack_report.resolutions, cache_report.resolutions, strict=True
         )
-        for mention in transcript.mentions()
     )
-    stack_findings = {f.utterance_id: f for f in stack_report.iru_findings}
-    cache_findings = {f.utterance_id: f for f in cache_report.iru_findings}
     joined = tuple(
-        (utt.id, stack_findings[utt.id], cache_findings[utt.id])
-        for utt in transcript.utterances
-        if utt.is_iru
+        (stack.utterance_id, stack, cache)
+        for stack, cache in zip(
+            stack_report.iru_findings, cache_report.iru_findings, strict=True
+        )
     )
     return DivergenceReport(
         dialogue_id=transcript.dialogue_id,

@@ -64,15 +64,6 @@ class Outcome:
     def failure(cls, reason: FailureReason) -> "Outcome":
         return cls(OutcomeKind.FAILURE, reason=reason)
 
-    def same_shape(self, other: "Outcome") -> bool:
-        """Structural equality: constructor, item, and reason; effort is
-        bookkeeping, not identity."""
-        return (
-            self.kind is other.kind
-            and self.item == other.item
-            and self.reason is other.reason
-        )
-
 
 @dataclass(frozen=True)
 class Resolution:
@@ -208,24 +199,23 @@ def _surface_carrier(
 def resolve(
     mention: Mention,
     accessibility: AccessibilityView | CacheState | FocusStack,
-    table: Mapping[str, DiscourseItem],
-    allow_retrieval: bool,
+    index: ReferentIndex,
     retrieval_cost: int = 1,
-    index: ReferentIndex | None = None,
     candidates: bool = True,
 ) -> Resolution:
     """Resolve one mention against a snapshot or a model's live state.
 
     Immediately accessible candidates are tried in salience order and the
-    most salient survivor wins. Failing that, retrieval-capable models may
-    find a unique survivor in the retrievable store at a cost; several
-    survivors there have no salience order to separate them, so the mention
-    is ambiguous. Failures are data, not faults. A verb-phrase ellipsis
+    most salient survivor wins. Failing that, a unique survivor in the
+    retrievable store is found at a cost; several survivors there have no
+    salience order to separate them, so the mention is ambiguous. The
+    stack's retrievable store is empty, so under the stack only the first
+    tier can answer. Failures are data, not faults. A verb-phrase ellipsis
     fails outright when the first surface form in table order that realizes
     its antecedent is lost, whatever became of later carriers. ``index`` is
-    the replay's ``ReferentIndex`` over ``table``; without it a throwaway
-    one is built. Without ``candidates`` the tiers stop at their first and
-    second survivor, and the resolution lists none.
+    the ``ReferentIndex`` over the transcript's item table. Without
+    ``candidates`` the tiers stop at their first and second survivor, and
+    the resolution lists none.
     """
 
     gold = mention.gold_antecedent
@@ -234,8 +224,6 @@ def resolve(
         considered = tuple(considered) if candidates else ()
         return Resolution(mention.id, outcome, considered, correct=outcome.item == gold)
 
-    if index is None:
-        index = ReferentIndex(table)
     if mention.form is MentionForm.VP_ELLIPSIS:
         carrier = _surface_carrier(gold, index.carriers)
         if carrier is not None and carrier.id in accessibility.lost:
@@ -247,18 +235,15 @@ def resolve(
     if winners:
         return resolution(Outcome.immediate(winners[0]), winners)
 
-    if allow_retrieval:
-        # The retrievable store has no salience order; survivors go by id.
-        # Two survivors already make the mention ambiguous.
-        smaller, larger = sorted((survivors, accessibility.retrievable), key=len)
-        found = filter(larger.__contains__, smaller)
-        winners = sorted(islice(found, None if candidates else 2))
-        if len(winners) == 1:
-            outcome = Outcome.after_retrieval(winners[0], retrieval_cost)
-            return resolution(outcome, winners)
-        if winners:
-            return resolution(Outcome.failure(FailureReason.AMBIGUOUS), winners)
-
+    # The retrievable store has no salience order; survivors go by id.
+    # Two survivors already make the mention ambiguous.
+    smaller, larger = sorted((survivors, accessibility.retrievable), key=len)
+    found = filter(larger.__contains__, smaller)
+    winners = sorted(islice(found, None if candidates else 2))
+    if len(winners) == 1:
+        return resolution(Outcome.after_retrieval(winners[0], retrieval_cost), winners)
+    if winners:
+        return resolution(Outcome.failure(FailureReason.AMBIGUOUS), winners)
     return resolution(Outcome.failure(FailureReason.NO_CANDIDATE))
 
 

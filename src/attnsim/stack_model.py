@@ -52,7 +52,9 @@ class FocusStack:
 
     # The stores as resolution reads them, stacked ids top space first.
     immediate = property(lambda self: SalienceOrder(self.spaces.values()))
+    # The stack never retrieves: popped material is simply lost.
     retrievable = frozenset()
+    effort = 0
     lost = property(lambda self: self.popped)
     # The top space's items.
     top = property(lambda self: next(reversed(self.spaces.values())))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,19 @@ def fixture_path(name: str) -> Path:
 
 def load_fixture(name: str):
     return parse(fixture_path(name).read_text(encoding="utf-8"))
+
+
+def load_bench_gen():
+    """The benchmark's transcript generator, ``bench/gen.py``, imported once."""
+
+    module = sys.modules.get("bench_gen")
+    if module is None:
+        path = FIXTURES.parent / "bench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("bench_gen", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses resolve the module by name
+        spec.loader.exec_module(module)
+    return module
 
 
 def cache_step(

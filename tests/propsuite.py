@@ -33,6 +33,7 @@ from attnsim.resolution import (
     FailureReason,
     Outcome,
     OutcomeKind,
+    ReferentIndex,
     Resolution,
     analyze_iru,
     resolve,
@@ -539,6 +540,7 @@ def _fresh_view_fold(transcript: Transcript, capacity: int) -> tuple[list, list,
     the number of returns whose cue met a discarded surface form."""
 
     state = new_cache(transcript.item_table, capacity)
+    index = ReferentIndex(transcript.item_table)
     resolutions: list = []
     findings: list = []
     discarded_cues = 0
@@ -552,12 +554,7 @@ def _fresh_view_fold(transcript: Transcript, capacity: int) -> tuple[list, list,
             findings.append((utt.id, tuple(functions)))
             cache_model.apply_iru(state, utt, transcript)
         for mention in utt.mentions:
-            resolution = resolve(
-                mention,
-                cache_model.view(state),
-                transcript.item_table,
-                allow_retrieval=True,
-            )
+            resolution = resolve(mention, cache_model.view(state), index)
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
                 cache_model.retrieve(state, [resolution.outcome.item])
             resolutions.append((utt.id, resolution))

@@ -26,7 +26,7 @@ from attnsim.resolution import FailureReason, Outcome, OutcomeKind, PopClassific
 from attnsim.transcript_io import parse, read_trace
 
 import propsuite
-from conftest import cache_step, fixture_path, load_fixture
+from conftest import cache_step, fixture_path, load_bench_gen, load_fixture
 
 
 def test_run_stack_dialogue_a(dialogue_a):
@@ -187,12 +187,30 @@ def test_compare_builds_views_only_for_readers(name, monkeypatch):
     assert all(res.candidates_considered == () for res in resolutions)
 
 
-def test_compare_lists_every_mention_once(dialogue_b, return_pops):
-    for transcript in (dialogue_b, return_pops):
+def test_compare_lists_every_mention_once(dialogue_a, dialogue_b, dialogue_c, return_pops):
+    # Each row pairs one mention's outcomes under the two models, and each
+    # IRU triple one utterance's two findings, as the replays give them.
+    gen = load_bench_gen()
+    text, _ = gen.generate(random.Random(3), gen.Shape(400), "generated")
+    for transcript in (dialogue_a, dialogue_b, dialogue_c, return_pops, parse(text)):
         report = compare_transcript(transcript)
         listed = [row.mention_id for row in report.per_mention]
         expected = [mention.id for mention in transcript.mentions()]
         assert listed == expected
+        stack = replay(transcript, ModelKind.STACK, candidates=False)
+        cache = replay(transcript, ModelKind.CACHE, candidates=False)
+        stack_outcomes = {res.mention_id: res.outcome for _, res in stack.resolutions}
+        cache_outcomes = {res.mention_id: res.outcome for _, res in cache.resolutions}
+        for row in report.per_mention:
+            assert row.stack_outcome == stack_outcomes[row.mention_id]
+            assert row.cache_outcome == cache_outcomes[row.mention_id]
+        stack_findings = {f.utterance_id: f for f in stack.iru_findings}
+        cache_findings = {f.utterance_id: f for f in cache.iru_findings}
+        restated = [utt.id for utt in transcript.utterances if utt.is_iru]
+        assert [utt_id for utt_id, _, _ in report.iru_findings] == restated
+        for utt_id, stack_finding, cache_finding in report.iru_findings:
+            assert stack_finding == stack_findings[utt_id]
+            assert cache_finding == cache_findings[utt_id]
 
 
 def test_pops_histogram_and_stage_counts(return_pops):
@@ -246,7 +264,7 @@ def test_run_writes_requested_trace(tmp_path, dialogue_a):
     )
     report = run(config)
     assert trace_path.exists()
-    assert read_trace(trace_path.read_text()) == list(report.records)
+    assert read_trace(trace_path.read_text(encoding="utf-8")) == list(report.records)
 
 
 def test_identical_invocations_are_byte_identical(tmp_path):
@@ -303,7 +321,7 @@ def test_cli_capacity_accepts_inf():
 
 def test_cli_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.dlg"
-    bad.write_text("DIALOGUE t\nPSH S2\n")
+    bad.write_text("DIALOGUE t\nPSH S2\n", encoding="utf-8")
     code = main(["run", "--model", "stack", str(bad)])
     assert code == 2
     err = capsys.readouterr().err
@@ -335,7 +353,7 @@ def test_cli_directory_as_file_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"input error: {tmp_path}: ")
 
 
-@pytest.mark.parametrize("cost", ["0", "-1"])
+@pytest.mark.parametrize("cost", ["0", "-1", "x", "1.5"])
 @pytest.mark.parametrize(
     "fixture", ["dialogue_a.dlg", "dialogue_b.dlg", "dialogue_c.dlg", "return_pops.dlg"]
 )
@@ -347,6 +365,22 @@ def test_cli_cost_below_one_is_a_usage_error(fixture, cost, model, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "retrieval cost must be at least 1" in captured.err
+    assert "_cost" not in captured.err and "_capacity" not in captured.err
+
+
+@pytest.mark.parametrize("capacity", ["0", "-3", "abc", "1.5"])
+@pytest.mark.parametrize(
+    "fixture", ["dialogue_a.dlg", "dialogue_b.dlg", "dialogue_c.dlg", "return_pops.dlg"]
+)
+def test_cli_capacity_below_one_is_a_usage_error(fixture, capacity, capsys):
+    argv = ["run", "--model", "cache", "--capacity", capacity, str(fixture_path(fixture))]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capacity must be positive or 'inf'" in captured.err
+    assert "_cost" not in captured.err and "_capacity" not in captured.err
 
 
 @pytest.mark.parametrize("cost", [0, -1])

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import random
 import sys
@@ -32,21 +31,14 @@ import propsuite
 from attnsim.cli import main
 from attnsim.driver import ModelKind, replay
 from attnsim.transcript_io import parse
+from conftest import load_bench_gen
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "generated_outputs.txt"
 TRACE_GOLDEN = ROOT / "tests" / "golden" / "generated_traces.txt"
 
 
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve the module by name
-    spec.loader.exec_module(module)
-    return module
-
-
-_gen = _load_gen()
+_gen = load_bench_gen()
 
 INPUTS = {
     # replay-long's shape: surface forms stay in the root segment.

@@ -25,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from attnsim.transcript_io import ParseError, parse, write_transcript
+from attnsim.core import ItemKind
+from attnsim.driver import ModelKind, classify_corpus, compare_transcript, replay
+from attnsim.transcript_io import ParseError, parse, write_trace, write_transcript
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "parse_outcomes.txt"
@@ -179,6 +181,45 @@ def test_corpus_reaches_both_outcomes():
     results = _recorded().values()
     assert any(result.startswith("ok ") for result in results)
     assert any(result.startswith("line ") for result in results)
+
+
+def _gold_outside_its_segment(transcript) -> bool:
+    """Whether some CASE's gold antecedent is not an entity introduced at or
+    after its segment's push and before the return (ROADMAP defect 4b)."""
+
+    mentions = {mention.id: mention for mention in transcript.mentions()}
+    for record in transcript.cases:
+        gold = transcript.item_table[mentions[record.mention_id].gold_antecedent]
+        start = transcript.push_positions[record.segment_id]
+        if gold.kind is not ItemKind.ENTITY or not (
+            start <= gold.introduced_at < record.return_position
+        ):
+            return True
+    return False
+
+
+def test_accepted_mutants_replay_without_error():
+    # Any input the parser accepts replays, compares, traces and classifies
+    # without raising, save defect 4b's rejected case in classify_corpus.
+    recorded = _recorded()
+    raised, expected = set(), set()
+    for label, text in mutants():
+        if not recorded[label].startswith("ok "):
+            continue
+        transcript = parse(text)
+        compare_transcript(transcript)
+        replay(transcript, ModelKind.STACK)
+        for capacity, cost in ((2, 3), (None, 1)):
+            report = replay(transcript, ModelKind.CACHE, capacity, cost, views=True)
+            write_trace(report.records)
+        try:
+            classify_corpus(transcript)
+        except ValueError as error:
+            assert "gold antecedent not among candidates" in str(error), label
+            raised.add(label)
+        if _gold_outside_its_segment(transcript):
+            expected.add(label)
+    assert raised == expected
 
 
 if __name__ == "__main__":

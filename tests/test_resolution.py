@@ -57,7 +57,7 @@ def pronoun(gold, gender=Gender.NEUT, number=Number.SG, verb=None, sel=()):
 def test_single_agreeing_candidate_resolves_immediately():
     cat = entity("cat")
     snapshot = AccessibilityView(immediate=("cat",))
-    resolution = resolve(pronoun("cat"), snapshot, {"cat": cat}, allow_retrieval=False)
+    resolution = resolve(pronoun("cat"), snapshot, ReferentIndex({"cat": cat}))
     assert resolution.outcome == Outcome.immediate("cat")
     assert resolution.correct
 
@@ -67,7 +67,7 @@ def test_most_salient_survivor_wins():
     second = entity("second")
     snapshot = AccessibilityView(immediate=("first", "second"))
     resolution = resolve(
-        pronoun("second"), snapshot, {"first": first, "second": second}, False
+        pronoun("second"), snapshot, ReferentIndex({"first": first, "second": second})
     )
     assert resolution.outcome.item == "first"
     assert not resolution.correct
@@ -75,7 +75,7 @@ def test_most_salient_survivor_wins():
 
 def test_no_candidate_anywhere():
     snapshot = AccessibilityView(immediate=())
-    resolution = resolve(pronoun("ghost"), snapshot, {}, allow_retrieval=True)
+    resolution = resolve(pronoun("ghost"), snapshot, ReferentIndex({}))
     assert resolution.outcome == Outcome.failure(FailureReason.NO_CANDIDATE)
 
 
@@ -83,28 +83,33 @@ def test_unique_retrievable_candidate_costs_effort():
     cat = entity("cat")
     rock = entity("rock", gender=Gender.NEUT, number=Number.PL)
     snapshot = AccessibilityView(retrievable=frozenset({"cat", "rock"}))
-    resolution = resolve(
-        pronoun("cat"), snapshot, {"cat": cat, "rock": rock}, allow_retrieval=True
-    )
+    resolution = resolve(pronoun("cat"), snapshot, ReferentIndex({"cat": cat, "rock": rock}))
     assert resolution.outcome == Outcome.after_retrieval("cat", 1)
     assert resolution.correct
 
 
-def test_retrieval_disallowed_leaves_no_candidate():
-    cat = entity("cat")
-    snapshot = AccessibilityView(retrievable=frozenset({"cat"}))
-    resolution = resolve(pronoun("cat"), snapshot, {"cat": cat}, allow_retrieval=False)
-    assert resolution.outcome.kind is OutcomeKind.FAILURE
-    assert resolution.outcome.reason is FailureReason.NO_CANDIDATE
+def test_popped_antecedent_is_not_retrieved_under_the_stack():
+    # Popped material is lost: the stack has nothing to retrieve it from.
+    from attnsim import stack_model
+    from attnsim.core import EventKind, SegmentEvent
+
+    state = stack_model.new_stack()
+    stack_model.apply_event(state, SegmentEvent(EventKind.PUSH, "S", position=0))
+    stack_model.apply_utterance(
+        state, Utterance(id="u0", speaker="A", index=0, items=("cat",))
+    )
+    stack_model.apply_event(state, SegmentEvent(EventKind.POP, "S", position=1))
+    assert "cat" in state.lost
+    resolution = resolve(pronoun("cat"), state, ReferentIndex({"cat": entity("cat")}))
+    assert resolution.outcome == Outcome.failure(FailureReason.NO_CANDIDATE)
+    assert resolution.candidates_considered == ()
 
 
 def test_retrievable_tie_is_ambiguous():
     one = entity("one")
     two = entity("two")
     snapshot = AccessibilityView(retrievable=frozenset({"one", "two"}))
-    resolution = resolve(
-        pronoun("one"), snapshot, {"one": one, "two": two}, allow_retrieval=True
-    )
+    resolution = resolve(pronoun("one"), snapshot, ReferentIndex({"one": one, "two": two}))
     assert resolution.outcome == Outcome.failure(FailureReason.AMBIGUOUS)
     assert set(resolution.candidates_considered) == {"one", "two"}
 
@@ -114,7 +119,7 @@ def test_retrievable_ambiguity_lists_candidates_by_id():
     table = {item_id: entity(item_id) for item_id in ids}
     table["f"] = entity("f", gender=Gender.FEM)
     snapshot = AccessibilityView(retrievable=frozenset([*ids, "f"]))
-    resolution = resolve(pronoun("k"), snapshot, table, allow_retrieval=True)
+    resolution = resolve(pronoun("k"), snapshot, ReferentIndex(table))
     assert resolution.outcome == Outcome.failure(FailureReason.AMBIGUOUS)
     assert resolution.candidates_considered == tuple(sorted(ids))
 
@@ -126,13 +131,13 @@ def test_ellipsis_never_gets_an_entity_candidate():
     table = {**props, **entities, "s": surface}
     mention = Mention(id="e", form=MentionForm.VP_ELLIPSIS, gold_antecedent="p1")
     retrievable = AccessibilityView(retrievable=frozenset(table))
-    resolution = resolve(mention, retrievable, table, allow_retrieval=True)
+    resolution = resolve(mention, retrievable, ReferentIndex(table))
     assert resolution.outcome == Outcome.failure(FailureReason.AMBIGUOUS)
     assert resolution.candidates_considered == ("p1", "p2")
     only_entities = AccessibilityView(
         immediate=("e0", "e1"), retrievable=frozenset({"e2", "s"})
     )
-    resolution = resolve(mention, only_entities, table, allow_retrieval=True)
+    resolution = resolve(mention, only_entities, ReferentIndex(table))
     assert resolution.outcome == Outcome.failure(FailureReason.NO_CANDIDATE)
     assert resolution.candidates_considered == ()
 
@@ -150,7 +155,7 @@ def test_ellipsis_with_lost_carrier_fails():
     snapshot = AccessibilityView(
         immediate=("host",), lost=frozenset({"carrier"})
     )
-    resolution = resolve(mention, snapshot, table, allow_retrieval=True)
+    resolution = resolve(mention, snapshot, ReferentIndex(table))
     assert resolution.outcome == Outcome.failure(FailureReason.SURFACE_FORM_LOST)
 
 
@@ -170,7 +175,7 @@ def test_ellipsis_fails_only_when_the_first_carrier_is_lost(lost, outcome):
     table = {"host": host, "first": first, "second": second}
     mention = Mention(id="e", form=MentionForm.VP_ELLIPSIS, gold_antecedent="host")
     snapshot = AccessibilityView(immediate=("host",), lost=frozenset({lost}))
-    resolution = resolve(mention, snapshot, table, allow_retrieval=True)
+    resolution = resolve(mention, snapshot, ReferentIndex(table))
     assert resolution.outcome == outcome
 
 
@@ -210,7 +215,7 @@ def test_ellipsis_considers_only_propositions():
     table = {"host": host, "noise": noise}
     mention = Mention(id="e", form=MentionForm.VP_ELLIPSIS, gold_antecedent="host")
     snapshot = AccessibilityView(immediate=("noise", "host"))
-    resolution = resolve(mention, snapshot, table, allow_retrieval=False)
+    resolution = resolve(mention, snapshot, ReferentIndex(table))
     assert resolution.outcome == Outcome.immediate("host")
 
 
@@ -377,15 +382,14 @@ def test_stacked_antecedent_needs_no_surviving_top_space_competitor(dialogue_a, 
 
     for transcript in (dialogue_a, dialogue_b):
         state = stack_model.new_stack()
+        index = ReferentIndex(transcript.item_table)
         for utt in transcript.utterances:
             for event in transcript.events_at(utt.index):
                 stack_model.apply_event(state, event)
             snapshot = stack_model.view(state)
             top_items = set(state.top)
             for mention in utt.mentions:
-                resolution = resolve(
-                    mention, snapshot, transcript.item_table, allow_retrieval=False
-                )
+                resolution = resolve(mention, snapshot, index)
                 if (
                     resolution.outcome.kind is OutcomeKind.IMMEDIATE
                     and resolution.outcome.item not in top_items
@@ -416,9 +420,6 @@ def test_lower_space_resolution_allowed_when_top_blocks():
         state, Utterance(id="u1", speaker="B", index=1, items=("dog",))
     )
     resolution = resolve(
-        pronoun("cat", gender=Gender.NEUT),
-        stack_model.view(state),
-        table,
-        allow_retrieval=False,
+        pronoun("cat", gender=Gender.NEUT), stack_model.view(state), ReferentIndex(table)
     )
     assert resolution.outcome == Outcome.immediate("cat")
