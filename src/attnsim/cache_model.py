@@ -282,19 +282,16 @@ def _return_cue(
     return candidates
 
 
-def apply_iru(
-    state: CacheState, utt: Utterance, transcript: Transcript
-) -> list[StoreEvent]:
+def apply_iru(state: CacheState, restated: Sequence[str]) -> list[StoreEvent]:
     """Refresh or reinstate the content a redundant utterance re-realizes.
 
-    Each item of each antecedent utterance, once and in order of first
-    mention, is touched if cached, moved in from main memory, or re-created
-    from nothing if its surface record was discarded. Restating costs no
-    effort: the speaker is doing the work.
+    Each restated item, as ``analyze_iru`` lists them (once each, in order
+    of first mention), is touched if cached, moved in from main memory, or
+    re-created from nothing if its surface record was discarded. Restating
+    costs no effort: the speaker is doing the work.
     """
 
-    antecedents = map(transcript.utterance_by_id, utt.iru_antecedents)
-    return insert_items(state, [i for a in antecedents for i in a.items])
+    return insert_items(state, restated)
 
 
 def absorb(state: CacheState, utt: Utterance) -> list[StoreEvent]:

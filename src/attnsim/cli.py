@@ -2,13 +2,15 @@
 
 Reports go to standard output as JSON; diagnostics go to standard error.
 Exit codes: 0 success, 2 usage or transcript parse error, 3 unreadable
-input file or unwritable trace file, 1 internal error.
+input file, unwritable trace file or closed standard output, 1 internal
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .driver import (
@@ -97,7 +99,17 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as error:  # noqa: BLE001 - the process boundary
         print(f"error: {error}", file=sys.stderr)
         return 1
-    print(json.dumps(payload, indent=2))
+    try:
+        print(json.dumps(payload, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nothing reads stdout any more. Point it at devnull, as the Python
+        # docs advise, so that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("output error: <stdout>: Broken pipe", file=sys.stderr)
+        return 3
     return 0
 
 

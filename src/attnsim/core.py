@@ -229,18 +229,14 @@ def segment_assignments(transcript: Transcript) -> tuple[str | None, ...]:
     return tuple(assign)
 
 
-def segment_items(
-    transcript: Transcript, segment_id: str, before: int | None = None
-) -> tuple[str, ...]:
-    """Items realized by the utterances whose innermost segment is given.
+def segment_items(transcript: Transcript, segment_id: str, before: int) -> tuple[str, ...]:
+    """Items realized by the utterances before index ``before`` whose
+    innermost segment is given.
 
     Order follows the dialogue; repeated realizations keep the first slot.
-    With ``before``, only utterances preceding that index contribute.
     """
 
     items, firsts = transcript._segment_index.get(segment_id, ((), []))
-    if before is None:
-        return items
     return items[: bisect_left(firsts, before)]
 
 

@@ -161,7 +161,7 @@ def replay(
                 function is IRUFunction.REFRESH_IN_CACHE for _, function in functions
             )
             findings.append(IRUFinding(utt.id, functions, model is stack_model and all_fresh))
-            applied.extend(model.apply_iru(state, utt, transcript))
+            applied.extend(model.apply_iru(state, [item for item, _ in functions]))
         utt_resolutions = []
         for mention in utt.mentions:
             resolution = resolve(mention, state, index, retrieval_cost, candidates)

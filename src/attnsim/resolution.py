@@ -251,20 +251,16 @@ def cascade_survivors(case: ReturnPopCase) -> CascadeTrace:
     return staged_filter(case.candidates_at_return, case.mention)
 
 
-def classify_return_pop(
-    case: ReturnPopCase, trace: CascadeTrace | None = None
-) -> PopClassification:
+def classify_return_pop(case: ReturnPopCase, trace: CascadeTrace) -> PopClassification:
     """Decide which cue suffices to pick out the resumed antecedent.
 
     Each stage narrows the previous stage's survivors; the first stage
     that leaves the gold antecedent alone names the classification, with
     redundancy and centrality as the final fallbacks. ``trace`` is the
-    case's ``cascade_survivors``, computed here when not given.
+    case's ``cascade_survivors``.
     """
 
     gold = {case.mention.gold_antecedent}
-    if trace is None:
-        trace = cascade_survivors(case)
     if set(trace.after_agreement) == gold:
         return PopClassification.PRONOUN_SUFFICIENT
     if set(trace.after_static_selection) == gold:

@@ -132,9 +132,7 @@ def apply_utterance(stack: FocusStack, utt: Utterance) -> None:
         top[item_id] = None
 
 
-def apply_iru(
-    stack: FocusStack, utt: Utterance, transcript: Transcript
-) -> list[StoreEvent]:
+def apply_iru(stack: FocusStack, restated: Sequence[str]) -> list[StoreEvent]:
     """A restatement leaves the stack as it is: its items enter with the
     utterance, like any other."""
 

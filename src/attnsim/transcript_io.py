@@ -114,16 +114,12 @@ def parse(text: str) -> Transcript:
     """Parse transcript source into a validated Transcript.
 
     Either returns a fully well-formed transcript or raises ParseError; no
-    partial state escapes. The error names the first line with a local
-    error (one visible from that line and the lines above it), or, if no
-    line has one, the first line that references an item or mention
-    declared nowhere in the file, or a CASE whose mention is an ellipsis.
-    So a local error on a later line is reported before an undeclared
-    forward reference on an earlier one. A reference to an item or mention
-    declared above it is settled on its own line. Only forward references,
-    and CASE mentions not yet declared as pronouns, wait for the end of the
-    file, in line order, so the error reported is the same as if every
-    reference waited.
+    partial state escapes. Every reference to an item or mention is
+    checked once the whole file has been read, in line order. So the error
+    names the first line with a local error (one visible from that line and
+    the lines above it), or, if no line has one, the first line that
+    references an item or mention declared nowhere in the file, or a CASE
+    whose mention is an ellipsis.
     """
 
     dialogue_id: str | None = None
@@ -142,8 +138,8 @@ def parse(text: str) -> Transcript:
     last_return: SegmentEvent | None = None
     cases: list[CaseRecord] = []
     case_ids: set[str] = set()
-    # References not settled on their line: (line, text, key, ref, known
-    # ids), checked in order once every line has been read.
+    # Every reference: (line, text, key, ref, known ids), checked in order
+    # once every line has been read.
     deferred: list[tuple[int, str, str, str, Container[str]]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -242,9 +238,8 @@ def parse(text: str) -> Transcript:
                     # Dialogue-derived capability tags: an entity named as an
                     # argument of a proposition picks up its predicate's tag.
                     derived_tags.setdefault(ref, set()).add(derived_tag(predicate))
-                if ref not in items:
-                    deferred.append((line_no, raw, "args", ref, items))
-            if realizes is not None and realizes not in items:
+                deferred.append((line_no, raw, "args", ref, items))
+            if realizes is not None:
                 deferred.append((line_no, raw, "realizes", realizes, items))
 
         elif record in {"PRON", "ELLIPSIS"}:
@@ -267,8 +262,7 @@ def parse(text: str) -> Transcript:
                 )
             mention_forms[record_id] = mention.form
             utt_mentions.append(mention)
-            if fields["gold"] not in items:
-                deferred.append((line_no, raw, "gold", fields["gold"], items))
+            deferred.append((line_no, raw, "gold", fields["gold"], items))
 
         elif record == "PUSH":
             _, flags = _split_fields(record, tokens, line_no, raw)
@@ -302,10 +296,7 @@ def parse(text: str) -> Transcript:
                     central_competitor="central-competitor" in flags,
                 )
             )
-            # A declared ellipsis is an error found in line order with the
-            # forward references, so only a declared pronoun is settled here.
-            if mention_forms.get(fields["mention"]) is not MentionForm.PRONOUN:
-                deferred.append((line_no, raw, "mention", fields["mention"], mention_forms))
+            deferred.append((line_no, raw, "mention", fields["mention"], mention_forms))
 
     if dialogue_id is None:
         raise ParseError(1, "empty transcript: missing DIALOGUE record", "")

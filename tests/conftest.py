@@ -38,6 +38,14 @@ def load_bench_gen():
     return module
 
 
+def restated_items(utt, transcript):
+    """The items a redundant utterance restates, read straight from its
+    antecedent utterances, each once in order of first mention."""
+
+    antecedents = map(transcript.utterance_by_id, utt.iru_antecedents)
+    return list(dict.fromkeys(i for a in antecedents for i in a.items))
+
+
 def cache_step(
     state, utt, events_before, transcript, retrieval_cost=cache_model.DEFAULT_RETRIEVAL_COST
 ):
@@ -46,7 +54,7 @@ def cache_step(
     items. Returns the store events in order."""
 
     log = cache_model.apply_events(state, events_before, transcript, retrieval_cost)
-    log += cache_model.apply_iru(state, utt, transcript)
+    log += cache_model.apply_iru(state, restated_items(utt, transcript))
     return log + cache_model.absorb(state, utt)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import AbstractSet
 
 from attnsim import cache_model, stack_model
 from attnsim.cache_model import new_cache
@@ -41,6 +42,8 @@ from attnsim.resolution import (
 )
 from attnsim.transcript_io import parse, read_trace, write_trace, write_transcript
 
+from conftest import restated_items
+
 SEED = 20260808
 
 INVARIANT_TRIALS = 350
@@ -49,6 +52,9 @@ PIN_CASCADE_TRIALS = 120
 INFINITE_TRIALS = 150
 STACK_RESTORE_TRIALS = 60
 INVARIANCE_PAIR_TRIALS = 60
+CONTRAST_PAIR_TRIALS = 150
+CONTRAST_CAPACITIES = (1, 2, 3, 4, 5, 6, 7, 8, None)
+CONTRAST_WORSENED = (1, 2, 3, 4, 5, 7)  # must each see a worse outcome at least once
 ROUNDTRIP_TRIALS = 40
 FRESH_VIEW_TRIALS = 400
 FRESH_VIEW_CAPACITIES = (1, 2, 3, 7)
@@ -238,7 +244,7 @@ def _step_checking_invariants(transcript: Transcript, capacity: int | None, wher
         _track_segments(open_segments, events)
         leaked = set(state.pinned.values()) - expecting.intersection(open_segments)
         assert not leaked, f"{at}: pins held for closed segments {sorted(leaked)}"
-        cache_model.apply_iru(state, utt, transcript)
+        cache_model.apply_iru(state, restated_items(utt, transcript))
         _check(cache_model.check_invariants, state, at)
         cache_model.insert_items(state, utt.items)
         _check(cache_model.check_invariants, state, at)
@@ -441,37 +447,53 @@ def run_stack_restore_suite(seed: int = SEED, trials: int = STACK_RESTORE_TRIALS
     return traces
 
 
-def _interruption_pair(rng: random.Random) -> tuple[str, str]:
+def _interruption_text(
+    sizes: tuple[int, int, int, int],
+    extra: bool,
+    expect_return: bool,
+    closing: str = "POP",
+    feminine: AbstractSet[str] = frozenset(),
+    pronoun: tuple[int, int] | None = None,
+) -> str:
+    """A prefix utterance; a segment that interrupts it, holding one inner
+    utterance and, with ``extra``, one more utterance per extra item; then
+    one utterance per suffix item. ``sizes`` counts the prefix, inner,
+    extra and suffix items. The segment closes with ``POP``, or with a
+    ``RETURN`` to an outer segment opened before the prefix. The items
+    named in ``feminine`` are feminine, every other item neuter.
+    ``pronoun`` is (gold prefix item, suffix utterance): a feminine pronoun
+    in that utterance whose gold item is that prefix item."""
+
+    def entity(item_id: str) -> str:
+        gender = "f" if item_id in feminine else "n"
+        return f"ITEM {item_id} kind=entity gender={gender} num=sg"
+
+    n_prefix, n_inner, n_extra, n_suffix = sizes
+    lines = ["DIALOGUE pair"]
+    if closing == "RETURN":
+        lines.append("PUSH outer")
+    lines.append("UTT p0 speaker=A")
+    lines.extend(entity(f"a{i}") for i in range(n_prefix))
+    lines.append("PUSH seg" + (" expect-return" if expect_return else ""))
+    lines.append("UTT i0 speaker=B")
+    lines.extend(entity(f"b{i}") for i in range(n_inner))
+    for i in range(n_extra if extra else 0):
+        lines += [f"UTT x{i} speaker=B", entity(f"x{i}")]
+    lines.append("POP seg" if closing == "POP" else "RETURN outer")
+    for i in range(n_suffix):
+        lines += [f"UTT s{i} speaker=A", entity(f"c{i}")]
+        if pronoun is not None and pronoun[1] == i:
+            lines.append(f"PRON r gender=f num=sg gold=a{pronoun[0]}")
+    return "\n".join(lines) + "\n"
+
+
+def _interruption_pair(rng: random.Random) -> tuple[str, ...]:
     """Two transcripts identical except for extra utterances wholly inside
-    a pushed-and-popped segment."""
+    a pushed-and-popped segment. Each draws its own expect-return flag,
+    which the stack ignores."""
 
-    prefix_items = [f"a{i}" for i in range(rng.randint(1, 4))]
-    inner_items = [f"b{i}" for i in range(rng.randint(1, 3))]
-    extra_items = [f"x{i}" for i in range(rng.randint(1, 4))]
-    suffix_items = [f"c{i}" for i in range(rng.randint(1, 3))]
-
-    def decl(item_id: str) -> str:
-        return f"ITEM {item_id} kind=entity gender=n num=sg"
-
-    def build(extra: bool) -> str:
-        lines = ["DIALOGUE pair"]
-        lines.append("UTT p0 speaker=A")
-        lines.extend(decl(i) for i in prefix_items)
-        flag = " expect-return" if rng.random() < 0.5 else ""
-        lines.append(f"PUSH seg{flag}")
-        lines.append("UTT i0 speaker=B")
-        lines.extend(decl(i) for i in inner_items)
-        if extra:
-            for index, item_id in enumerate(extra_items):
-                lines.append(f"UTT x{index} speaker=B")
-                lines.append(decl(item_id))
-        lines.append("POP seg")
-        for index, item_id in enumerate(suffix_items):
-            lines.append(f"UTT s{index} speaker=A")
-            lines.append(decl(item_id))
-        return "\n".join(lines) + "\n"
-
-    return build(False), build(True)
+    sizes = (rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3))
+    return tuple(_interruption_text(sizes, extra, rng.random() < 0.5) for extra in (False, True))
 
 
 def run_interruption_invariance_suite(
@@ -498,6 +520,86 @@ def run_interruption_invariance_suite(
             )
         traces += 1
     return traces
+
+
+def _contrast_pairs(rng: random.Random) -> list[tuple[str, ...]]:
+    """Two interruption pairs for the paper's contrast. In each, both sides
+    share one expect-return flag and one way of closing the segment, and a
+    pronoun after the interruption names a prefix item. In the first pair
+    the only items it agrees with are its gold item and, at random, other
+    prefix items; in the second, every item inside the interruption agrees
+    with it too."""
+
+    sizes = (rng.randint(1, 4), rng.randint(0, 3), rng.randint(1, 6), rng.randint(1, 3))
+    expect_return = rng.random() < 0.5
+    closing = rng.choice(("POP", "RETURN"))
+    gold = rng.randrange(sizes[0])
+    feminine = {f"a{i}" for i in range(sizes[0]) if i == gold or rng.random() < 0.3}
+    inside = {f"b{i}" for i in range(sizes[1])} | {f"x{i}" for i in range(sizes[2])}
+    pronoun = (gold, rng.randrange(sizes[3]))
+    return [
+        tuple(
+            _interruption_text(sizes, extra, expect_return, closing, agreeing, pronoun)
+            for extra in (False, True)
+        )
+        for agreeing in (feminine, feminine | inside)
+    ]
+
+
+# Outcome kinds from best to worst.
+_OUTCOME_RANK = {OutcomeKind.IMMEDIATE: 0, OutcomeKind.AFTER_RETRIEVAL: 1, OutcomeKind.FAILURE: 2}
+
+
+def interruption_contrast_counts(
+    seed: int = SEED, trials: int = CONTRAST_PAIR_TRIALS
+) -> dict[int | None, int]:
+    """Check the two halves of the paper's contrast on each trial's pairs
+    from ``_contrast_pairs``. The stack resolves the pronoun identically
+    with and without the extra utterances, in both pairs: popped material
+    does not compete, however much of it agrees. In the first pair, at
+    every capacity in ``CONTRAST_CAPACITIES``, the cache's outcome is never
+    better with them. Returns, per capacity, the number of first pairs
+    where it is worse."""
+
+    rng = random.Random(seed + 12)
+    worse = dict.fromkeys(CONTRAST_CAPACITIES, 0)
+    for trial in range(trials):
+        where = _where("run_interruption_contrast_suite", seed, trial)
+        pairs = [[parse(text) for text in pair] for pair in _contrast_pairs(rng)]
+        for base, longer in pairs:
+            stack = [replay(t, ModelKind.STACK).resolutions for t in (base, longer)]
+            assert stack[0] == stack[1], f"{where}: stack resolutions differ"
+        base, longer = pairs[0]
+        for capacity in CONTRAST_CAPACITIES:
+            (_, short), (_, long) = (
+                replay(t, ModelKind.CACHE, capacity, candidates=False).resolutions[0]
+                for t in (base, longer)
+            )
+            step = _OUTCOME_RANK[long.outcome.kind] - _OUTCOME_RANK[short.outcome.kind]
+            assert step >= 0, (
+                f"{where} capacity {capacity}: longer interruption gives {long.outcome}, "
+                f"shorter {short.outcome}"
+            )
+            worse[capacity] += step > 0
+    return worse
+
+
+def run_interruption_contrast_suite(
+    seed: int = SEED, trials: int = CONTRAST_PAIR_TRIALS
+) -> int:
+    """The stack is blind to an interruption's length and the cache never
+    gains from a longer one; and, over the trials, a longer one makes the
+    cache's outcome worse at least once at each of ``CONTRAST_WORSENED``.
+    The other capacities' counts are not pinned; an unbounded cache never
+    displaces, so its count is zero."""
+
+    worse = interruption_contrast_counts(seed, trials)
+    unmoved = [capacity for capacity in CONTRAST_WORSENED if not worse[capacity]]
+    assert not unmoved, (
+        f"run_interruption_contrast_suite(seed={seed}): a longer interruption never "
+        f"worsened the cache at capacities {unmoved}; worse-counts {worse}"
+    )
+    return trials
 
 
 def run_roundtrip_suite(seed: int = SEED, trials: int = ROUNDTRIP_TRIALS) -> int:
@@ -552,7 +654,7 @@ def _fresh_view_fold(transcript: Transcript, capacity: int) -> tuple[list, list,
         if utt.is_iru:
             functions = analyze_iru(utt, cache_model.view(state), transcript)
             findings.append((utt.id, tuple(functions)))
-            cache_model.apply_iru(state, utt, transcript)
+            cache_model.apply_iru(state, restated_items(utt, transcript))
         for mention in utt.mentions:
             resolution = resolve(mention, cache_model.view(state), index)
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
@@ -775,7 +877,7 @@ def _reference_resolutions(transcript: Transcript, capacity, retrieves: bool) ->
     for utt in transcript.utterances:
         model.apply_events(state, transcript.events_at(utt.index), transcript, 1)
         if utt.is_iru:
-            model.apply_iru(state, utt, transcript)
+            model.apply_iru(state, restated_items(utt, transcript))
         for mention in utt.mentions:
             resolution = _reference_resolve(
                 mention, model.view(state), transcript.item_table, retrieves
@@ -827,6 +929,7 @@ ALL_SUITES = (
     run_unbounded_equivalence_suite,
     run_stack_restore_suite,
     run_interruption_invariance_suite,
+    run_interruption_contrast_suite,
     run_roundtrip_suite,
     run_fresh_view_suite,
     run_stack_reference_suite,

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import attnsim
 from attnsim import cache_model, driver, stack_model
 from attnsim.cache_model import RetrievalFailure, new_cache, retrieve
 from attnsim.cli import build_parser, main
@@ -244,7 +249,7 @@ def test_cascade_stages_narrow_monotonically(return_pops):
         stage2 = set(trace.after_static_selection)
         stage3 = set(trace.after_dialogue_selection)
         assert stage3 <= stage2 <= stage1
-        assert classify_return_pop(case) is classify_return_pop(case)
+        assert classify_return_pop(case, trace) is classify_return_pop(case, trace)
 
 
 def test_pops_corpus_runs_under_both_models(return_pops):
@@ -351,6 +356,29 @@ def test_cli_non_utf8_file_exits_3(tmp_path, capsys):
 def test_cli_directory_as_file_exits_3(tmp_path, capsys):
     assert main(["pops", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith(f"input error: {tmp_path}: ")
+
+
+@pytest.mark.parametrize("command", [["compare"], ["pops"], ["run", "--model", "stack"]])
+def test_cli_closed_stdout_exits_3(command):
+    # A child whose stdout is a pipe that nobody reads any more.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(attnsim.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "attnsim.cli", *command, str(fixture_path("return_pops.dlg"))],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    # One line: no traceback, and no "Exception ignored" from the flush at exit.
+    assert child.returncode == 3
+    assert child.stderr.decode("utf-8") == "output error: <stdout>: Broken pipe\n"
 
 
 @pytest.mark.parametrize("cost", ["0", "-1", "x", "1.5"])

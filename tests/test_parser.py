@@ -152,6 +152,14 @@ def test_strict_errors(body, fragment):
             4,
             "gold references undeclared item 'ghost'",
         ),
+        # An ellipsis declared above its CASE waits like any reference: the
+        # CASE line is reported before a later undeclared gold.
+        (
+            "PUSH S1\nUTT u1 speaker=A\nITEM x kind=prop\nELLIPSIS e1 gold=x\nRETURN S1\n"
+            "CASE c1 mention=e1\nUTT u2 speaker=A\nPRON p gender=f num=sg gold=ghost",
+            7,
+            "mention 'e1' is an ellipsis, not a pronoun",
+        ),
         (
             "PUSH S1\nUTT u1 speaker=A\nRETURN S1\nCASE c1 mention=e1\n"
             "UTT u2 speaker=A\nELLIPSIS e1 gold=x\nFOO",

@@ -39,6 +39,13 @@ def test_stack_views_invariant_under_popped_interruptions():
     )
 
 
+def test_longer_interruptions_never_help_the_cache():
+    assert (
+        propsuite.run_interruption_contrast_suite()
+        == propsuite.CONTRAST_PAIR_TRIALS
+    )
+
+
 def test_round_trips_and_determinism():
     assert propsuite.run_roundtrip_suite() == propsuite.ROUNDTRIP_TRIALS
 

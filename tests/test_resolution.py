@@ -27,6 +27,7 @@ from attnsim.resolution import (
     ReferentIndex,
     ReturnPopCase,
     analyze_iru,
+    cascade_survivors,
     classify_return_pop,
     resolve,
 )
@@ -248,11 +249,15 @@ def case(gold, competitors, mention, iru=False, central=False):
     )
 
 
+def classify(pop_case: ReturnPopCase) -> PopClassification:
+    return classify_return_pop(pop_case, cascade_survivors(pop_case))
+
+
 def test_pronoun_sufficient_when_no_competitor_agrees():
     gold = entity("her_ref", gender=Gender.FEM)
     other = entity("him_ref", gender=Gender.MASC)
     mention = pronoun("her_ref", gender=Gender.FEM)
-    assert classify_return_pop(case(gold, [other], mention)) is (
+    assert classify(case(gold, [other], mention)) is (
         PopClassification.PRONOUN_SUFFICIENT
     )
 
@@ -261,7 +266,7 @@ def test_verb_frame_resolves_capability_mismatch():
     gold = entity("pump", sel={"workable"})
     other = entity("wrench")
     mention = pronoun("pump", sel={"workable"})
-    assert classify_return_pop(case(gold, [other], mention)) is (
+    assert classify(case(gold, [other], mention)) is (
         PopClassification.VERB_FRAME_RESOLVED
     )
 
@@ -270,7 +275,7 @@ def test_dialogue_derived_constraint_resolves():
     gold = entity("rider", gender=Gender.MASC, sel={"pred:ride"})
     other = entity("walker", gender=Gender.MASC)
     mention = pronoun("rider", gender=Gender.MASC, verb="ride")
-    assert classify_return_pop(case(gold, [other], mention)) is (
+    assert classify(case(gold, [other], mention)) is (
         PopClassification.DIALOGUE_CONSTRAINT_RESOLVED
     )
 
@@ -279,7 +284,7 @@ def test_iru_resolves_before_centrality():
     gold = entity("a")
     other = entity("b")
     mention = pronoun("a")
-    assert classify_return_pop(case(gold, [other], mention, iru=True)) is (
+    assert classify(case(gold, [other], mention, iru=True)) is (
         PopClassification.IRU_RESOLVED
     )
 
@@ -288,7 +293,7 @@ def test_never_central_competitor_resolves():
     gold = entity("a")
     other = entity("b")
     mention = pronoun("a")
-    assert classify_return_pop(case(gold, [other], mention)) is (
+    assert classify(case(gold, [other], mention)) is (
         PopClassification.CENTRALITY_RESOLVED
     )
 
@@ -297,7 +302,7 @@ def test_central_competitor_is_ambiguous():
     gold = entity("a")
     other = entity("b")
     mention = pronoun("a")
-    assert classify_return_pop(case(gold, [other], mention, central=True)) is (
+    assert classify(case(gold, [other], mention, central=True)) is (
         PopClassification.AMBIGUOUS
     )
 
