@@ -25,7 +25,6 @@ set anew only where they differ from the previous record's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .core import (
@@ -64,23 +63,25 @@ class CueSetTooLarge(ValueError):
         self.capacity = capacity
 
 
-@dataclass
 class CacheState:
-    capacity: int | None  # None means unbounded
-    item_table: Mapping[str, DiscourseItem]
-    # Cached item ids, least recently used first, each mapped to the step
-    # that admitted it: pins are taken in admission order, whatever the
-    # recency.
-    by_recency: dict[str, int] = field(default_factory=dict)
-    main_memory: set[str] = field(default_factory=set)
-    discarded: set[str] = field(default_factory=set)
-    effort: int = 0
-    step: int = 0
-    # Each pinned cached item, in pin order, mapped to the segment whose
-    # expect-return push pinned it.
-    pinned: dict[str, str] = field(default_factory=dict)
-    # The step of each item's latest touch, cached or not.
-    last_touch: dict[str, int] = field(default_factory=dict)
+    def __init__(
+        self, capacity: int | None, item_table: Mapping[str, DiscourseItem]
+    ) -> None:
+        self.capacity = capacity  # None means unbounded
+        self.item_table = item_table
+        # Cached item ids, least recently used first, each mapped to the step
+        # that admitted it: pins are taken in admission order, whatever the
+        # recency.
+        self.by_recency: dict[str, int] = {}
+        self.main_memory: set[str] = set()
+        self.discarded: set[str] = set()
+        self.effort = 0
+        self.step = 0
+        # Each pinned cached item, in pin order, mapped to the segment whose
+        # expect-return push pinned it.
+        self.pinned: dict[str, str] = {}
+        # The step of each item's latest touch, cached or not.
+        self.last_touch: dict[str, int] = {}
 
     # The stores as resolution reads them, cached ids most recent first.
     immediate = property(lambda self: SalienceOrder((self.by_recency,)))
@@ -303,26 +304,3 @@ def absorb(state: CacheState, utt: Utterance) -> list[StoreEvent]:
 # A trace record's snapshot: cached items by recency, main memory
 # retrievable at a cost, discarded records lost.
 view = snapshot
-
-
-def check_invariants(state: CacheState) -> None:
-    """Raise if a state violates the store contracts (test support)."""
-
-    ids = tuple(state.by_recency)
-    if state.capacity is not None and len(ids) > state.capacity:
-        raise AssertionError("cache over capacity")
-    cached = set(ids)
-    if cached & state.main_memory or cached & state.discarded:
-        raise AssertionError("stores overlap")
-    if state.main_memory & state.discarded:
-        raise AssertionError("stores overlap")
-    uses = [state.last_touch[item_id] for item_id in ids]
-    if any(earlier >= later for earlier, later in zip(uses, uses[1:])):
-        raise AssertionError("entries out of recency order")
-    for item_id in state.discarded:
-        if state.item_table[item_id].kind is not ItemKind.SURFACE_FORM:
-            raise AssertionError("non-surface item discarded")
-    if state.capacity is None and state.pinned:
-        raise AssertionError("unbounded cache holds pins")
-    if not state.pinned.keys() <= cached:
-        raise AssertionError("pin on an uncached item")

@@ -4,16 +4,19 @@ Everything here is shared by both attentional models: the items that occupy
 attentional stores, the annotated utterance/event structure of a dialogue,
 the accessibility snapshot both models produce, and the two pointwise
 filters used to narrow antecedent candidates.
+
+Records are ``typing.NamedTuple``s: equality is tuple equality, so a record
+also equals a plain tuple of its fields, and a copy with changes is
+``record._replace(...)``. A record that validates checks in ``__new__``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import AbstractSet, Iterator, Mapping, Reversible, Sequence
+from typing import AbstractSet, Iterator, Mapping, NamedTuple, Reversible, Sequence
 
 
 class ItemKind(Enum):
@@ -59,8 +62,7 @@ class StoreEventKind(Enum):
     POP_SPACE = "PopSpace"
 
 
-@dataclass(frozen=True)
-class StoreEvent:
+class StoreEvent(NamedTuple):
     kind: StoreEventKind
     target: str
 
@@ -75,9 +77,12 @@ def derived_tag(lemma: str) -> str:
     return DERIVED_TAG_PREFIX + lemma
 
 
-@dataclass(frozen=True)
-class DiscourseItem:
-    """An entity, proposition, or surface-form record occupying a store."""
+class DiscourseItem(NamedTuple):
+    """An entity, proposition, or surface-form record occupying a store.
+
+    Only a surface form realizes an item, and it must; only a proposition
+    has a predicate or arguments. ``parse`` rejects a record that breaks
+    either rule, so the record does not check again."""
 
     id: str
     kind: ItemKind
@@ -89,18 +94,8 @@ class DiscourseItem:
     realizes: str | None = None
     introduced_at: int = 0
 
-    def __post_init__(self) -> None:
-        if self.kind is ItemKind.SURFACE_FORM:
-            if self.realizes is None:
-                raise ValueError(f"surface form {self.id!r} must realize an item")
-        elif self.realizes is not None:
-            raise ValueError(f"non-surface item {self.id!r} cannot realize an item")
-        if self.kind is not ItemKind.PROPOSITION and (self.predicate or self.args):
-            raise ValueError(f"predicate/args are proposition-only (item {self.id!r})")
 
-
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     """An anaphor to resolve, with its agreement and selectional cues."""
 
     id: str
@@ -112,8 +107,7 @@ class Mention:
     gold_antecedent: str = ""
 
 
-@dataclass(frozen=True)
-class Utterance:
+class Utterance(NamedTuple):
     id: str
     speaker: str
     index: int
@@ -126,8 +120,7 @@ class Utterance:
         return bool(self.iru_antecedents)
 
 
-@dataclass(frozen=True)
-class SegmentEvent:
+class SegmentEvent(NamedTuple):
     """A segment boundary preceding the utterance at ``position``."""
 
     kind: EventKind
@@ -136,8 +129,7 @@ class SegmentEvent:
     expect_return: bool = False
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     """A return-pop case annotation attached to a RETURN event."""
 
     case_id: str
@@ -148,22 +140,40 @@ class CaseRecord:
     central_competitor: bool = False
 
 
-@dataclass(frozen=True)
 class Transcript:
     """An annotated dialogue.
 
     Lookups by position, id, segment and push are indexed lazily, once
     per transcript; the indexes live in the instance dict, outside the
-    fields, so they take no part in equality or repr.
+    five fields, so they take no part in equality or repr.
     Utterance indexes are assumed to increase along ``utterances``, as the
     parser assigns them.
     """
 
-    dialogue_id: str
-    utterances: tuple[Utterance, ...] = ()
-    events: tuple[SegmentEvent, ...] = ()
-    item_table: Mapping[str, DiscourseItem] = field(default_factory=dict)
-    cases: tuple[CaseRecord, ...] = ()
+    _FIELDS = ("dialogue_id", "utterances", "events", "item_table", "cases")
+
+    def __init__(
+        self,
+        dialogue_id: str,
+        utterances: tuple[Utterance, ...] = (),
+        events: tuple[SegmentEvent, ...] = (),
+        item_table: Mapping[str, DiscourseItem] | None = None,
+        cases: tuple[CaseRecord, ...] = (),
+    ) -> None:
+        self.dialogue_id = dialogue_id
+        self.utterances = utterances
+        self.events = events
+        self.item_table = {} if item_table is None else item_table
+        self.cases = cases
+
+    def __eq__(self, other: object) -> bool:  # also leaves it unhashable
+        if other.__class__ is not Transcript:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"Transcript({fields})"
 
     @cached_property
     def _events_by_position(self) -> dict[int, tuple[SegmentEvent, ...]]:
@@ -240,16 +250,27 @@ def segment_items(transcript: Transcript, segment_id: str, before: int) -> tuple
     return items[: bisect_left(firsts, before)]
 
 
-@dataclass(frozen=True)
-class AccessibilityView:
-    """Snapshot of what a model makes available: immediately accessible
-    items in salience order, items recoverable at a cost, and items gone.
-    """
-
+class _ViewFields(NamedTuple):
     immediate: tuple[str, ...] = ()
     retrievable: frozenset[str] = frozenset()
     lost: frozenset[str] = frozenset()
+
+
+class AccessibilityView(_ViewFields):
+    """Snapshot of what a model makes available: immediately accessible
+    items in salience order, items recoverable at a cost, and items gone.
+    Every construction, ``_replace`` too, runs ``__post_init__``.
+    """
+
+    __slots__ = ()
     OVERLAP = "accessibility stores must be pairwise disjoint"
+
+    def __new__(cls, *args, **kwargs) -> AccessibilityView:
+        view = super().__new__(cls, *args, **kwargs)
+        view.__post_init__()
+        return view
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __post_init__(self) -> None:
         if not (

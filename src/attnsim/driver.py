@@ -13,9 +13,8 @@ the retrieval, so its cost lands in the state's effort ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
+from typing import NamedTuple
 
 from . import cache_model, stack_model
 from .cache_model import DEFAULT_CAPACITY, DEFAULT_RETRIEVAL_COST
@@ -58,7 +57,8 @@ class OutputError(Exception):
 
 def load_transcript(path: str) -> Transcript:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as error:
         raise InputError(f"{path}: {error.strerror or error}") from error
     except UnicodeDecodeError as error:
@@ -66,8 +66,7 @@ def load_transcript(path: str) -> Transcript:
     return parse(text)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     model_kind: ModelKind
     transcript_path: str
     capacity: int | None = DEFAULT_CAPACITY
@@ -75,15 +74,13 @@ class RunConfig:
     trace_out_path: str | None = None
 
 
-@dataclass(frozen=True)
-class IRUFinding:
+class IRUFinding(NamedTuple):
     utterance_id: str
     functions: tuple[tuple[str, IRUFunction], ...]
     no_predicted_function: bool = False
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     dialogue_id: str
     model_kind: ModelKind
     capacity: int | None
@@ -94,8 +91,7 @@ class SimulationReport:
     total_effort: int
 
 
-@dataclass(frozen=True)
-class DivergenceRow:
+class DivergenceRow(NamedTuple):
     mention_id: str
     stack_outcome: Outcome
     cache_outcome: Outcome
@@ -106,8 +102,7 @@ class DivergenceRow:
         return self.stack_outcome != self.cache_outcome
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     dialogue_id: str
     per_mention: tuple[DivergenceRow, ...]
     iru_findings: tuple[tuple[str, IRUFinding, IRUFinding], ...]
@@ -210,7 +205,8 @@ def run(config: RunConfig) -> SimulationReport:
     if config.trace_out_path is not None:
         text = write_trace(report.records)
         try:
-            Path(config.trace_out_path).write_text(text, encoding="utf-8")
+            with open(config.trace_out_path, "w", encoding="utf-8") as file:
+                file.write(text)
         except OSError as error:
             raise OutputError(
                 f"{config.trace_out_path}: {error.strerror or error}"
@@ -260,15 +256,13 @@ def compare(
     return compare_transcript(transcript, capacity, retrieval_cost)
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case: ReturnPopCase
     classification: PopClassification
     trace: CascadeTrace
 
 
-@dataclass(frozen=True)
-class PopsReport:
+class PopsReport(NamedTuple):
     dialogue_id: str
     results: tuple[CaseResult, ...]
 

@@ -4,11 +4,10 @@ and the cue-cascade classifier for pronouns that resume an earlier segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import islice
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .core import (
     DERIVED_TAG_PREFIX,
@@ -41,16 +40,13 @@ class FailureReason(Enum):
     AMBIGUOUS = "Ambiguous"
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
+    """Built only through the three constructors below."""
+
     kind: OutcomeKind
     item: str | None = None
     effort: int = 0
     reason: FailureReason | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is OutcomeKind.AFTER_RETRIEVAL and self.effort <= 0:
-            raise ValueError("retrieval outcomes carry positive effort")
 
     @classmethod
     def immediate(cls, item: str) -> "Outcome":
@@ -58,6 +54,8 @@ class Outcome:
 
     @classmethod
     def after_retrieval(cls, item: str, effort: int) -> "Outcome":
+        if effort <= 0:
+            raise ValueError("retrieval outcomes carry positive effort")
         return cls(OutcomeKind.AFTER_RETRIEVAL, item=item, effort=effort)
 
     @classmethod
@@ -65,8 +63,7 @@ class Outcome:
         return cls(OutcomeKind.FAILURE, reason=reason)
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     mention_id: str
     outcome: Outcome
     candidates_considered: tuple[str, ...]
@@ -88,26 +85,34 @@ class IRUFunction(Enum):
     REINSTANTIATE = "Reinstantiate"
 
 
-@dataclass(frozen=True)
-class ReturnPopCase:
-    """A pronoun at a segment resumption, with its competition context."""
-
+class _CaseFields(NamedTuple):
     case_id: str
     mention: Mention
     candidates_at_return: tuple[DiscourseItem, ...]
     iru_at_return: bool = False
     competitor_ever_central: bool = False
 
-    def __post_init__(self) -> None:
-        ids = {item.id for item in self.candidates_at_return}
-        if self.mention.gold_antecedent not in ids:
+
+class ReturnPopCase(_CaseFields):
+    """A pronoun at a segment resumption, with its competition context.
+    Every construction, ``_replace`` too, checks that the gold antecedent
+    is among the candidates."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ReturnPopCase:
+        case = super().__new__(cls, *args, **kwargs)
+        ids = {item.id for item in case.candidates_at_return}
+        if case.mention.gold_antecedent not in ids:
             raise ValueError(
-                f"case {self.case_id!r}: gold antecedent not among candidates"
+                f"case {case.case_id!r}: gold antecedent not among candidates"
             )
+        return case
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class CascadeTrace:
+class CascadeTrace(NamedTuple):
     """Survivor ids as each cue narrows a candidate list, in list order."""
 
     after_agreement: tuple[str, ...]

@@ -19,7 +19,6 @@ record's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (
@@ -43,12 +42,12 @@ class StructureError(RuntimeError):
     """
 
 
-@dataclass
 class FocusStack:
-    # Each open segment's id (None for the root) mapped to its space's
-    # items, bottom space first.
-    spaces: dict[str | None, dict[str, None]]
-    popped: set[str] = field(default_factory=set)
+    def __init__(self, spaces: dict[str | None, dict[str, None]]) -> None:
+        # Each open segment's id (None for the root) mapped to its space's
+        # items, bottom space first.
+        self.spaces = spaces
+        self.popped: set[str] = set()
 
     # The stores as resolution reads them, stacked ids top space first.
     immediate = property(lambda self: SalienceOrder(self.spaces.values()))
@@ -151,13 +150,3 @@ def absorb(stack: FocusStack, utt: Utterance) -> list[StoreEvent]:
 # first and each space's items most-recent-first; the model has no
 # retrieval notion, so nothing is retrievable and popped items are lost.
 view = snapshot
-
-
-def check_invariants(stack: FocusStack) -> None:
-    """Raise if a stack violates the store contracts (test support)."""
-
-    stacked = [item_id for space in stack.spaces.values() for item_id in space]
-    if len(set(stacked)) != len(stacked):
-        raise AssertionError("item in more than one space")
-    if not stack.popped.isdisjoint(stacked):
-        raise AssertionError("popped item still stacked")

@@ -10,7 +10,6 @@ double as regression oracles and silent tolerance would mask drift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Container, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -422,8 +421,7 @@ def write_transcript(transcript: Transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """What one utterance did to the model: store events applied, the
     resulting accessibility snapshot (None unless the replay was asked
     for views), resolutions, and effort so far."""

@@ -10,7 +10,7 @@ exercised; the acceptance gate checks the total.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet
 
@@ -192,8 +192,41 @@ def _where(suite: str, seed: int, trial: int) -> str:
     return f"{suite}(seed={seed}) trial {trial}"
 
 
+def check_cache_invariants(state: cache_model.CacheState) -> None:
+    """Raise if a cache state violates the store contracts."""
+
+    ids = tuple(state.by_recency)
+    if state.capacity is not None and len(ids) > state.capacity:
+        raise AssertionError("cache over capacity")
+    cached = set(ids)
+    if cached & state.main_memory or cached & state.discarded:
+        raise AssertionError("stores overlap")
+    if state.main_memory & state.discarded:
+        raise AssertionError("stores overlap")
+    uses = [state.last_touch[item_id] for item_id in ids]
+    if any(earlier >= later for earlier, later in zip(uses, uses[1:])):
+        raise AssertionError("entries out of recency order")
+    for item_id in state.discarded:
+        if state.item_table[item_id].kind is not ItemKind.SURFACE_FORM:
+            raise AssertionError("non-surface item discarded")
+    if state.capacity is None and state.pinned:
+        raise AssertionError("unbounded cache holds pins")
+    if not state.pinned.keys() <= cached:
+        raise AssertionError("pin on an uncached item")
+
+
+def check_stack_invariants(stack: stack_model.FocusStack) -> None:
+    """Raise if a focus stack violates the store contracts."""
+
+    stacked = [item_id for space in stack.spaces.values() for item_id in space]
+    if len(set(stacked)) != len(stacked):
+        raise AssertionError("item in more than one space")
+    if not stack.popped.isdisjoint(stacked):
+        raise AssertionError("popped item still stacked")
+
+
 def _check(check, state, where: str) -> None:
-    """Run a model's ``check_invariants``, naming where it failed."""
+    """Run a model's invariant check, naming where it failed."""
 
     try:
         check(state)
@@ -240,14 +273,14 @@ def _step_checking_invariants(transcript: Transcript, capacity: int | None, wher
         at = f"{where} utterance {utt.index}"
         events = transcript.events_at(utt.index)
         cache_model.apply_events(state, events, transcript)
-        _check(cache_model.check_invariants, state, at)
+        _check(check_cache_invariants, state, at)
         _track_segments(open_segments, events)
         leaked = set(state.pinned.values()) - expecting.intersection(open_segments)
         assert not leaked, f"{at}: pins held for closed segments {sorted(leaked)}"
         cache_model.apply_iru(state, restated_items(utt, transcript))
-        _check(cache_model.check_invariants, state, at)
+        _check(check_cache_invariants, state, at)
         cache_model.insert_items(state, utt.items)
-        _check(cache_model.check_invariants, state, at)
+        _check(check_cache_invariants, state, at)
         seen |= set(utt.items)
         snapshot = cache_model.view(state)
         bound = len(seen) if capacity is None else capacity
@@ -324,7 +357,7 @@ def run_pin_cascade_suite(seed: int = SEED, trials: int = PIN_CASCADE_TRIALS) ->
         cache_model.apply_events(state, [pin_event], empty)
         extra = rng.randint(0, capacity - fill) if capacity > fill else 0
         cache_model.insert_items(state, [f"x{i}" for i in range(fill, fill + extra)])
-        _check(cache_model.check_invariants, state, where)
+        _check(check_cache_invariants, state, where)
 
         entries = state.by_recency
         expected_unpinned = sorted(
@@ -342,7 +375,7 @@ def run_pin_cascade_suite(seed: int = SEED, trials: int = PIN_CASCADE_TRIALS) ->
         )
         displaced = [e.target for e in events if e.kind is StoreEventKind.DISPLACE]
         assert displaced == expected_order[: len(displaced)], f"{where}: cascade order"
-        _check(cache_model.check_invariants, state, where)
+        _check(check_cache_invariants, state, where)
         traces += 1
     return traces
 
@@ -400,7 +433,7 @@ def assert_unbounded_matches_oversized(transcript: Transcript, where: str) -> No
             e.kind is StoreEventKind.DISPLACE for e in roomy.events_applied
         ), f"{at}: capacity {capacity} displaced"
         unpinned = tuple(e for e in roomy.events_applied if e.kind not in _PINNING)
-        assert free == replace(roomy, events_applied=unpinned), f"{at}: records differ"
+        assert free == roomy._replace(events_applied=unpinned), f"{at}: records differ"
 
 
 def run_unbounded_equivalence_suite(
@@ -789,9 +822,9 @@ def _checked_stack_records(transcript: Transcript, where: str) -> list[tuple]:
     for utt in transcript.utterances:
         at = f"{where} utterance {utt.index}"
         events = stack_model.apply_events(stack, transcript.events_at(utt.index), transcript)
-        _check(stack_model.check_invariants, stack, at)
+        _check(check_stack_invariants, stack, at)
         events += stack_model.absorb(stack, utt)
-        _check(stack_model.check_invariants, stack, at)
+        _check(check_stack_invariants, stack, at)
         records.append((tuple(events), stack_model.view(stack)))
     return records
 

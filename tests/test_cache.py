@@ -10,7 +10,6 @@ from attnsim.cache_model import (
     RetrievalFailure,
     absorb,
     apply_events,
-    check_invariants,
     evict_one,
     insert_items,
     new_cache,
@@ -31,6 +30,7 @@ from attnsim.core import (
 from attnsim.transcript_io import parse
 
 from conftest import cache_step
+from propsuite import check_cache_invariants
 
 EMPTY = Transcript(dialogue_id="unit")
 
@@ -53,15 +53,12 @@ def state_with(entries, item_table, capacity=7, pinned=None):
     """A state caching ``(item id, last use)`` entries, each admitted at its
     last use, with the given map from pinned item to pinning segment."""
 
-    ordered = sorted(entries, key=lambda e: e[1])
-    return CacheState(
-        capacity=capacity,
-        item_table=item_table,
-        by_recency=dict(ordered),
-        step=max((use for _, use in entries), default=0),
-        pinned=pinned or {},
-        last_touch=dict(entries),
-    )
+    state = CacheState(capacity, item_table)
+    state.by_recency = dict(sorted(entries, key=lambda e: e[1]))
+    state.step = max((use for _, use in entries), default=0)
+    state.pinned = pinned or {}
+    state.last_touch = dict(entries)
+    return state
 
 
 def utterance(*items, index=0, utt_id=None, iru=()):
@@ -206,7 +203,7 @@ def test_dialogue_b_interruption_floods_the_cache(dialogue_b):
     assert "s1" in state.discarded
     assert "daughter" in state.main_memory
     assert "p1" in state.main_memory
-    check_invariants(state)
+    check_cache_invariants(state)
 
 
 def test_view_of_fresh_state_is_empty():
@@ -308,7 +305,7 @@ def test_return_releases_pins_of_the_segments_it_closes():
     events = []
     for utt in transcript.utterances:
         events += cache_step(state, utt, transcript.events_at(utt.index), transcript)
-        check_invariants(state)
+        check_cache_invariants(state)
     assert [e.target for e in events if e.kind is StoreEventKind.UNPIN] == ["y", "x"]
     assert state.pinned == {}
     displaced = [e.target for e in events if e.kind is StoreEventKind.DISPLACE]
@@ -343,7 +340,7 @@ def test_an_old_segment_does_not_release_a_pin_again():
         "Unpin a",
     ]
     assert state.pinned == {}
-    check_invariants(state)
+    check_cache_invariants(state)
 
 
 def test_infinite_capacity_never_displaces():
@@ -366,7 +363,7 @@ def test_unbounded_cache_takes_no_pins():
     assert state.pinned == {}
     pop = SegmentEvent(kind=EventKind.POP, segment_id="S", position=1)
     assert apply_events(state, [pop], EMPTY) == []
-    check_invariants(state)
+    check_cache_invariants(state)
 
 
 @pytest.mark.parametrize("pin_owners", [{"S": ("a",)}, None])
@@ -386,14 +383,14 @@ def test_check_invariants_rejects_pins_in_an_unbounded_cache(pin_owners):
         state = state_with([("a", 1)], table("a"), pinned=pinned)
     state.capacity = None
     with pytest.raises(AssertionError, match="unbounded cache holds pins"):
-        check_invariants(state)
+        check_cache_invariants(state)
 
 
 def test_check_invariants_rejects_a_pin_on_an_uncached_item():
     state = state_with([("a", 1)], table("a", "b"), pinned={"a": "S", "b": "S"})
     state.main_memory.add("b")
     with pytest.raises(AssertionError, match="pin on an uncached item"):
-        check_invariants(state)
+        check_cache_invariants(state)
 
 
 def test_pin_scope_is_cache_contents_at_push_time():
@@ -412,7 +409,7 @@ def test_pin_scope_is_cache_contents_at_push_time():
     events = apply_events(state, [pop], EMPTY)
     assert [e.target for e in events if e.kind is StoreEventKind.UNPIN] == ["a"]
     assert state.pinned == {}
-    check_invariants(state)
+    check_cache_invariants(state)
 
 
 def test_pins_follow_admission_order_not_recency():
@@ -431,4 +428,4 @@ def test_pins_follow_admission_order_not_recency():
     pop = SegmentEvent(kind=EventKind.POP, segment_id="S", position=1)
     events = apply_events(state, [pop], EMPTY)
     assert [e.target for e in events if e.kind is StoreEventKind.UNPIN] == ["a", "b"]
-    check_invariants(state)
+    check_cache_invariants(state)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from attnsim.core import (
@@ -205,7 +203,7 @@ def test_survivors_are_kept_per_cue_signature(field, value, expected):
     index = ReferentIndex({item.id: item for item in items})
     plain = Mention(id="m", form=MentionForm.PRONOUN, gold_antecedent="held")
     assert index.survivors(plain) == {item.id for item in items}
-    cued = dataclasses.replace(plain, **{field: value})
+    cued = plain._replace(**{field: value})
     assert index.survivors(cued) == expected
     assert index.survivors(plain) == {item.id for item in items}
 
@@ -314,6 +312,20 @@ def test_case_requires_gold_among_candidates():
             mention=pronoun("missing"),
             candidates_at_return=(entity("present"),),
         )
+    case = ReturnPopCase("good", pronoun("present"), (entity("present"),))
+    with pytest.raises(ValueError):
+        case._replace(mention=pronoun("missing"))
+
+
+def test_view_stores_must_be_disjoint():
+    view = AccessibilityView(immediate=("a",), retrievable=frozenset({"b"}))
+    for lost in ("a", "b"):
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            AccessibilityView(("a",), frozenset({"b"}), frozenset({lost}))
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            view._replace(lost=frozenset({lost}))
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        view._replace(retrievable=frozenset({"a"}))
 
 
 # --- redundancy analysis ---------------------------------------------------
