@@ -14,6 +14,8 @@ import os
 import sys
 
 from .driver import (
+    DEFAULT_CAPACITY,
+    DEFAULT_RETRIEVAL_COST,
     InputError,
     ModelKind,
     OutputError,
@@ -57,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one model over a transcript")
     run_p.add_argument("--model", choices=["stack", "cache"], required=True)
-    run_p.add_argument("--capacity", type=_capacity, default=7)
-    run_p.add_argument("--cost", type=_cost, default=1)
+    run_p.add_argument("--capacity", type=_capacity, default=DEFAULT_CAPACITY)
+    run_p.add_argument("--cost", type=_cost, default=DEFAULT_RETRIEVAL_COST)
     run_p.add_argument("--trace", metavar="PATH", default=None)
     run_p.add_argument("file")
 

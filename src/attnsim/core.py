@@ -2,8 +2,9 @@
 
 Everything here is shared by both attentional models: the items that occupy
 attentional stores, the annotated utterance/event structure of a dialogue,
-the accessibility snapshot both models produce, and the two pointwise
-filters used to narrow antecedent candidates.
+the accessibility snapshot both models produce, and the whole
+candidate-filter pipeline: the two pointwise filters, ``staged_filter``
+that chains them, and the per-transcript survivor sets built from it.
 
 Records are ``typing.NamedTuple``s: equality is tuple equality, so a record
 also equals a plain tuple of its fields, and a copy with changes is
@@ -143,9 +144,14 @@ class CaseRecord(NamedTuple):
 class Transcript:
     """An annotated dialogue.
 
-    Lookups by position, id, segment and push are indexed lazily, once
-    per transcript; the indexes live in the instance dict, outside the
-    five fields, so they take no part in equality or repr.
+    Lookups are indexed lazily, once per transcript, and every replay of
+    it shares them: events by position, utterances by id, items by
+    segment, pushes by segment, the first surface carrier of each item,
+    and the ids that pass the kind step and ``staged_filter`` for each
+    cue signature. Every filter stage is a pointwise test on features
+    fixed at parse time, so filtering a store keeps exactly its members
+    in that set, in store order. The indexes live in the instance dict,
+    outside the five fields, so they take no part in equality or repr.
     Utterance indexes are assumed to increase along ``utterances``, as the
     parser assigns them.
     """
@@ -165,6 +171,8 @@ class Transcript:
         self.events = events
         self.item_table = {} if item_table is None else item_table
         self.cases = cases
+        self._survivors: dict[tuple, frozenset[str]] = {}
+        self._agreeing: dict[tuple, list[DiscourseItem]] = {}
 
     def __eq__(self, other: object) -> bool:  # also leaves it unhashable
         if other.__class__ is not Transcript:
@@ -218,6 +226,46 @@ class Transcript:
         for utt in self.utterances:
             out.extend(utt.mentions)
         return tuple(out)
+
+    @cached_property
+    def carriers(self) -> dict[str, DiscourseItem]:
+        """The first surface form, in table order, that realizes each item."""
+
+        carriers: dict[str, DiscourseItem] = {}
+        for item in self.item_table.values():
+            if item.kind is ItemKind.SURFACE_FORM:
+                carriers.setdefault(item.realizes, item)
+        return carriers
+
+    def survivors(self, mention: Mention) -> frozenset[str]:
+        signature = (
+            mention.form,
+            mention.gender,
+            mention.number,
+            mention.required_sel_classes,
+            mention.verb_lemma,
+        )
+        found = self._survivors.get(signature)
+        if found is None:
+            # Agreement depends only on the pool, gender and number: once per key.
+            key = (mention.form is MentionForm.VP_ELLIPSIS, mention.gender, mention.number)
+            pool = self._agreeing.get(key)
+            if pool is None:
+                pool = self._agreeing[key] = agreement_filter(self._pools[key[0]], mention)
+            found = frozenset(staged_filter(pool, mention).after_dialogue_selection)
+            self._survivors[signature] = found
+        return found
+
+    @cached_property
+    def _pools(self) -> dict[bool, list[DiscourseItem]]:
+        # Keyed by "is a verb-phrase ellipsis": an ellipsis picks out an elided
+        # predication, so only propositions can antecede it; referring forms
+        # pick out entities or propositions. Surface forms are never referents.
+        items = self.item_table.values()
+        return {
+            True: [item for item in items if item.kind is ItemKind.PROPOSITION],
+            False: [item for item in items if item.kind is not ItemKind.SURFACE_FORM],
+        }
 
 
 def segment_assignments(transcript: Transcript) -> tuple[str | None, ...]:
@@ -339,3 +387,32 @@ def selection_filter(
         return list(candidates)
     needed = frozenset(required)
     return [item for item in candidates if item.sel_classes >= needed]
+
+
+class CascadeTrace(NamedTuple):
+    """Survivor ids as each cue narrows a candidate list, in list order."""
+
+    after_agreement: tuple[str, ...]
+    after_static_selection: tuple[str, ...]
+    after_dialogue_selection: tuple[str, ...]
+
+
+def staged_filter(
+    candidates: Sequence[DiscourseItem], mention: Mention
+) -> CascadeTrace:
+    """Narrow candidates by agreement, then by the mention's static
+    selectional tags, then by the tags only the dialogue supplies (its
+    ``pred:`` tags and its verb's); each stage filters the one before."""
+
+    required = mention.required_sel_classes
+    dialogue_tags = {tag for tag in required if tag.startswith(DERIVED_TAG_PREFIX)}
+    if mention.verb_lemma:
+        dialogue_tags.add(derived_tag(mention.verb_lemma))
+    agreeing = agreement_filter(candidates, mention)
+    static = selection_filter(agreeing, required - dialogue_tags)
+    dialogue = selection_filter(static, dialogue_tags)
+    return CascadeTrace(
+        after_agreement=tuple(item.id for item in agreeing),
+        after_static_selection=tuple(item.id for item in static),
+        after_dialogue_selection=tuple(item.id for item in dialogue),
+    )

@@ -18,14 +18,12 @@ from typing import NamedTuple
 
 from . import cache_model, stack_model
 from .cache_model import DEFAULT_CAPACITY, DEFAULT_RETRIEVAL_COST
-from .core import DiscourseItem, ItemKind, Transcript
+from .core import CascadeTrace, DiscourseItem, ItemKind, Transcript
 from .resolution import (
-    CascadeTrace,
     IRUFunction,
     Outcome,
     OutcomeKind,
     PopClassification,
-    ReferentIndex,
     Resolution,
     ReturnPopCase,
     analyze_iru,
@@ -57,7 +55,7 @@ class OutputError(Exception):
 
 def load_transcript(path: str) -> Transcript:
     try:
-        with open(path, encoding="utf-8") as file:
+        with open(path, encoding="utf-8-sig") as file:
             text = file.read()
     except OSError as error:
         raise InputError(f"{path}: {error.strerror or error}") from error
@@ -117,7 +115,6 @@ def replay(
     *,
     views: bool = False,
     candidates: bool = True,
-    index: ReferentIndex | None = None,
 ) -> SimulationReport:
     """Fold the transcript through one model, utterance by utterance:
     segment boundaries, then redundancy handling, then each mention's
@@ -125,9 +122,7 @@ def replay(
     one state, which resolution reads live; every step updates it in place
     and returns its store events. A record carries the view after its
     utterance only with ``views``. Without ``candidates`` a resolution
-    stops once its outcome is known and lists none. ``index`` is a
-    ``ReferentIndex`` over the transcript's item table, shared by replays
-    of one transcript; without it the replay builds its own."""
+    stops once its outcome is known and lists none."""
 
     if retrieval_cost < 1:
         raise ValueError(f"retrieval cost must be at least 1, got {retrieval_cost}")
@@ -138,8 +133,6 @@ def replay(
         # The stack reports no capacity or retrieval cost.
         model, state = stack_model, stack_model.new_stack()
         capacity, retrieval_cost = None, 0
-    if index is None:
-        index = ReferentIndex(transcript.item_table)
     records: list[TraceRecord] = []
     resolutions: list[tuple[str, Resolution]] = []
     findings: list[IRUFinding] = []
@@ -159,7 +152,7 @@ def replay(
             applied.extend(model.apply_iru(state, [item for item, _ in functions]))
         utt_resolutions = []
         for mention in utt.mentions:
-            resolution = resolve(mention, state, index, retrieval_cost, candidates)
+            resolution = resolve(mention, state, transcript, retrieval_cost, candidates)
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
                 # Strategic retrieval: interpreting the anaphor pulls its
                 # antecedent into the cache and pays for the trip.
@@ -219,11 +212,10 @@ def compare_transcript(
     capacity: int | None = DEFAULT_CAPACITY,
     retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
 ) -> DivergenceReport:
-    # Both replays filter by the same cue signatures; only outcomes are read.
-    index = ReferentIndex(transcript.item_table)
-    stack_report = replay(transcript, ModelKind.STACK, candidates=False, index=index)
+    # Only outcomes are read. Both replays share the transcript's survivor sets.
+    stack_report = replay(transcript, ModelKind.STACK, candidates=False)
     cache_report = replay(
-        transcript, ModelKind.CACHE, capacity, retrieval_cost, candidates=False, index=index
+        transcript, ModelKind.CACHE, capacity, retrieval_cost, candidates=False
     )
     # Each replay resolves every mention and analyzes every restatement
     # once, in transcript order, so the two line up by position.

@@ -5,22 +5,18 @@ and the cue-cascade classifier for pronouns that resume an earlier segment.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .core import (
-    DERIVED_TAG_PREFIX,
     AccessibilityView,
+    CascadeTrace,
     DiscourseItem,
-    ItemKind,
     Mention,
     MentionForm,
     Transcript,
     Utterance,
-    agreement_filter,
-    derived_tag,
-    selection_filter,
+    staged_filter,
 )
 
 if TYPE_CHECKING:
@@ -112,89 +108,6 @@ class ReturnPopCase(_CaseFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class CascadeTrace(NamedTuple):
-    """Survivor ids as each cue narrows a candidate list, in list order."""
-
-    after_agreement: tuple[str, ...]
-    after_static_selection: tuple[str, ...]
-    after_dialogue_selection: tuple[str, ...]
-
-
-def staged_filter(
-    candidates: Sequence[DiscourseItem], mention: Mention
-) -> CascadeTrace:
-    """Narrow candidates by agreement, then by the mention's static
-    selectional tags, then by the tags only the dialogue supplies (its
-    ``pred:`` tags and its verb's); each stage filters the one before."""
-
-    required = mention.required_sel_classes
-    dialogue_tags = {tag for tag in required if tag.startswith(DERIVED_TAG_PREFIX)}
-    if mention.verb_lemma:
-        dialogue_tags.add(derived_tag(mention.verb_lemma))
-    agreeing = agreement_filter(candidates, mention)
-    static = selection_filter(agreeing, required - dialogue_tags)
-    dialogue = selection_filter(static, dialogue_tags)
-    return CascadeTrace(
-        after_agreement=tuple(item.id for item in agreeing),
-        after_static_selection=tuple(item.id for item in static),
-        after_dialogue_selection=tuple(item.id for item in dialogue),
-    )
-
-
-class ReferentIndex:
-    """Lookups that depend only on the item table, built lazily, once per
-    transcript (``compare`` shares one between its two replays): the first
-    surface carrier of each item, and the ids that pass the kind step and
-    ``staged_filter`` for each cue signature. Every stage is a pointwise
-    test on features fixed at parse time, so filtering a store keeps
-    exactly its members in that set, in store order."""
-
-    def __init__(self, table: Mapping[str, DiscourseItem]) -> None:
-        self.table = table
-        self._survivors: dict[tuple, frozenset[str]] = {}
-        self._agreeing: dict[tuple, list[DiscourseItem]] = {}
-
-    @cached_property
-    def carriers(self) -> dict[str, DiscourseItem]:
-        """The first surface form, in table order, that realizes each item."""
-
-        carriers: dict[str, DiscourseItem] = {}
-        for item in self.table.values():
-            if item.kind is ItemKind.SURFACE_FORM:
-                carriers.setdefault(item.realizes, item)
-        return carriers
-
-    def survivors(self, mention: Mention) -> frozenset[str]:
-        signature = (
-            mention.form,
-            mention.gender,
-            mention.number,
-            mention.required_sel_classes,
-            mention.verb_lemma,
-        )
-        found = self._survivors.get(signature)
-        if found is None:
-            # Agreement depends only on the pool, gender and number: once per key.
-            key = (mention.form is MentionForm.VP_ELLIPSIS, mention.gender, mention.number)
-            pool = self._agreeing.get(key)
-            if pool is None:
-                pool = self._agreeing[key] = agreement_filter(self._pools[key[0]], mention)
-            found = frozenset(staged_filter(pool, mention).after_dialogue_selection)
-            self._survivors[signature] = found
-        return found
-
-    @cached_property
-    def _pools(self) -> dict[bool, list[DiscourseItem]]:
-        # Keyed by "is a verb-phrase ellipsis": an ellipsis picks out an elided
-        # predication, so only propositions can antecede it; referring forms
-        # pick out entities or propositions. Surface forms are never referents.
-        items = self.table.values()
-        return {
-            True: [item for item in items if item.kind is ItemKind.PROPOSITION],
-            False: [item for item in items if item.kind is not ItemKind.SURFACE_FORM],
-        }
-
-
 def _surface_carrier(
     gold_id: str, carriers: Mapping[str, DiscourseItem]
 ) -> DiscourseItem | None:
@@ -204,7 +117,7 @@ def _surface_carrier(
 def resolve(
     mention: Mention,
     accessibility: AccessibilityView | CacheState | FocusStack,
-    index: ReferentIndex,
+    transcript: Transcript,
     retrieval_cost: int = 1,
     candidates: bool = True,
 ) -> Resolution:
@@ -217,8 +130,8 @@ def resolve(
     stack's retrievable store is empty, so under the stack only the first
     tier can answer. Failures are data, not faults. A verb-phrase ellipsis
     fails outright when the first surface form in table order that realizes
-    its antecedent is lost, whatever became of later carriers. ``index`` is
-    the ``ReferentIndex`` over the transcript's item table. Without
+    its antecedent is lost, whatever became of later carriers. Survivors and
+    carriers come from ``transcript``, the mention's own. Without
     ``candidates`` the tiers stop at their first and second survivor, and
     the resolution lists none.
     """
@@ -230,11 +143,11 @@ def resolve(
         return Resolution(mention.id, outcome, considered, correct=outcome.item == gold)
 
     if mention.form is MentionForm.VP_ELLIPSIS:
-        carrier = _surface_carrier(gold, index.carriers)
+        carrier = _surface_carrier(gold, transcript.carriers)
         if carrier is not None and carrier.id in accessibility.lost:
             return resolution(Outcome.failure(FailureReason.SURFACE_FORM_LOST))
 
-    survivors = index.survivors(mention)
+    survivors = transcript.survivors(mention)
     found = filter(survivors.__contains__, accessibility.immediate)
     winners = tuple(islice(found, None if candidates else 1))
     if winners:

@@ -28,17 +28,16 @@ from attnsim.core import (
     Transcript,
     Utterance,
     segment_items,
+    staged_filter,
 )
 from attnsim.driver import ModelKind, replay
 from attnsim.resolution import (
     FailureReason,
     Outcome,
     OutcomeKind,
-    ReferentIndex,
     Resolution,
     analyze_iru,
     resolve,
-    staged_filter,
 )
 from attnsim.transcript_io import parse, read_trace, write_trace, write_transcript
 
@@ -675,7 +674,6 @@ def _fresh_view_fold(transcript: Transcript, capacity: int) -> tuple[list, list,
     the number of returns whose cue met a discarded surface form."""
 
     state = new_cache(transcript.item_table, capacity)
-    index = ReferentIndex(transcript.item_table)
     resolutions: list = []
     findings: list = []
     discarded_cues = 0
@@ -689,7 +687,7 @@ def _fresh_view_fold(transcript: Transcript, capacity: int) -> tuple[list, list,
             findings.append((utt.id, tuple(functions)))
             cache_model.apply_iru(state, restated_items(utt, transcript))
         for mention in utt.mentions:
-            resolution = resolve(mention, cache_model.view(state), index)
+            resolution = resolve(mention, cache_model.view(state), transcript)
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
                 cache_model.retrieve(state, [resolution.outcome.item])
             resolutions.append((utt.id, resolution))

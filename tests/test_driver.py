@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import attnsim
-from attnsim import cache_model, driver, stack_model
+from attnsim import cache_model, core, driver, stack_model
 from attnsim.cache_model import RetrievalFailure, new_cache, retrieve
 from attnsim.cli import build_parser, main
 from attnsim.core import AccessibilityView, StoreEventKind
@@ -192,6 +192,34 @@ def test_compare_builds_views_only_for_readers(name, monkeypatch):
     assert all(res.candidates_considered == () for res in resolutions)
 
 
+@pytest.mark.parametrize("source", ["dialogue_b", "replay-long"])
+def test_replays_share_one_survivor_set_per_cue_signature(source, monkeypatch):
+    # The transcript filters its item table once per distinct cue signature,
+    # however many replays of it resolve mentions, and whichever model.
+    if source == "dialogue_b":
+        transcript = load_fixture("dialogue_b.dlg")
+    else:
+        gen = load_bench_gen()
+        shape = gen.Shape(500, surface_in_segments=False)
+        transcript = parse(gen.generate(random.Random(7), shape, "generated")[0])
+    calls = []
+
+    def counting(candidates, mention, _filter=core.staged_filter):
+        calls.append(mention)
+        return _filter(candidates, mention)
+
+    monkeypatch.setattr(core, "staged_filter", counting)
+    compare_transcript(transcript)
+    replay(transcript, ModelKind.CACHE, capacity=2, views=True)
+    replay(transcript, ModelKind.STACK)
+    signatures = {
+        (m.form, m.gender, m.number, m.required_sel_classes, m.verb_lemma)
+        for m in transcript.mentions()
+    }
+    assert len(signatures) > 1
+    assert len(calls) == len(signatures)
+
+
 def test_compare_lists_every_mention_once(dialogue_a, dialogue_b, dialogue_c, return_pops):
     # Each row pairs one mention's outcomes under the two models, and each
     # IRU triple one utterance's two findings, as the replays give them.
@@ -351,6 +379,20 @@ def test_cli_non_utf8_file_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {bad}: ")
         assert "utf-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["compare"], ["pops"], ["run", "--model", "cache"]], ids=" ".join
+)
+def test_cli_reads_a_file_with_a_byte_order_mark(argv, tmp_path, capsys):
+    # Windows editors may save UTF-8 with a leading EF BB BF.
+    fixture = fixture_path("dialogue_a.dlg")
+    marked = tmp_path / "dialogue_a.dlg"
+    marked.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+    assert main([*argv, str(fixture)]) == 0
+    expected = capsys.readouterr()
+    assert main([*argv, str(marked)]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_cli_directory_as_file_exits_3(tmp_path, capsys):

@@ -22,7 +22,6 @@ from attnsim.resolution import (
     Outcome,
     OutcomeKind,
     PopClassification,
-    ReferentIndex,
     ReturnPopCase,
     analyze_iru,
     cascade_survivors,
@@ -41,6 +40,12 @@ def entity(item_id, gender=Gender.NEUT, number=Number.SG, sel=()):
     )
 
 
+def over(table):
+    """A transcript with only an item table, for resolving against it."""
+
+    return Transcript(dialogue_id="t", item_table=table)
+
+
 def pronoun(gold, gender=Gender.NEUT, number=Number.SG, verb=None, sel=()):
     return Mention(
         id="m",
@@ -56,7 +61,7 @@ def pronoun(gold, gender=Gender.NEUT, number=Number.SG, verb=None, sel=()):
 def test_single_agreeing_candidate_resolves_immediately():
     cat = entity("cat")
     snapshot = AccessibilityView(immediate=("cat",))
-    resolution = resolve(pronoun("cat"), snapshot, ReferentIndex({"cat": cat}))
+    resolution = resolve(pronoun("cat"), snapshot, over({"cat": cat}))
     assert resolution.outcome == Outcome.immediate("cat")
     assert resolution.correct
 
@@ -66,7 +71,7 @@ def test_most_salient_survivor_wins():
     second = entity("second")
     snapshot = AccessibilityView(immediate=("first", "second"))
     resolution = resolve(
-        pronoun("second"), snapshot, ReferentIndex({"first": first, "second": second})
+        pronoun("second"), snapshot, over({"first": first, "second": second})
     )
     assert resolution.outcome.item == "first"
     assert not resolution.correct
@@ -74,7 +79,7 @@ def test_most_salient_survivor_wins():
 
 def test_no_candidate_anywhere():
     snapshot = AccessibilityView(immediate=())
-    resolution = resolve(pronoun("ghost"), snapshot, ReferentIndex({}))
+    resolution = resolve(pronoun("ghost"), snapshot, over({}))
     assert resolution.outcome == Outcome.failure(FailureReason.NO_CANDIDATE)
 
 
@@ -82,7 +87,7 @@ def test_unique_retrievable_candidate_costs_effort():
     cat = entity("cat")
     rock = entity("rock", gender=Gender.NEUT, number=Number.PL)
     snapshot = AccessibilityView(retrievable=frozenset({"cat", "rock"}))
-    resolution = resolve(pronoun("cat"), snapshot, ReferentIndex({"cat": cat, "rock": rock}))
+    resolution = resolve(pronoun("cat"), snapshot, over({"cat": cat, "rock": rock}))
     assert resolution.outcome == Outcome.after_retrieval("cat", 1)
     assert resolution.correct
 
@@ -99,7 +104,7 @@ def test_popped_antecedent_is_not_retrieved_under_the_stack():
     )
     stack_model.apply_event(state, SegmentEvent(EventKind.POP, "S", position=1))
     assert "cat" in state.lost
-    resolution = resolve(pronoun("cat"), state, ReferentIndex({"cat": entity("cat")}))
+    resolution = resolve(pronoun("cat"), state, over({"cat": entity("cat")}))
     assert resolution.outcome == Outcome.failure(FailureReason.NO_CANDIDATE)
     assert resolution.candidates_considered == ()
 
@@ -108,7 +113,7 @@ def test_retrievable_tie_is_ambiguous():
     one = entity("one")
     two = entity("two")
     snapshot = AccessibilityView(retrievable=frozenset({"one", "two"}))
-    resolution = resolve(pronoun("one"), snapshot, ReferentIndex({"one": one, "two": two}))
+    resolution = resolve(pronoun("one"), snapshot, over({"one": one, "two": two}))
     assert resolution.outcome == Outcome.failure(FailureReason.AMBIGUOUS)
     assert set(resolution.candidates_considered) == {"one", "two"}
 
@@ -118,7 +123,7 @@ def test_retrievable_ambiguity_lists_candidates_by_id():
     table = {item_id: entity(item_id) for item_id in ids}
     table["f"] = entity("f", gender=Gender.FEM)
     snapshot = AccessibilityView(retrievable=frozenset([*ids, "f"]))
-    resolution = resolve(pronoun("k"), snapshot, ReferentIndex(table))
+    resolution = resolve(pronoun("k"), snapshot, over(table))
     assert resolution.outcome == Outcome.failure(FailureReason.AMBIGUOUS)
     assert resolution.candidates_considered == tuple(sorted(ids))
 
@@ -130,13 +135,13 @@ def test_ellipsis_never_gets_an_entity_candidate():
     table = {**props, **entities, "s": surface}
     mention = Mention(id="e", form=MentionForm.VP_ELLIPSIS, gold_antecedent="p1")
     retrievable = AccessibilityView(retrievable=frozenset(table))
-    resolution = resolve(mention, retrievable, ReferentIndex(table))
+    resolution = resolve(mention, retrievable, over(table))
     assert resolution.outcome == Outcome.failure(FailureReason.AMBIGUOUS)
     assert resolution.candidates_considered == ("p1", "p2")
     only_entities = AccessibilityView(
         immediate=("e0", "e1"), retrievable=frozenset({"e2", "s"})
     )
-    resolution = resolve(mention, only_entities, ReferentIndex(table))
+    resolution = resolve(mention, only_entities, over(table))
     assert resolution.outcome == Outcome.failure(FailureReason.NO_CANDIDATE)
     assert resolution.candidates_considered == ()
 
@@ -154,7 +159,7 @@ def test_ellipsis_with_lost_carrier_fails():
     snapshot = AccessibilityView(
         immediate=("host",), lost=frozenset({"carrier"})
     )
-    resolution = resolve(mention, snapshot, ReferentIndex(table))
+    resolution = resolve(mention, snapshot, over(table))
     assert resolution.outcome == Outcome.failure(FailureReason.SURFACE_FORM_LOST)
 
 
@@ -174,7 +179,7 @@ def test_ellipsis_fails_only_when_the_first_carrier_is_lost(lost, outcome):
     table = {"host": host, "first": first, "second": second}
     mention = Mention(id="e", form=MentionForm.VP_ELLIPSIS, gold_antecedent="host")
     snapshot = AccessibilityView(immediate=("host",), lost=frozenset({lost}))
-    resolution = resolve(mention, snapshot, ReferentIndex(table))
+    resolution = resolve(mention, snapshot, over(table))
     assert resolution.outcome == outcome
 
 
@@ -189,7 +194,7 @@ def test_ellipsis_fails_only_when_the_first_carrier_is_lost(lost, outcome):
     ],
 )
 def test_survivors_are_kept_per_cue_signature(field, value, expected):
-    # One index answers both mentions, which differ in one cue only; each
+    # One transcript answers both mentions, which differ in one cue only; each
     # must get its own survivors, not the other's memoized set.
     items = (
         entity("held", sel={"pred:lift"}),
@@ -200,12 +205,12 @@ def test_survivors_are_kept_per_cue_signature(field, value, expected):
             id="deed", kind=ItemKind.PROPOSITION, gender=Gender.NEUT, number=Number.SG
         ),
     )
-    index = ReferentIndex({item.id: item for item in items})
+    transcript = over({item.id: item for item in items})
     plain = Mention(id="m", form=MentionForm.PRONOUN, gold_antecedent="held")
-    assert index.survivors(plain) == {item.id for item in items}
+    assert transcript.survivors(plain) == {item.id for item in items}
     cued = plain._replace(**{field: value})
-    assert index.survivors(cued) == expected
-    assert index.survivors(plain) == {item.id for item in items}
+    assert transcript.survivors(cued) == expected
+    assert transcript.survivors(plain) == {item.id for item in items}
 
 
 def test_ellipsis_considers_only_propositions():
@@ -214,7 +219,7 @@ def test_ellipsis_considers_only_propositions():
     table = {"host": host, "noise": noise}
     mention = Mention(id="e", form=MentionForm.VP_ELLIPSIS, gold_antecedent="host")
     snapshot = AccessibilityView(immediate=("noise", "host"))
-    resolution = resolve(mention, snapshot, ReferentIndex(table))
+    resolution = resolve(mention, snapshot, over(table))
     assert resolution.outcome == Outcome.immediate("host")
 
 
@@ -399,14 +404,13 @@ def test_stacked_antecedent_needs_no_surviving_top_space_competitor(dialogue_a, 
 
     for transcript in (dialogue_a, dialogue_b):
         state = stack_model.new_stack()
-        index = ReferentIndex(transcript.item_table)
         for utt in transcript.utterances:
             for event in transcript.events_at(utt.index):
                 stack_model.apply_event(state, event)
             snapshot = stack_model.view(state)
             top_items = set(state.top)
             for mention in utt.mentions:
-                resolution = resolve(mention, snapshot, index)
+                resolution = resolve(mention, snapshot, transcript)
                 if (
                     resolution.outcome.kind is OutcomeKind.IMMEDIATE
                     and resolution.outcome.item not in top_items
@@ -437,6 +441,6 @@ def test_lower_space_resolution_allowed_when_top_blocks():
         state, Utterance(id="u1", speaker="B", index=1, items=("dog",))
     )
     resolution = resolve(
-        pronoun("cat", gender=Gender.NEUT), stack_model.view(state), ReferentIndex(table)
+        pronoun("cat", gender=Gender.NEUT), stack_model.view(state), over(table)
     )
     assert resolution.outcome == Outcome.immediate("cat")

@@ -99,3 +99,10 @@ def test_indexes_stay_out_of_equality_and_repr(dialogue_a):
     segment_items(dialogue_a, "S2", before=len(dialogue_a.utterances))
     assert dialogue_a == fresh
     assert repr(dialogue_a) == repr(fresh)
+    answered = load_fixture("dialogue_b.dlg")
+    for mention in answered.mentions():
+        answered.survivors(mention)
+    assert answered.carriers
+    fresh = load_fixture("dialogue_b.dlg")
+    assert answered == fresh
+    assert repr(answered) == repr(fresh)
