@@ -322,8 +322,8 @@ class AccessibilityView(_ViewFields):
 
     def __post_init__(self) -> None:
         if not (
-            self.retrievable.isdisjoint(self.immediate)
-            and self.lost.isdisjoint(self.immediate)
+            (not self.retrievable or self.retrievable.isdisjoint(self.immediate))
+            and (not self.lost or self.lost.isdisjoint(self.immediate))
             and self.retrievable.isdisjoint(self.lost)
         ):
             raise ValueError(self.OVERLAP)

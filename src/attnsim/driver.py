@@ -55,13 +55,13 @@ class OutputError(Exception):
 
 def load_transcript(path: str) -> Transcript:
     try:
-        with open(path, encoding="utf-8-sig") as file:
+        with open(path, encoding="utf-8") as file:
             text = file.read()
     except OSError as error:
         raise InputError(f"{path}: {error.strerror or error}") from error
     except UnicodeDecodeError as error:
         raise InputError(f"{path}: {error}") from error
-    return parse(text)
+    return parse(text.removeprefix("\ufeff"))
 
 
 class RunConfig(NamedTuple):

@@ -453,25 +453,17 @@ def resolution_json(resolution: Resolution) -> dict:
     }
 
 
-def _record_to_json(record: TraceRecord) -> dict:
-    view = record.view
-    return {
-        "utteranceIndex": record.utterance_index,
-        "eventsApplied": [
-            {"kind": event.kind.value, "target": event.target}
-            for event in record.events_applied
-        ],
-        "view": {
-            "immediate": view.immediate,
-            "retrievable": sorted(view.retrievable),
-            "lost": sorted(view.lost),
-        },
-        "resolutions": [resolution_json(r) for r in record.resolutions],
-        "cumulativeEffort": record.cumulative_effort,
-    }
-
-
 _quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
+
+
+class _IdLines(dict):
+    """Each id's line in a trace's id lists, escaped on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, item_id: str) -> str:
+        line = self[item_id] = ",\n        " + _quote(item_id)
+        return line
 
 
 def indented_json(value, pad: str = "") -> str:
@@ -502,7 +494,7 @@ def indented_json(value, pad: str = "") -> str:
         )
         return f"{{\n{inner}{body}\n{pad}}}"
     try:
-        # Lists of ids carry almost all of a trace's bytes: escape them in C.
+        # Lists of ids are the common case: escape them in C.
         body = separator.join(map(_quote, value))
     except TypeError:  # not a list of strings
         body = separator.join([indented_json(item, inner) for item in value])
@@ -511,9 +503,12 @@ def indented_json(value, pad: str = "") -> str:
 
 def write_trace(records: Sequence[TraceRecord]) -> str:
     """Serialize trace records deterministically: equal traces produce
-    byte-identical output, the bytes ``json.dumps(..., indent=2)`` writes,
-    through ``indented_json`` (``json.dumps`` itself took most of a traced
-    run's time)."""
+    byte-identical output, the bytes ``json.dumps(..., indent=2)`` writes.
+
+    The record layout is fixed, so it is written here, into one list joined
+    once: each distinct id is escaped once, and a ``retrievable`` or
+    ``lost`` set that is the previous record's object (``core.snapshot``
+    shares unchanged stores) reuses that record's sorted lines."""
 
     ordered = [record.utterance_index for record in records]
     if ordered != sorted(ordered):
@@ -524,7 +519,40 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
     for record in records:
         if record.view is None:
             raise ValueError(f"trace record {record.utterance_index} has no view")
-    return indented_json([_record_to_json(r) for r in records]) + "\n"
+    if not records:
+        return "[]\n"
+    line = _IdLines().__getitem__
+
+    def listed(key: str, ids) -> list[str]:
+        if not ids:
+            return [key, "[]"]
+        pieces = [key, "[", *map(line, ids), "\n      ]"]
+        pieces[2] = pieces[2][1:]  # the first id follows no comma
+        return pieces
+
+    out: list[str] = []
+    opening = '[\n  {\n    "utteranceIndex": '
+    retrievable = lost = None
+    for record in records:
+        view = record.view
+        if view.retrievable is not retrievable:
+            retrievable = view.retrievable
+            retrievable_lines = listed(',\n      "retrievable": ', sorted(retrievable))
+        if view.lost is not lost:
+            lost = view.lost
+            lost_lines = listed(',\n      "lost": ', sorted(lost))
+        events = [{"kind": e.kind.value, "target": e.target} for e in record.events_applied]
+        out += (opening, str(record.utterance_index), ',\n    "eventsApplied": ')
+        out.append(indented_json(events, "    "))
+        out += listed(',\n    "view": {\n      "immediate": ', view.immediate)
+        out += retrievable_lines
+        out += lost_lines
+        out.append('\n    },\n    "resolutions": ')
+        out.append(indented_json([resolution_json(r) for r in record.resolutions], "    "))
+        out += (',\n    "cumulativeEffort": ', str(record.cumulative_effort), "\n  }")
+        opening = ',\n  {\n    "utteranceIndex": '
+    out.append("\n]\n")
+    return "".join(out)
 
 
 def _outcome_from_json(data: Mapping) -> Outcome:

@@ -395,6 +395,17 @@ def test_cli_reads_a_file_with_a_byte_order_mark(argv, tmp_path, capsys):
     assert capsys.readouterr() == expected
 
 
+@pytest.mark.parametrize("mark", [b"\xef", b"\xef\xbb"], ids=["EF", "EF-BB"])
+def test_cli_cut_off_byte_order_mark_exits_3(mark, tmp_path, capsys):
+    # A mark cut short is not a mark: the file is not UTF-8 text.
+    cut = tmp_path / "cut.dlg"
+    cut.write_bytes(mark)
+    assert main(["compare", str(cut)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {cut}: ")
+    assert "'utf-8' codec can't decode" in err
+
+
 def test_cli_directory_as_file_exits_3(tmp_path, capsys):
     assert main(["pops", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith(f"input error: {tmp_path}: ")

@@ -331,6 +331,11 @@ def test_view_stores_must_be_disjoint():
             view._replace(lost=frozenset({lost}))
     with pytest.raises(ValueError, match="pairwise disjoint"):
         view._replace(retrievable=frozenset({"a"}))
+    # One store empty, the other overlapping the immediate tier.
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        AccessibilityView(("a",), lost=frozenset({"a"}))
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        AccessibilityView(("a",), retrievable=frozenset({"a"}))
 
 
 # --- redundancy analysis ---------------------------------------------------
