@@ -2,13 +2,14 @@
 
 Reports go to standard output as JSON; diagnostics go to standard error.
 Exit codes: 0 success, 2 usage or transcript parse error, 3 unreadable
-input file, unwritable trace file or closed standard output, 1 internal
-error.
+input file, unwritable trace file or standard output that cannot be
+written, 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -19,7 +20,6 @@ from .driver import (
     InputError,
     ModelKind,
     OutputError,
-    RunConfig,
     compare,
     divergence_report_json,
     pops,
@@ -77,14 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            config = RunConfig(
-                model_kind=ModelKind(args.model),
-                transcript_path=args.file,
-                capacity=args.capacity,
-                retrieval_cost=args.cost,
-                trace_out_path=args.trace,
-            )
-            payload = simulation_report_json(run(config))
+            report = run(ModelKind(args.model), args.file, args.capacity, args.cost, args.trace)
+            payload = simulation_report_json(report)
         elif args.command == "compare":
             payload = divergence_report_json(compare(args.file))
         else:
@@ -102,15 +96,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     try:
+        if sys.stdout is None:  # descriptor 1 was closed when Python started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         print(json.dumps(payload, indent=2))
         sys.stdout.flush()
-    except BrokenPipeError:
-        # Nothing reads stdout any more. Point it at devnull, as the Python
-        # docs advise, so that the flush at exit does not fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("output error: <stdout>: Broken pipe", file=sys.stderr)
+    except OSError as error:
+        if sys.stdout is not None:
+            # Stdout takes no more bytes. Point it at devnull, as the Python
+            # docs advise, so that the flush at exit does not fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"output error: <stdout>: {error.strerror}", file=sys.stderr)
         return 3
     return 0
 

@@ -9,6 +9,8 @@ that chains them, and the per-transcript survivor sets built from it.
 Records are ``typing.NamedTuple``s: equality is tuple equality, so a record
 also equals a plain tuple of its fields, and a copy with changes is
 ``record._replace(...)``. A record that validates checks in ``__new__``.
+``Transcript`` is one too: a record whose lazily built indexes live in an
+instance dict, outside its fields.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 from typing import AbstractSet, Iterator, Mapping, NamedTuple, Reversible, Sequence
 
 
@@ -141,8 +144,16 @@ class CaseRecord(NamedTuple):
     central_competitor: bool = False
 
 
-class Transcript:
-    """An annotated dialogue.
+class _TranscriptFields(NamedTuple):
+    dialogue_id: str
+    utterances: tuple[Utterance, ...] = ()
+    events: tuple[SegmentEvent, ...] = ()
+    item_table: Mapping[str, DiscourseItem] = MappingProxyType({})
+    cases: tuple[CaseRecord, ...] = ()
+
+
+class Transcript(_TranscriptFields):
+    """An annotated dialogue: a record whose indexes live in an instance dict.
 
     Lookups are indexed lazily, once per transcript, and every replay of
     it shares them: events by position, utterances by id, items by
@@ -150,38 +161,20 @@ class Transcript:
     and the ids that pass the kind step and ``staged_filter`` for each
     cue signature. Every filter stage is a pointwise test on features
     fixed at parse time, so filtering a store keeps exactly its members
-    in that set, in store order. The indexes live in the instance dict,
-    outside the five fields, so they take no part in equality or repr.
+    in that set, in store order. The class declares no ``__slots__``, so
+    the indexes sit outside the fields: they take no part in equality or
+    repr, and a copy made by ``_replace`` or ``_make`` starts without them.
     Utterance indexes are assumed to increase along ``utterances``, as the
     parser assigns them.
     """
 
-    _FIELDS = ("dialogue_id", "utterances", "events", "item_table", "cases")
+    @cached_property
+    def _survivors(self) -> dict[tuple, frozenset[str]]:
+        return {}
 
-    def __init__(
-        self,
-        dialogue_id: str,
-        utterances: tuple[Utterance, ...] = (),
-        events: tuple[SegmentEvent, ...] = (),
-        item_table: Mapping[str, DiscourseItem] | None = None,
-        cases: tuple[CaseRecord, ...] = (),
-    ) -> None:
-        self.dialogue_id = dialogue_id
-        self.utterances = utterances
-        self.events = events
-        self.item_table = {} if item_table is None else item_table
-        self.cases = cases
-        self._survivors: dict[tuple, frozenset[str]] = {}
-        self._agreeing: dict[tuple, list[DiscourseItem]] = {}
-
-    def __eq__(self, other: object) -> bool:  # also leaves it unhashable
-        if other.__class__ is not Transcript:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
-        return f"Transcript({fields})"
+    @cached_property
+    def _agreeing(self) -> dict[tuple, list[DiscourseItem]]:
+        return {}
 
     @cached_property
     def _events_by_position(self) -> dict[int, tuple[SegmentEvent, ...]]:

@@ -64,14 +64,6 @@ def load_transcript(path: str) -> Transcript:
     return parse(text.removeprefix("\ufeff"))
 
 
-class RunConfig(NamedTuple):
-    model_kind: ModelKind
-    transcript_path: str
-    capacity: int | None = DEFAULT_CAPACITY
-    retrieval_cost: int = DEFAULT_RETRIEVAL_COST
-    trace_out_path: str | None = None
-
-
 class IRUFinding(NamedTuple):
     utterance_id: str
     functions: tuple[tuple[str, IRUFunction], ...]
@@ -186,24 +178,24 @@ def replay(
     )
 
 
-def run(config: RunConfig) -> SimulationReport:
-    transcript = load_transcript(config.transcript_path)
+def run(
+    model_kind: ModelKind,
+    transcript_path: str,
+    capacity: int | None,
+    retrieval_cost: int,
+    trace_path: str | None,
+) -> SimulationReport:
+    transcript = load_transcript(transcript_path)
     report = replay(
-        transcript,
-        config.model_kind,
-        config.capacity,
-        config.retrieval_cost,
-        views=config.trace_out_path is not None,
+        transcript, model_kind, capacity, retrieval_cost, views=trace_path is not None
     )
-    if config.trace_out_path is not None:
+    if trace_path is not None:
         text = write_trace(report.records)
         try:
-            with open(config.trace_out_path, "w", encoding="utf-8") as file:
+            with open(trace_path, "w", encoding="utf-8") as file:
                 file.write(text)
         except OSError as error:
-            raise OutputError(
-                f"{config.trace_out_path}: {error.strerror or error}"
-            ) from error
+            raise OutputError(f"{trace_path}: {error.strerror or error}") from error
     return report
 
 

@@ -1,10 +1,11 @@
 """Parsing and serialization for annotated dialogue transcripts and traces.
 
-The transcript format is line oriented: one record per line, ``#`` starts
-a comment, and blank lines are ignored. Parsing is strict: unknown record
-types, unknown keys, malformed values, undeclared identifier references
-and mismatched segment events are all hard errors, since the fixtures
-double as regression oracles and silent tolerance would mask drift.
+The transcript format is line oriented: one record per line, a line ends
+at LF, CR LF or CR, ``#`` starts a comment, and blank lines are ignored.
+Parsing is strict: unknown record types, unknown keys, malformed values,
+undeclared identifier references and mismatched segment events are all
+hard errors, since the fixtures double as regression oracles and silent
+tolerance would mask drift.
 """
 
 from __future__ import annotations
@@ -141,7 +142,10 @@ def parse(text: str) -> Transcript:
     # once every line has been read.
     deferred: list[tuple[int, str, str, str, Container[str]]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # ``str.splitlines`` would also end a line at \x0b, \x1c, U+2028 and
+    # five more characters that universal newlines leave inside a line.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue

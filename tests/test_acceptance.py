@@ -11,7 +11,6 @@ import propsuite
 from attnsim.cli import build_parser
 from attnsim.driver import (
     ModelKind,
-    RunConfig,
     classify_corpus,
     compare_transcript,
     replay,
@@ -128,7 +127,6 @@ def test_criterion_5_capacity_default():
 
         assert DEFAULT_CAPACITY == 7
         assert new_cache({}).capacity == 7
-        assert RunConfig(ModelKind.CACHE, "x.dlg").capacity == 7
         args = build_parser().parse_args(["run", "--model", "cache", "x.dlg"])
         assert args.capacity == 7
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +20,6 @@ from attnsim.cli import build_parser, main
 from attnsim.core import AccessibilityView, StoreEventKind
 from attnsim.driver import (
     ModelKind,
-    RunConfig,
     classify_corpus,
     compare_transcript,
     divergence_report_json,
@@ -290,12 +291,7 @@ def test_pops_corpus_runs_under_both_models(return_pops):
 
 def test_run_writes_requested_trace(tmp_path, dialogue_a):
     trace_path = tmp_path / "a.trace.json"
-    config = RunConfig(
-        model_kind=ModelKind.CACHE,
-        transcript_path=str(fixture_path("dialogue_a.dlg")),
-        trace_out_path=str(trace_path),
-    )
-    report = run(config)
+    report = run(ModelKind.CACHE, str(fixture_path("dialogue_a.dlg")), 7, 1, str(trace_path))
     assert trace_path.exists()
     assert read_trace(trace_path.read_text(encoding="utf-8")) == list(report.records)
 
@@ -411,27 +407,48 @@ def test_cli_directory_as_file_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"input error: {tmp_path}: ")
 
 
+def _cli_child(command, stdout, prefix=()):
+    """Run ``attnsim`` on return_pops.dlg in a child whose stdout is given."""
+
+    src = str(Path(attnsim.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    argv = [sys.executable, "-m", "attnsim.cli", *command, str(fixture_path("return_pops.dlg"))]
+    return subprocess.run(
+        [*prefix, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60
+    )
+
+
 @pytest.mark.parametrize("command", [["compare"], ["pops"], ["run", "--model", "stack"]])
 def test_cli_closed_stdout_exits_3(command):
     # A child whose stdout is a pipe that nobody reads any more.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(attnsim.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
     try:
-        child = subprocess.run(
-            [sys.executable, "-m", "attnsim.cli", *command, str(fixture_path("return_pops.dlg"))],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=env,
-            timeout=60,
-        )
+        child = _cli_child(command, write_end)
     finally:
         os.close(write_end)
     # One line: no traceback, and no "Exception ignored" from the flush at exit.
     assert child.returncode == 3
     assert child.stderr.decode("utf-8") == "output error: <stdout>: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_stdout_on_full_device_exits_3():
+    with open("/dev/full", "wb") as full:
+        child = _cli_child(["compare"], full)
+    assert child.returncode == 3
+    assert child.stderr.decode("utf-8") == "output error: <stdout>: No space left on device\n"
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="no POSIX shell")
+def test_cli_without_stdout_descriptor_exits_3():
+    # The shell closes descriptor 1 before Python starts, so sys.stdout is None.
+    child = _cli_child(["compare"], None, prefix=["sh", "-c", 'exec >&- && exec "$@"', "sh"])
+    assert child.returncode == 3
+    assert child.stderr.decode("utf-8") == (
+        f"output error: <stdout>: {os.strerror(errno.EBADF)}\n"
+    )
 
 
 @pytest.mark.parametrize("cost", ["0", "-1", "x", "1.5"])
@@ -467,13 +484,7 @@ def test_cli_capacity_below_one_is_a_usage_error(fixture, capacity, capsys):
 @pytest.mark.parametrize("cost", [0, -1])
 def test_cost_below_one_is_rejected_in_process(cost, dialogue_b):
     with pytest.raises(ValueError, match="retrieval cost"):
-        run(
-            RunConfig(
-                model_kind=ModelKind.CACHE,
-                transcript_path=str(fixture_path("dialogue_b.dlg")),
-                retrieval_cost=cost,
-            )
-        )
+        run(ModelKind.CACHE, str(fixture_path("dialogue_b.dlg")), 7, cost, None)
     with pytest.raises(ValueError, match="retrieval cost"):
         replay(dialogue_b, ModelKind.CACHE, retrieval_cost=cost)
     with pytest.raises(ValueError, match="retrieval cost"):

@@ -207,6 +207,29 @@ def test_comments_and_blanks_ignored():
     assert len(transcript.utterances) == 1
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_universal_newlines_end_a_line(ending):
+    with pytest.raises(ParseError) as exc:
+        parse(ending.join(["DIALOGUE t", "# comment", "UTT u1 speaker=A", "FOO bar", ""]))
+    assert str(exc.value) == "line 4: unknown record type 'FOO'"
+
+
+@pytest.mark.parametrize(
+    "char",
+    ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=lambda char: f"U+{ord(char):04X}",
+)
+def test_other_line_breaks_stay_inside_a_line(char):
+    # ``str.splitlines`` breaks at each of these; the format does not.
+    with pytest.raises(ParseError) as exc:
+        parse(f"DIALOGUE t\n# a{char}b\nUTT u1 speaker=A\nFOO bar\n")
+    assert str(exc.value) == "line 4: unknown record type 'FOO'"
+    # Between two records the character is whitespace: one line, one record.
+    with pytest.raises(ParseError) as exc:
+        parse(f"DIALOGUE t\nUTT u1 speaker=A{char}ITEM e kind=entity\n")
+    assert str(exc.value) == "line 2: malformed field 'ITEM'"
+
+
 def test_item_features_and_attachment(dialogue_a):
     daughter = dialogue_a.item_table["daughter"]
     assert daughter.kind is ItemKind.ENTITY

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from attnsim.core import EventKind, Transcript, segment_assignments, segment_items
+from attnsim.driver import ModelKind, replay
 from attnsim.transcript_io import parse
 
-from conftest import load_fixture
+from conftest import fixture_path, load_fixture
 from propsuite import SEED, _interruption_pair, random_transcript_text
 
 TRIALS = 150
@@ -103,6 +105,17 @@ def test_indexes_stay_out_of_equality_and_repr(dialogue_a):
     for mention in answered.mentions():
         answered.survivors(mention)
     assert answered.carriers
+    segment_items(answered, "S2", before=len(answered.utterances))
     fresh = load_fixture("dialogue_b.dlg")
     assert answered == fresh
     assert repr(answered) == repr(fresh)
+    # A copy made by ``_replace`` or ``_make`` starts with no indexes.
+    assert {"_survivors", "carriers", "_segment_index"} <= vars(answered).keys()
+    text = fixture_path("dialogue_b.dlg").read_text(encoding="utf-8")
+    renamed = parse(re.sub(r"(?m)^DIALOGUE \S+", "DIALOGUE x", text))
+    for copy in (answered._replace(dialogue_id="x"), Transcript._make(["x", *answered[1:]])):
+        assert type(copy) is Transcript and vars(copy) == {}
+        assert copy == renamed
+        assert repr(copy) == repr(renamed)
+        for model in ModelKind:
+            assert replay(copy, model) == replay(renamed, model)
