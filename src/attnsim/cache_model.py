@@ -16,8 +16,8 @@ Cached ids sit in a dict in recency order, least recently used first,
 each mapped to the step that admitted it: a touch moves an id to the end
 and eviction takes the first unpinned one. Each pin is one entry of a
 map from the pinned item to the segment whose push took it, in pin
-order; displacing the item drops it. A move between stores checks that
-the item has no other record.
+order; displacing the item drops it. An admitted item has one record,
+in one store; the property suites check that after every step.
 Resolution reads the live stores; a trace record's ``AccessibilityView``
 comes from ``core.snapshot``, which freezes main memory and the discarded
 set anew only where they differ from the previous record's.
@@ -31,7 +31,6 @@ from .core import (
     DiscourseItem,
     EventKind,
     ItemKind,
-    AccessibilityView,
     SalienceOrder,
     SegmentEvent,
     StoreEvent,
@@ -44,23 +43,6 @@ from .core import (
 
 DEFAULT_CAPACITY = 7
 DEFAULT_RETRIEVAL_COST = 1
-
-
-class RetrievalFailure(RuntimeError):
-    """A cued retrieval named an item whose record no longer exists."""
-
-    def __init__(self, item_id: str) -> None:
-        super().__init__(f"item {item_id!r} was discarded and cannot be retrieved")
-        self.item_id = item_id
-
-
-class CueSetTooLarge(ValueError):
-    """A retrieval cue set exceeds what the cache can hold at once."""
-
-    def __init__(self, size: int, capacity: int) -> None:
-        super().__init__(f"cue set of {size} items exceeds capacity {capacity}")
-        self.size = size
-        self.capacity = capacity
 
 
 class CacheState:
@@ -108,11 +90,10 @@ def evict_one(state: CacheState) -> list[StoreEvent]:
     least recently used pinned one when everything is pinned.
 
     Entities and propositions are stored to main memory; surface forms
-    are discarded and become unrecoverable by retrieval.
+    are discarded and become unrecoverable by retrieval. ``_admit`` evicts
+    only from a nonempty cache: ``new_cache`` keeps the capacity positive.
     """
 
-    if not state.by_recency:
-        raise RuntimeError("cannot evict from an empty cache")
     entries = state.by_recency
     unpinned = (item_id for item_id in entries if item_id not in state.pinned)
     victim = next(unpinned, next(iter(entries)))
@@ -120,8 +101,6 @@ def evict_one(state: CacheState) -> list[StoreEvent]:
     # A displaced entry is not in the cache, so its pin goes too; otherwise
     # a later unpin could strip a fresh pin on a re-entry.
     state.pinned.pop(victim, None)
-    if victim in state.main_memory or victim in state.discarded:
-        raise ValueError(AccessibilityView.OVERLAP)
     if state.item_table[victim].kind is ItemKind.SURFACE_FORM:
         state.discarded.add(victim)
         fate = StoreEventKind.DISCARD
@@ -161,8 +140,6 @@ def _readmit(state: CacheState, item_id: str, events: list[StoreEvent]) -> None:
     elif item_id in state.discarded:
         state.discarded.remove(item_id)
         events.append(StoreEvent(StoreEventKind.RETRIEVE, item_id))
-    if item_id in state.main_memory or item_id in state.discarded:
-        raise ValueError(AccessibilityView.OVERLAP)
     state.step += 1
     state.by_recency[item_id] = state.step
     state.last_touch[item_id] = state.step
@@ -200,15 +177,11 @@ def retrieve(
     """Cued retrieval from main memory into the cache.
 
     Items already cached are touched for free; each item actually moved
-    adds ``cost_per_item`` to the state's effort. Asking for a discarded
-    item fails: the record no longer exists anywhere.
+    adds ``cost_per_item`` to the state's effort. A discarded record no
+    longer exists anywhere, so no caller asks for one: the return cue
+    leaves them out, and a resolution retrieves what it found in main memory.
     """
 
-    if state.capacity is not None and len(item_ids) > state.capacity:
-        raise CueSetTooLarge(len(item_ids), state.capacity)
-    for item_id in item_ids:
-        if item_id in state.discarded:
-            raise RetrievalFailure(item_id)
     movers = [i for i in _touch_cached(state, item_ids) if i in state.main_memory]
     state.effort += cost_per_item * len(movers)
     return _admit(state, movers)

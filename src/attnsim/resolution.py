@@ -197,12 +197,13 @@ def analyze_iru(
     before: AccessibilityView | CacheState | FocusStack,
     transcript: Transcript,
 ) -> list[tuple[str, IRUFunction]]:
-    """Classify what restating buys for each item the utterance re-realizes,
-    judged against the state just before the utterance, as ``resolve`` reads it.
+    """Classify what restating buys for each item a redundant utterance
+    re-realizes, judged against the state just before the utterance, as
+    ``resolve`` reads it. Every antecedent is an earlier utterance, so each
+    of its items is in some store: one neither immediate nor retrievable
+    is lost.
     """
 
-    if not utt.is_iru:
-        raise ValueError(f"utterance {utt.id!r} is not redundant")
     functions: list[tuple[str, IRUFunction]] = []
     seen: set[str] = set()
     immediate = before.immediate
@@ -215,8 +216,6 @@ def analyze_iru(
                 functions.append((item_id, IRUFunction.REFRESH_IN_CACHE))
             elif item_id in before.retrievable:
                 functions.append((item_id, IRUFunction.RETRIEVE_FROM_MEMORY))
-            elif item_id in before.lost:
-                functions.append((item_id, IRUFunction.REINSTANTIATE))
             else:
-                raise ValueError(f"antecedent item {item_id!r} not in any store")
+                functions.append((item_id, IRUFunction.REINSTANTIATE))
     return functions

@@ -10,10 +10,11 @@ steps do. The stack is a dict from each open segment's id to its focus
 space, bottom first, with the implicit root space keyed ``None``; a space
 is a dict of item ids in insertion order, most recently mentioned last.
 An item lives in one space at a time, so a move touches only the items
-moved, each checked to have at most one home, and a pop hands its
-spaces' items to the popped set as they are. Resolution reads the live
-stores; a trace record's ``AccessibilityView`` comes from ``core.snapshot``,
-which freezes the popped set anew only where it differs from the previous
+moved, and a pop hands its spaces' items to the popped set as they are.
+``parse`` admits only segment events that match the open segments, so
+the stack applies them unchecked. Resolution reads the live stores; a
+trace record's ``AccessibilityView`` comes from ``core.snapshot``, which
+freezes the popped set anew only where it differs from the previous
 record's.
 """
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import (
-    AccessibilityView,
     SalienceOrder,
     EventKind,
     SegmentEvent,
@@ -32,14 +32,6 @@ from .core import (
     Utterance,
     snapshot,
 )
-
-
-class StructureError(RuntimeError):
-    """Segment events that do not match the open-segment structure.
-
-    Raised when a pop or return names a segment that is absent or not in
-    the required position; a well-formed transcript never triggers this.
-    """
 
 
 class FocusStack:
@@ -69,22 +61,13 @@ def apply_event(stack: FocusStack, event: SegmentEvent) -> list[StoreEvent]:
     pushed and each one popped (innermost first)."""
 
     if event.kind is EventKind.PUSH:
-        if event.segment_id in stack.spaces:
-            raise StructureError(f"segment {event.segment_id!r} already open")
         stack.spaces[event.segment_id] = {}
         return [StoreEvent(StoreEventKind.PUSH_SPACE, event.segment_id)]
 
     if event.kind is EventKind.POP:
-        top_id = next(reversed(stack.spaces))
-        if top_id != event.segment_id:
-            raise StructureError(
-                f"pop of {event.segment_id!r} does not match top segment {top_id!r}"
-            )
         return _pop_spaces(stack, 1)
 
     # Return: pop everything above the target segment.
-    if event.segment_id not in stack.spaces:
-        raise StructureError(f"return to unknown segment {event.segment_id!r}")
     open_ids = list(stack.spaces)
     return _pop_spaces(stack, len(open_ids) - 1 - open_ids.index(event.segment_id))
 
@@ -115,19 +98,18 @@ def apply_utterance(stack: FocusStack, utt: Utterance) -> None:
 
     Items live in a single space: a re-mention relocates the item rather
     than duplicating it, and clears it from the popped set. A repeated
-    item ends where its last mention puts it; one found twice raises.
+    item ends where its last mention puts it.
     """
 
     top = stack.top
     for item_id in utt.items:
-        homes = [space for space in stack.spaces.values() if item_id in space]
-        popped = item_id in stack.popped
-        if len(homes) + popped > 1:
-            raise ValueError(AccessibilityView.OVERLAP)
-        if popped:
+        if item_id in stack.popped:
             stack.popped.remove(item_id)
-        elif homes:
-            del homes[0][item_id]
+        else:
+            for space in stack.spaces.values():
+                if item_id in space:
+                    del space[item_id]
+                    break
         top[item_id] = None
 
 

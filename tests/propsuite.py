@@ -248,7 +248,8 @@ def _track_segments(open_segments: list[str], events) -> None:
 
 def run_invariant_suite(seed: int = SEED, trials: int = INVARIANT_TRIALS) -> int:
     """Cache bound, store disjointness, and conservation at every step;
-    pins are held only for open segments pushed with expect-return. Each
+    pins are held only for open segments pushed with expect-return, and a
+    return's cue names at most ``capacity - 1`` items, none discarded. Each
     trial steps a bounded cache and an unbounded one, which holds no pins."""
 
     rng = random.Random(seed)
@@ -271,8 +272,14 @@ def _step_checking_invariants(transcript: Transcript, capacity: int | None, wher
     for utt in transcript.utterances:
         at = f"{where} utterance {utt.index}"
         events = transcript.events_at(utt.index)
-        cache_model.apply_events(state, events, transcript)
-        _check(check_cache_invariants, state, at)
+        for event in events:
+            if event.kind is EventKind.RETURN:
+                cue = cache_model._return_cue(state, transcript, event)
+                room = len(cue) if capacity is None else capacity - 1
+                assert len(cue) <= room, f"{at}: cue of {len(cue)} items"
+                assert state.discarded.isdisjoint(cue), f"{at}: cue names a discarded item"
+            cache_model.apply_events(state, [event], transcript)
+            _check(check_cache_invariants, state, at)
         _track_segments(open_segments, events)
         leaked = set(state.pinned.values()) - expecting.intersection(open_segments)
         assert not leaked, f"{at}: pins held for closed segments {sorted(leaked)}"
@@ -659,7 +666,8 @@ def _cue_names_discarded(
 ) -> bool:
     """Whether the return cue, cut to ``capacity - 1`` before discarded
     records are left out, would name a discarded surface form: the cue
-    that crashed the cache with ``RetrievalFailure`` (ROADMAP defect 4a)."""
+    whose retrieval crashed the cache before the cue left discarded
+    records out (ROADMAP defect 4a)."""
 
     realized = segment_items(transcript, event.segment_id, before=event.position)
     cue = sorted(realized, key=state.last_touch.__getitem__, reverse=True)
@@ -668,30 +676,41 @@ def _cue_names_discarded(
     return not state.discarded.isdisjoint(cue)
 
 
-def _fresh_view_fold(transcript: Transcript, capacity: int) -> tuple[list, list, int]:
+def _fresh_view_fold(
+    transcript: Transcript, capacity: int, where: str
+) -> tuple[list, list, int]:
     """The cache replay with a new view for every IRU and every mention:
     its resolutions, its IRU findings as (utterance id, functions), and
-    the number of returns whose cue met a discarded surface form."""
+    the number of returns whose cue met a discarded surface form. It
+    checks the cache's contracts after every step, and that a resolution
+    retrieves an item from main memory."""
 
     state = new_cache(transcript.item_table, capacity)
     resolutions: list = []
     findings: list = []
     discarded_cues = 0
     for utt in transcript.utterances:
+        at = f"{where} utterance {utt.index}"
         for event in transcript.events_at(utt.index):
             if event.kind is EventKind.RETURN:
                 discarded_cues += _cue_names_discarded(state, transcript, event)
             cache_model.apply_events(state, [event], transcript)
+            _check(check_cache_invariants, state, at)
         if utt.is_iru:
             functions = analyze_iru(utt, cache_model.view(state), transcript)
             findings.append((utt.id, tuple(functions)))
             cache_model.apply_iru(state, restated_items(utt, transcript))
+            _check(check_cache_invariants, state, at)
         for mention in utt.mentions:
             resolution = resolve(mention, cache_model.view(state), transcript)
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
-                cache_model.retrieve(state, [resolution.outcome.item])
+                item = resolution.outcome.item
+                assert item in state.main_memory, f"{at}: {item!r} not in main memory"
+                cache_model.retrieve(state, [item])
+                _check(check_cache_invariants, state, at)
             resolutions.append((utt.id, resolution))
         cache_model.absorb(state, utt)
+        _check(check_cache_invariants, state, at)
     return resolutions, findings, discarded_cues
 
 
@@ -709,7 +728,7 @@ def run_fresh_view_suite(seed: int = SEED, trials: int = FRESH_VIEW_TRIALS) -> i
         for capacity in FRESH_VIEW_CAPACITIES:
             where = f"{_where('run_fresh_view_suite', seed, trial)} capacity {capacity}"
             report = replay(transcript, ModelKind.CACHE, capacity=capacity)
-            resolutions, findings, reached = _fresh_view_fold(transcript, capacity)
+            resolutions, findings, reached = _fresh_view_fold(transcript, capacity, where)
             assert list(report.resolutions) == resolutions, f"{where}: resolutions"
             assert [
                 (f.utterance_id, f.functions) for f in report.iru_findings
@@ -813,16 +832,31 @@ def stack_reference_records(transcript: Transcript) -> list[tuple]:
 def _checked_stack_records(transcript: Transcript, where: str) -> list[tuple]:
     """Per utterance, the stack's space events and its view once the
     utterance's items are in, stepping the stack as the replay fold does
-    and checking its contracts after every step."""
+    and checking its contracts after every step: the open spaces are the
+    open segments the events imply, and every item seen so far is stacked
+    or popped."""
 
     stack = stack_model.new_stack()
     records = []
+    open_segments: list[str] = []
+    seen: set[str] = set()
+
+    def check(at: str) -> None:
+        _check(check_stack_invariants, stack, at)
+        assert list(stack.spaces) == [None, *open_segments], f"{at}: open spaces"
+        stacked = {item_id for space in stack.spaces.values() for item_id in space}
+        assert stacked | stack.popped == seen, f"{at}: conservation violated"
+
     for utt in transcript.utterances:
         at = f"{where} utterance {utt.index}"
-        events = stack_model.apply_events(stack, transcript.events_at(utt.index), transcript)
-        _check(check_stack_invariants, stack, at)
+        events: list[StoreEvent] = []
+        for event in transcript.events_at(utt.index):
+            events += stack_model.apply_events(stack, [event], transcript)
+            _track_segments(open_segments, [event])
+            check(at)
         events += stack_model.absorb(stack, utt)
-        _check(check_stack_invariants, stack, at)
+        seen.update(utt.items)
+        check(at)
         records.append((tuple(events), stack_model.view(stack)))
     return records
 

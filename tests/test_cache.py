@@ -6,8 +6,6 @@ import pytest
 
 from attnsim.cache_model import (
     CacheState,
-    CueSetTooLarge,
-    RetrievalFailure,
     absorb,
     apply_events,
     evict_one,
@@ -115,30 +113,23 @@ def test_evict_one_discards_surface_forms():
 @pytest.mark.parametrize(
     "stores", [("main_memory",), ("discarded",), ("main_memory", "discarded")]
 )
-def test_evict_one_rejects_a_victim_already_filed(stores):
-    """Eviction checks the item it files, so a record left behind in main
-    memory or the discarded set surfaces at the step that would file it
-    twice, not at a later view."""
+def test_check_invariants_rejects_a_victim_already_filed(stores):
+    """A cached item with a record left behind in main memory or the
+    discarded set: the state the next eviction would file twice."""
 
     state = state_with([("a", 1), ("b", 2)], table("a", "b"))
     for store in stores:
         getattr(state, store).add("a")
-    with pytest.raises(ValueError, match="pairwise disjoint"):
-        evict_one(state)
+    with pytest.raises(AssertionError, match="stores overlap"):
+        check_cache_invariants(state)
 
 
-def test_readmit_rejects_an_item_filed_in_two_stores():
+def test_check_invariants_rejects_an_item_filed_in_two_stores():
     state = new_cache(table("x"))
     state.main_memory.add("x")
     state.discarded.add("x")
-    with pytest.raises(ValueError, match="pairwise disjoint"):
-        insert_items(state, ["x"])
-
-
-def test_evict_empty_cache_is_internal_error():
-    state = new_cache(table("a"))
-    with pytest.raises(RuntimeError):
-        evict_one(state)
+    with pytest.raises(AssertionError, match="stores overlap"):
+        check_cache_invariants(state)
 
 
 def test_retrieve_moves_item_in_at_cost():
@@ -163,21 +154,6 @@ def test_retrieve_touches_cached_items_for_free():
     events = retrieve(state, ["x"], 1)
     assert state.effort == 0 and events == []
     assert state.last_touch["x"] > before
-
-
-def test_retrieve_discarded_item_fails(dialogue_b):
-    state = fold_cache(dialogue_b, upto_id="7")
-    assert "s1" in state.discarded
-    with pytest.raises(RetrievalFailure) as exc:
-        retrieve(state, ["s1"], 1)
-    assert exc.value.item_id == "s1"
-
-
-def test_retrieve_cue_set_capped_by_capacity():
-    items = table("a", "b", "c")
-    state = new_cache(items, capacity=2)
-    with pytest.raises(CueSetTooLarge):
-        retrieve(state, ["a", "b", "c"], 1)
 
 
 def test_absorb_inserts_items():

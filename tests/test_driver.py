@@ -15,7 +15,6 @@ import pytest
 
 import attnsim
 from attnsim import cache_model, core, driver, stack_model
-from attnsim.cache_model import RetrievalFailure, new_cache, retrieve
 from attnsim.cli import build_parser, main
 from attnsim.core import AccessibilityView, StoreEventKind
 from attnsim.driver import (
@@ -32,7 +31,7 @@ from attnsim.resolution import FailureReason, Outcome, OutcomeKind, PopClassific
 from attnsim.transcript_io import parse, read_trace
 
 import propsuite
-from conftest import cache_step, fixture_path, load_bench_gen, load_fixture
+from conftest import fixture_path, load_bench_gen, load_fixture
 
 
 def test_run_stack_dialogue_a(dialogue_a):
@@ -578,11 +577,3 @@ def test_return_cue_skips_discarded_surface_forms(tmp_path, capsys):
     assert retrieved == ["p1"]
     (_, resolution), = report.resolutions
     assert resolution.outcome == Outcome.immediate("p1")
-
-    # A direct request for the discarded record still fails.
-    state = new_cache(transcript.item_table, capacity=2)
-    for utt in transcript.utterances[:2]:
-        cache_step(state, utt, transcript.events_at(utt.index), transcript)
-    assert "s1" in state.discarded
-    with pytest.raises(RetrievalFailure):
-        retrieve(state, ["s1"], 1)

@@ -375,12 +375,6 @@ def test_analyze_iru_splits_by_store():
     }
 
 
-def test_analyze_iru_rejects_non_redundant_utterance():
-    transcript = little_transcript()
-    with pytest.raises(ValueError, match="not redundant"):
-        analyze_iru(transcript.utterances[0], AccessibilityView(), transcript)
-
-
 def test_dialogue_c_functions_per_model(dialogue_c):
     stack_report = replay(dialogue_c, ModelKind.STACK)
     cache_report = replay(dialogue_c, ModelKind.CACHE, capacity=7)

@@ -7,7 +7,6 @@ import pytest
 from attnsim.core import EventKind, SegmentEvent, StoreEvent, StoreEventKind, Utterance
 from attnsim.driver import ModelKind, replay
 from attnsim.stack_model import (
-    StructureError,
     apply_event,
     apply_utterance,
     new_stack,
@@ -57,28 +56,6 @@ def test_pop_moves_segment_items_to_popped():
     assert view(state).lost == {"x"}
 
 
-def test_pop_must_name_the_top_segment():
-    state = new_stack()
-    apply_event(state, push("S1"))
-    apply_event(state, push("S2"))
-    with pytest.raises(StructureError):
-        apply_event(state, pop("S1"))
-
-
-def test_pop_of_absent_segment_is_structural_error():
-    with pytest.raises(StructureError):
-        apply_event(new_stack(), pop("S9"))
-    with pytest.raises(StructureError):
-        apply_event(new_stack(), ret("S9"))
-
-
-def test_push_of_open_segment_rejected():
-    state = new_stack()
-    apply_event(state, push("S1"))
-    with pytest.raises(StructureError):
-        apply_event(state, push("S1"))
-
-
 def test_return_pops_everything_above_target():
     state = new_stack()
     for seg in ("S1", "S2", "S3"):
@@ -118,21 +95,21 @@ def test_re_mention_of_popped_item_restores_it():
     assert "x" in view(state).immediate
 
 
-def test_apply_utterance_rejects_a_popped_item_left_stacked():
+def test_check_invariants_rejects_a_popped_item_left_stacked():
     state = new_stack()
     apply_utterance(state, utterance("x"))
     state.popped.add("x")
-    with pytest.raises(ValueError, match="pairwise disjoint"):
-        apply_utterance(state, utterance("x", index=1))
+    with pytest.raises(AssertionError, match="popped item still stacked"):
+        propsuite.check_stack_invariants(state)
 
 
-def test_apply_utterance_rejects_an_item_in_two_spaces():
+def test_check_invariants_rejects_an_item_in_two_spaces():
     state = new_stack()
     apply_utterance(state, utterance("x"))
     apply_event(state, push("S2"))
     state.top["x"] = None
-    with pytest.raises(ValueError, match="pairwise disjoint"):
-        apply_utterance(state, utterance("x", index=1))
+    with pytest.raises(AssertionError, match="item in more than one space"):
+        propsuite.check_stack_invariants(state)
 
 
 def test_re_mention_moves_item_to_top_space():

@@ -155,6 +155,29 @@ def test_empty_record_list():
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (("resolutions", 0, "outcome", "effort"), 0, "positive effort"),
+        (("view", "lost"), ["a"], "pairwise disjoint"),
+    ],
+    ids=["retrieval-without-effort", "lost-overlaps-immediate"],
+)
+def test_read_trace_rejects_a_record_no_replay_writes(field, value, message):
+    # A trace file comes from the user, so reading one checks what the
+    # replay fold never needs to: an outcome's effort and a view's stores.
+    retrieved = Resolution("p", Outcome.after_retrieval("a", 1), ("a",), True)
+    view = AccessibilityView(("a",), frozenset({"b"}))
+    data = json.loads(write_trace([TraceRecord(0, (), view, (retrieved,), 1)]))
+    *path, key = field
+    parent = data[0]
+    for step in path:
+        parent = parent[step]
+    parent[key] = value
+    with pytest.raises(ValueError, match=message):
+        read_trace(json.dumps(data))
+
+
+@pytest.mark.parametrize(
     "value",
     [
         [],
