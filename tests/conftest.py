@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib.util
 import sys
 from pathlib import Path
@@ -56,6 +57,17 @@ def cache_step(
     log = cache_model.apply_events(state, events_before, transcript, retrieval_cost)
     log += cache_model.apply_iru(state, restated_items(utt, transcript))
     return log + cache_model.absorb(state, utt)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail any test that leaves the cyclic garbage collector off:
+    ``cli.main`` pauses it for a command and must turn it back on."""
+
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the cyclic garbage collector was left off")
 
 
 @pytest.fixture(scope="session")
