@@ -164,8 +164,9 @@ class Transcript(_TranscriptFields):
     in that set, in store order. The class declares no ``__slots__``, so
     the indexes sit outside the fields: they take no part in equality or
     repr, and a copy made by ``_replace`` or ``_make`` starts without them.
-    Utterance indexes are assumed to increase along ``utterances``, as the
-    parser assigns them.
+    Utterance indexes are assumed to increase along ``utterances``, and
+    ``item_table`` to list items in introduction order, with
+    non-decreasing ``introduced_at``, as the parser builds both.
     """
 
     @cached_property

@@ -13,12 +13,13 @@ the retrieval, so its cost lands in the state's effort ledger.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from typing import NamedTuple
 
 from . import cache_model, stack_model
 from .cache_model import DEFAULT_CAPACITY, DEFAULT_RETRIEVAL_COST
-from .core import CascadeTrace, DiscourseItem, ItemKind, Transcript
+from .core import CascadeTrace, ItemKind, Transcript
 from .resolution import (
     IRUFunction,
     Outcome,
@@ -297,27 +298,30 @@ def build_cases(transcript: Transcript) -> list[ReturnPopCase]:
     A case's candidate set is every entity introduced between the push of
     the resumed segment and the return to it, in introduction order: the
     hierarchically recent material plus everything linearly intervening.
+    A case whose gold antecedent is not among them raises ``ValueError``
+    (defect 4b).
     """
 
     mentions = {mention.id: mention for mention in transcript.mentions()}
+    # The item table lists items in introduction order (``Transcript``).
+    items = transcript.item_table.values()
+    entities = [item for item in items if item.kind is ItemKind.ENTITY]
+    introduced = [item.introduced_at for item in entities]
     cases = []
     for record in transcript.cases:
-        start = transcript.push_positions[record.segment_id]
-        stop = record.return_position
-        candidates: dict[str, DiscourseItem] = {}
-        for utt in transcript.utterances[start:stop]:
-            for item_id in utt.items:
-                item = transcript.item_table[item_id]
-                if item.kind is not ItemKind.ENTITY:
-                    continue
-                if not (start <= item.introduced_at < stop):
-                    continue
-                candidates.setdefault(item_id, item)
+        start = bisect_left(introduced, transcript.push_positions[record.segment_id])
+        stop = bisect_left(introduced, record.return_position)
+        candidates = tuple(entities[start:stop])
+        mention = mentions[record.mention_id]
+        if mention.gold_antecedent not in {item.id for item in candidates}:
+            raise ValueError(
+                f"case {record.case_id!r}: gold antecedent not among candidates"
+            )
         cases.append(
             ReturnPopCase(
                 case_id=record.case_id,
-                mention=mentions[record.mention_id],
-                candidates_at_return=tuple(candidates.values()),
+                mention=mention,
+                candidates_at_return=candidates,
                 iru_at_return=record.iru_at_return,
                 competitor_ever_central=record.central_competitor,
             )

@@ -81,31 +81,14 @@ class IRUFunction(Enum):
     REINSTANTIATE = "Reinstantiate"
 
 
-class _CaseFields(NamedTuple):
+class ReturnPopCase(NamedTuple):
+    """A pronoun at a segment resumption, with its competition context."""
+
     case_id: str
     mention: Mention
     candidates_at_return: tuple[DiscourseItem, ...]
     iru_at_return: bool = False
     competitor_ever_central: bool = False
-
-
-class ReturnPopCase(_CaseFields):
-    """A pronoun at a segment resumption, with its competition context.
-    Every construction, ``_replace`` too, checks that the gold antecedent
-    is among the candidates."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> ReturnPopCase:
-        case = super().__new__(cls, *args, **kwargs)
-        ids = {item.id for item in case.candidates_at_return}
-        if case.mention.gold_antecedent not in ids:
-            raise ValueError(
-                f"case {case.case_id!r}: gold antecedent not among candidates"
-            )
-        return case
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _surface_carrier(
@@ -175,7 +158,8 @@ def classify_return_pop(case: ReturnPopCase, trace: CascadeTrace) -> PopClassifi
     Each stage narrows the previous stage's survivors; the first stage
     that leaves the gold antecedent alone names the classification, with
     redundancy and centrality as the final fallbacks. ``trace`` is the
-    case's ``cascade_survivors``.
+    case's ``cascade_survivors``. The gold antecedent is assumed to be
+    among the case's candidates, as ``build_cases`` guarantees.
     """
 
     gold = {case.mention.gold_antecedent}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import importlib.util
 import json
 import os
 import random
@@ -19,6 +20,7 @@ from attnsim.cli import build_parser, main
 from attnsim.core import AccessibilityView, StoreEventKind
 from attnsim.driver import (
     ModelKind,
+    build_cases,
     classify_corpus,
     compare_transcript,
     divergence_report_json,
@@ -280,6 +282,54 @@ def test_cascade_stages_narrow_monotonically(return_pops):
         assert classify_return_pop(case, trace) is classify_return_pop(case, trace)
 
 
+def _scanned_candidates(transcript, record):
+    """A case's candidates by a scan of every utterance in its span: each
+    entity realized there and introduced there, in order of first
+    realization."""
+
+    start = transcript.push_positions[record.segment_id]
+    stop = record.return_position
+    found = {}
+    for utt in transcript.utterances[start:stop]:
+        for item_id in utt.items:
+            item = transcript.item_table[item_id]
+            if item.kind is core.ItemKind.ENTITY and start <= item.introduced_at < stop:
+                found.setdefault(item_id, item)
+    return tuple(found.values())
+
+
+def test_build_cases_matches_a_scan_of_each_span():
+    gen = load_bench_gen()
+    transcripts = [load_fixture(f"{name}.dlg") for name in FIXTURE_NAMES]
+    for seed in range(3):
+        for outside in (0.0, 0.25):
+            shape = gen.Shape(120, block=12, case_gold_outside=outside)
+            transcripts.append(parse(gen.generate(random.Random(seed), shape, "g")[0]))
+    outcomes = set()
+    for transcript in transcripts:
+        mentions = {mention.id: mention for mention in transcript.mentions()}
+        expected = [_scanned_candidates(transcript, record) for record in transcript.cases]
+        # The first case whose gold antecedent the scan does not find, if any.
+        bad = next(
+            (
+                k
+                for k, (record, candidates) in enumerate(zip(transcript.cases, expected))
+                if mentions[record.mention_id].gold_antecedent
+                not in {item.id for item in candidates}
+            ),
+            None,
+        )
+        good = transcript._replace(cases=transcript.cases[:bad])
+        assert [case.candidates_at_return for case in build_cases(good)] == expected[:bad]
+        if bad is not None:
+            with pytest.raises(ValueError) as error:
+                build_cases(transcript)
+            case_id = transcript.cases[bad].case_id
+            assert str(error.value) == f"case {case_id!r}: gold antecedent not among candidates"
+        outcomes.add(bad is None)
+    assert outcomes == {True, False}
+
+
 def test_pops_corpus_runs_under_both_models(return_pops):
     # The corpus is an ordinary transcript; replays must not fault.
     stack_report = replay(return_pops, ModelKind.STACK)
@@ -488,6 +538,40 @@ def test_cost_below_one_is_rejected_in_process(cost, dialogue_b):
         replay(dialogue_b, ModelKind.CACHE, retrieval_cost=cost)
     with pytest.raises(ValueError, match="retrieval cost"):
         compare_transcript(dialogue_b, retrieval_cost=cost)
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_capacity_below_one_is_rejected_in_process(capacity, dialogue_b):
+    with pytest.raises(ValueError, match="capacity must be positive or None"):
+        replay(dialogue_b, ModelKind.CACHE, capacity)
+    with pytest.raises(ValueError, match="capacity must be positive or None"):
+        compare_transcript(dialogue_b, capacity)
+
+
+def test_cli_case_gold_outside_is_the_benchmarks_known_defect(tmp_path, capsys):
+    # The gold antecedent, "old", was introduced before S1 was pushed.
+    path = tmp_path / "outside.dlg"
+    path.write_text(
+        "DIALOGUE t\nUTT u1 speaker=A\nITEM old kind=entity gender=f num=sg\n"
+        "PUSH S1\nUTT u2 speaker=B\nITEM new kind=entity gender=f num=sg\n"
+        "PUSH S2\nUTT u3 speaker=A\nRETURN S1\nCASE c1 mention=p\n"
+        "UTT u4 speaker=B\nPRON p gender=f num=sg gold=old\n",
+        encoding="utf-8",
+    )
+    assert main(["pops", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: case 'c1': gold antecedent not among candidates\n"
+    # The benchmark names an exit 1 by its message; a drifted message
+    # would count as an unclassified crash.
+    spec = importlib.util.spec_from_file_location(
+        "bench_checks", Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+    )
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert checks.classify_exit(1, captured.err, generated=True) == (
+        "defect-4b-case-gold-outside"
+    )
 
 
 def test_cli_compare_and_pops_payloads(capsys):

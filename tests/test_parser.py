@@ -311,6 +311,11 @@ REPEATED_RETURN = (
         "dialogue_c.dlg",
         "return_pops.dlg",
         pytest.param(REPEATED_RETURN, id="repeated-return"),
+        # No fixture's CASE carries this flag.
+        pytest.param(
+            REPEATED_RETURN.replace("mention=p", "mention=p iru central-competitor"),
+            id="central-competitor",
+        ),
     ],
 )
 def test_fixture_round_trip(name):

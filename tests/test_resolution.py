@@ -15,7 +15,7 @@ from attnsim.core import (
     Transcript,
     Utterance,
 )
-from attnsim.driver import ModelKind, replay
+from attnsim.driver import ModelKind, build_cases, replay
 from attnsim.resolution import (
     FailureReason,
     IRUFunction,
@@ -28,6 +28,7 @@ from attnsim.resolution import (
     classify_return_pop,
     resolve,
 )
+from attnsim.transcript_io import parse
 
 
 def entity(item_id, gender=Gender.NEUT, number=Number.SG, sel=()):
@@ -310,16 +311,32 @@ def test_central_competitor_is_ambiguous():
     )
 
 
+# Segment S1 holds "new" and, under S2, "aside"; "old" predates its push.
+GOLD_BEFORE_PUSH = """DIALOGUE t
+UTT u1 speaker=A
+ITEM old kind=entity gender=f num=sg
+PUSH S1
+UTT u2 speaker=B
+ITEM new kind=entity gender=f num=sg
+PUSH S2
+UTT u3 speaker=A
+ITEM aside kind=entity gender=m num=sg
+RETURN S1
+CASE c1 mention=p1
+CASE c2 mention=p2
+UTT u4 speaker=B
+PRON p1 gender=f num=sg gold=new
+PRON p2 gender=f num=sg gold=old
+"""
+
+
 def test_case_requires_gold_among_candidates():
-    with pytest.raises(ValueError):
-        ReturnPopCase(
-            case_id="bad",
-            mention=pronoun("missing"),
-            candidates_at_return=(entity("present"),),
-        )
-    case = ReturnPopCase("good", pronoun("present"), (entity("present"),))
-    with pytest.raises(ValueError):
-        case._replace(mention=pronoun("missing"))
+    transcript = parse(GOLD_BEFORE_PUSH)
+    (case,) = build_cases(transcript._replace(cases=transcript.cases[:1]))
+    assert [item.id for item in case.candidates_at_return] == ["new", "aside"]
+    with pytest.raises(ValueError) as error:
+        build_cases(transcript)
+    assert str(error.value) == "case 'c2': gold antecedent not among candidates"
 
 
 def test_view_stores_must_be_disjoint():
