@@ -28,7 +28,16 @@ from .driver import (
     run,
     simulation_report_json,
 )
-from .transcript_io import ParseError
+from .transcript_io import ParseError, indented_json
+
+
+class _Report(json.JSONEncoder):
+    """Writes a report with ``indented_json``. Reports still pass through
+    this module's ``json.dumps``, because ``bench/tracer.py`` times stdout
+    encoding by wrapping that name (its ``cli.json_dumps`` layer)."""
+
+    def encode(self, o) -> str:
+        return indented_json(o)
 
 
 def _positive(value: str, message: str) -> int:
@@ -112,7 +121,7 @@ def _command(argv: list[str] | None) -> int:
     try:
         if sys.stdout is None:  # descriptor 1 was closed when Python started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, cls=_Report))
         sys.stdout.flush()
     except OSError as error:
         if sys.stdout is not None:

@@ -460,14 +460,23 @@ def resolution_json(resolution: Resolution) -> dict:
 _quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
 
 
-class _IdLines(dict):
-    """Each id's line in a trace's id lists, escaped on first use."""
+def _string_list(strings: Sequence[str], pad: str) -> str:
+    """A list of strings as ``indented_json`` writes it at ``pad``; raises
+    TypeError if an element is not a str.
 
-    __slots__ = ()
+    Escaping maps each character on its own, and never to fewer than one
+    character, so the quoted concatenation is 2 longer than the plain one
+    exactly when no string needs escaping. Such a list is one join."""
 
-    def __missing__(self, item_id: str) -> str:
-        line = self[item_id] = ",\n        " + _quote(item_id)
-        return line
+    if not strings:
+        return "[]"
+    inner = pad + "  "
+    joined = "".join(strings)
+    if len(_quote(joined)) == len(joined) + 2:
+        body = '"' + ('",\n' + inner + '"').join(strings) + '"'
+    else:
+        body = (",\n" + inner).join(map(_quote, strings))
+    return f"[\n{inner}{body}\n{pad}]"
 
 
 def indented_json(value, pad: str = "") -> str:
@@ -498,8 +507,7 @@ def indented_json(value, pad: str = "") -> str:
         )
         return f"{{\n{inner}{body}\n{pad}}}"
     try:
-        # Lists of ids are the common case: escape them in C.
-        body = separator.join(map(_quote, value))
+        return _string_list(value, pad)  # lists of ids are the common case
     except TypeError:  # not a list of strings
         body = separator.join([indented_json(item, inner) for item in value])
     return f"[\n{inner}{body}\n{pad}]"
@@ -510,9 +518,9 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
     byte-identical output, the bytes ``json.dumps(..., indent=2)`` writes.
 
     The record layout is fixed, so it is written here, into one list joined
-    once: each distinct id is escaped once, and a ``retrievable`` or
+    once. Id lists go through ``_string_list``, and a ``retrievable`` or
     ``lost`` set that is the previous record's object (``core.snapshot``
-    shares unchanged stores) reuses that record's sorted lines."""
+    shares unchanged stores) reuses that record's text."""
 
     ordered = [record.utterance_index for record in records]
     if ordered != sorted(ordered):
@@ -525,15 +533,6 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
             raise ValueError(f"trace record {record.utterance_index} has no view")
     if not records:
         return "[]\n"
-    line = _IdLines().__getitem__
-
-    def listed(key: str, ids) -> list[str]:
-        if not ids:
-            return [key, "[]"]
-        pieces = [key, "[", *map(line, ids), "\n      ]"]
-        pieces[2] = pieces[2][1:]  # the first id follows no comma
-        return pieces
-
     out: list[str] = []
     opening = '[\n  {\n    "utteranceIndex": '
     retrievable = lost = None
@@ -541,16 +540,15 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
         view = record.view
         if view.retrievable is not retrievable:
             retrievable = view.retrievable
-            retrievable_lines = listed(',\n      "retrievable": ', sorted(retrievable))
+            retrievable_text = _string_list(sorted(retrievable), "      ")
         if view.lost is not lost:
             lost = view.lost
-            lost_lines = listed(',\n      "lost": ', sorted(lost))
+            lost_text = _string_list(sorted(lost), "      ")
         events = [{"kind": e.kind.value, "target": e.target} for e in record.events_applied]
         out += (opening, str(record.utterance_index), ',\n    "eventsApplied": ')
         out.append(indented_json(events, "    "))
-        out += listed(',\n    "view": {\n      "immediate": ', view.immediate)
-        out += retrievable_lines
-        out += lost_lines
+        out += (',\n    "view": {\n      "immediate": ', _string_list(view.immediate, "      "))
+        out += (',\n      "retrievable": ', retrievable_text, ',\n      "lost": ', lost_text)
         out.append('\n    },\n    "resolutions": ')
         out.append(indented_json([resolution_json(r) for r in record.resolutions], "    "))
         out += (',\n    "cumulativeEffort": ', str(record.cumulative_effort), "\n  }")

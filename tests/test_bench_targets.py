@@ -6,9 +6,15 @@ so every one of them must resolve here."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
-from attnsim import stack_model
+import pytest
+
+from attnsim import cli, stack_model
+
+from conftest import fixture_path
+from test_golden import COMMANDS, FIXTURES, GOLDEN, TRACED
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -30,3 +36,26 @@ def test_every_tracer_target_resolves():
     finally:
         restore()
     assert stack_model.view is original
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_reports_print_through_the_wrapped_json_dumps(
+    fixture, command, tmp_path, capsys, monkeypatch
+):
+    # The tracer's cli.json_dumps layer times whatever attnsim.cli's
+    # json.dumps does; a report printed another way would read as zero.
+    calls = []
+
+    def dumps(*args, **kwargs):
+        calls.append(args)
+        return json.dumps(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "json", load_tracer()._ModuleProxy(json, dumps=dumps))
+    argv = list(COMMANDS[command])
+    if command in TRACED:
+        argv += ["--trace", str(tmp_path / "trace.json")]
+    assert cli.main([*argv, str(fixture_path(f"{fixture}.dlg"))]) == 0
+    out, _ = capsys.readouterr()
+    assert len(calls) == 1
+    assert out.encode("utf-8") == (GOLDEN / f"{fixture}.{command}.json").read_bytes()

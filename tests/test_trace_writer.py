@@ -186,6 +186,13 @@ def test_read_trace_rejects_a_record_no_replay_writes(field, value, message):
         ["x", 1, "y"],  # strings, then something else: not a list of strings
         ("a", ("b", "c"), None, True, False, -3, 0),
         {"k": [{"n": None}, "é", 10**20], "\"q\"": []},
+        # On the edge of _string_list's length check.
+        [""],
+        ["a", ""],
+        ["a", "b\x7f"],  # ASCII, but escaped
+        ["a\\n"],  # a backslash, then n
+        ['q"'],
+        ("é",),
     ],
 )
 def test_encode_matches_json_dumps_for_trace_types(value):
