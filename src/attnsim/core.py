@@ -341,13 +341,17 @@ def _frozen(store: AbstractSet[str], earlier: frozenset[str] | None) -> frozense
 
 
 class SalienceOrder:
-    """A live immediate tier: the keys of ``stores``, last store first and
-    each from its last key, re-iterable and with membership by lookup."""
+    """A live immediate tier: the keys of ``stores`` (a sized, reversible
+    collection), last store first and each from its last key, re-iterable
+    and with membership by lookup."""
 
     def __init__(self, stores: Reversible[Mapping[str, object]]) -> None:
         self.stores = stores
 
     def __iter__(self) -> Iterator[str]:
+        if len(self.stores) == 1:  # the cache's one store: no chain to step
+            (store,) = self.stores
+            return reversed(store)
         return chain.from_iterable(map(reversed, reversed(self.stores)))
 
     def __contains__(self, item_id: object) -> bool:

@@ -194,7 +194,9 @@ def run(
         text = write_trace(report.records)
         try:
             with open(trace_path, "w", encoding="utf-8") as file:
-                file.write(text)
+                # In slices, so no second whole-trace buffer of bytes is built.
+                for start in range(0, len(text), 1 << 20):
+                    file.write(text[start : start + (1 << 20)])
         except OSError as error:
             raise OutputError(f"{trace_path}: {error.strerror or error}") from error
     return report

@@ -11,7 +11,8 @@ tolerance would mask drift.
 from __future__ import annotations
 
 import json
-from typing import Container, Mapping, NamedTuple, Sequence
+from bisect import bisect_left, insort
+from typing import AbstractSet, Container, Mapping, NamedTuple, Sequence
 
 from .core import (
     AccessibilityView,
@@ -513,14 +514,30 @@ def indented_json(value, pad: str = "") -> str:
     return f"[\n{inner}{body}\n{pad}]"
 
 
+def _resorted(ids: list[str], old: AbstractSet[str], new: AbstractSet[str]) -> list[str]:
+    """``sorted(new)``, given ``ids``, which is ``sorted(old)`` and is edited in
+    place: when at most a quarter of ``new`` changed, each id that left is
+    deleted and each that arrived inserted, and otherwise ``new`` is sorted."""
+
+    gone, came = old - new, new - old
+    if 4 * (len(gone) + len(came)) > len(new):
+        return sorted(new)
+    for item in gone:
+        del ids[bisect_left(ids, item)]
+    for item in came:
+        insort(ids, item)
+    return ids
+
+
 def write_trace(records: Sequence[TraceRecord]) -> str:
     """Serialize trace records deterministically: equal traces produce
     byte-identical output, the bytes ``json.dumps(..., indent=2)`` writes.
 
     The record layout is fixed, so it is written here, into one list joined
-    once. Id lists go through ``_string_list``, and a ``retrievable`` or
-    ``lost`` set that is the previous record's object (``core.snapshot``
-    shares unchanged stores) reuses that record's text."""
+    once. Id lists go through ``_string_list``. A ``retrievable`` or ``lost``
+    set that is the previous record's object (``core.snapshot`` shares
+    unchanged stores) reuses that record's text; any other takes its sorted
+    ids from the previous record's, patched by ``_resorted``."""
 
     ordered = [record.utterance_index for record in records]
     if ordered != sorted(ordered):
@@ -535,15 +552,20 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
         return "[]\n"
     out: list[str] = []
     opening = '[\n  {\n    "utteranceIndex": '
-    retrievable = lost = None
+    retrievable = lost = frozenset()
+    retrievable_ids: list[str] = []
+    lost_ids: list[str] = []
+    retrievable_text = lost_text = "[]"
     for record in records:
         view = record.view
         if view.retrievable is not retrievable:
+            retrievable_ids = _resorted(retrievable_ids, retrievable, view.retrievable)
             retrievable = view.retrievable
-            retrievable_text = _string_list(sorted(retrievable), "      ")
+            retrievable_text = _string_list(retrievable_ids, "      ")
         if view.lost is not lost:
+            lost_ids = _resorted(lost_ids, lost, view.lost)
             lost = view.lost
-            lost_text = _string_list(sorted(lost), "      ")
+            lost_text = _string_list(lost_ids, "      ")
         events = [{"kind": e.kind.value, "target": e.target} for e in record.events_applied]
         out += (opening, str(record.utterance_index), ',\n    "eventsApplied": ')
         out.append(indented_json(events, "    "))

@@ -30,7 +30,7 @@ from attnsim.driver import (
     simulation_report_json,
 )
 from attnsim.resolution import FailureReason, Outcome, OutcomeKind, PopClassification
-from attnsim.transcript_io import parse, read_trace
+from attnsim.transcript_io import parse, read_trace, write_trace
 
 import propsuite
 from conftest import fixture_path, load_bench_gen, load_fixture
@@ -362,6 +362,34 @@ def test_identical_invocations_are_byte_identical(tmp_path):
         assert code == 0
         paths.append(out.read_bytes())
     assert paths[0] == paths[1]
+
+
+def test_cli_writes_a_trace_larger_than_its_slices(tmp_path, capsys):
+    # At cache inf every entity stays immediate, so the trace grows with the
+    # square of the length: past 2 MiB, the file is written in three slices.
+    lines = ["DIALOGUE big"]
+    for utterance in range(400):
+        lines.append(f"UTT u{utterance} speaker={'AB'[utterance % 2]}")
+        lines += [f"ITEM e{utterance}x{k} kind=entity gender=n num=sg" for k in range(2)]
+    source = tmp_path / "big.dlg"
+    source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    trace = tmp_path / "big.trace.json"
+    argv = ["run", "--model", "cache", "--capacity", "inf", "--trace", str(trace)]
+    assert main([*argv, str(source)]) == 0
+    records = replay(parse(source.read_text(encoding="utf-8")), ModelKind.CACHE, None, views=True)
+    expected = write_trace(records.records).encode("utf-8")
+    assert len(expected) > 2 << 20
+    assert trace.read_bytes() == expected
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_trace_on_full_device_exits_3(capsys):
+    argv = ["run", "--model", "cache", "--capacity", "inf", "--trace", "/dev/full"]
+    assert main([*argv, str(fixture_path("dialogue_a.dlg"))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "output error: /dev/full: No space left on device\n"
 
 
 def test_cli_unwritable_trace_path_exits_3(tmp_path, capsys):

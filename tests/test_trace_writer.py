@@ -149,6 +149,58 @@ def test_shared_and_equal_sets_are_written_as_json_dumps_writes_them():
     assert read_trace(text) == records
 
 
+def _set_steps(rng: random.Random, prefix: str) -> list[frozenset]:
+    """Sets for consecutive records, each a new object unless noted, whose
+    changes fall on both sides of the writer's quarter-changed fallback."""
+
+    def fresh() -> str:
+        return f"{prefix}{rng.randrange(10**6)}"
+
+    def changed(ids: frozenset, removed: int, added: int) -> frozenset:
+        kept = set(ids) - set(rng.sample(sorted(ids), removed))
+        while len(kept) < len(ids) - removed + added:
+            kept.add(fresh())
+        return frozenset(kept)
+
+    first = frozenset(fresh() for _ in range(40))
+    below = changed(first, 4, 6)  # 10 of 42 changed: at most a quarter
+    above = changed(below, 6, 5)  # 11 of 41: more than a quarter
+    assert 4 * len(below ^ first) <= len(below) and 4 * len(above ^ below) > len(above)
+    whole = frozenset(fresh() for _ in range(len(above)))
+    a = changed(whole, 1, 1)
+    b = changed(a, 2, 0)
+    return [
+        frozenset(),  # empty, but not the writer's starting object
+        first,
+        first,  # the previous record's object
+        frozenset(first),  # equal to it, another object
+        below,
+        above,
+        whole,  # nothing in common with the previous set
+        a,
+        b,
+        a,  # A, B, A
+        frozenset(list(a)),
+        frozenset(),  # all ids gone
+        changed(whole, 0, 0),
+    ]
+
+
+def test_changing_sets_are_written_as_json_dumps_writes_them():
+    rng = random.Random(SEED)
+    retrievable = _set_steps(rng, "r")
+    lost = _set_steps(rng, "l")
+    # lost runs three steps behind retrievable, so each changes on its own.
+    lost = lost[:1] * 3 + lost
+    records = [
+        TraceRecord(index, (), AccessibilityView((), r, l), (), 0)
+        for index, (r, l) in enumerate(zip(retrievable + retrievable[-1:] * 3, lost))
+    ]
+    text = write_trace(records)
+    assert text == reference_trace(records)
+    assert read_trace(text) == records
+
+
 def test_empty_record_list():
     assert write_trace([]) == reference_trace([]) == "[]\n"
     assert read_trace(write_trace([])) == []

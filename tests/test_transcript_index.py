@@ -1,4 +1,5 @@
-"""The transcript's indexed lookups agree with plain linear scans."""
+"""The transcript's indexed lookups, and the models' live immediate tier,
+agree with plain linear scans."""
 
 from __future__ import annotations
 
@@ -7,7 +8,13 @@ import re
 
 import pytest
 
-from attnsim.core import EventKind, Transcript, segment_assignments, segment_items
+from attnsim.core import (
+    EventKind,
+    SalienceOrder,
+    Transcript,
+    segment_assignments,
+    segment_items,
+)
 from attnsim.driver import ModelKind, replay
 from attnsim.transcript_io import parse
 
@@ -119,3 +126,18 @@ def test_indexes_stay_out_of_equality_and_repr(dialogue_a):
         assert repr(copy) == repr(renamed)
         for model in ModelKind:
             assert replay(copy, model) == replay(renamed, model)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("container", [tuple, lambda stores: dict(enumerate(stores)).values()],
+                         ids=["tuple", "dict-values"])
+def test_salience_order_walks_last_store_first_from_its_last_key(count, container):
+    # The cache hands one store in a tuple, the stack its spaces' dict values.
+    rng = random.Random(SEED)
+    stores = [dict.fromkeys(f"s{k}i{rng.randrange(100)}" for _ in range(k + 2)) for k in range(count)]
+    reference = [key for store in reversed(stores) for key in reversed(store)]
+    order = SalienceOrder(container(stores))
+    assert list(order) == reference
+    assert list(order) == reference  # re-iterable
+    for key in [*reference, "absent", "s0i"]:
+        assert (key in order) == (key in reference)
