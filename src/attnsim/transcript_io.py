@@ -459,31 +459,34 @@ def resolution_json(resolution: Resolution) -> dict:
 
 
 _quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
+# The bytes _quote copies as they are: printable ASCII but '"' and '\\'.
+_PLAIN = bytes(b for b in range(0x20, 0x7F) if b not in b'"\\')
 
 
-def _string_list(strings: Sequence[str], pad: str) -> str:
-    """A list of strings as ``indented_json`` writes it at ``pad``; raises
-    TypeError if an element is not a str.
+def _string_list(strings: Sequence[str], pad: str) -> tuple[str, ...]:
+    """The pieces of a list of strings as ``indented_json`` writes it at
+    ``pad``, to be joined by the caller; raises TypeError if an element is
+    not a str.
 
-    Escaping maps each character on its own, and never to fewer than one
-    character, so the quoted concatenation is 2 longer than the plain one
-    exactly when no string needs escaping. Such a list is one join."""
+    When every string is made of ``_PLAIN`` characters only, none needs
+    escaping, and the body is one join of the strings, returned between
+    its opening and closing pieces so that it is not copied again. Any
+    other list is quoted id by id."""
 
     if not strings:
-        return "[]"
+        return ("[]",)
     inner = pad + "  "
     joined = "".join(strings)
-    if len(_quote(joined)) == len(joined) + 2:
-        body = '"' + ('",\n' + inner + '"').join(strings) + '"'
-    else:
-        body = (",\n" + inner).join(map(_quote, strings))
-    return f"[\n{inner}{body}\n{pad}]"
+    if joined.isascii() and not joined.encode().translate(None, _PLAIN):
+        return "[\n" + inner + '"', ('",\n' + inner + '"').join(strings), '"\n' + pad + "]"
+    return "[\n" + inner, (",\n" + inner).join(map(_quote, strings)), "\n" + pad + "]"
 
 
 def indented_json(value, pad: str = "") -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it when it opens
-    at indentation ``pad``, for the types a trace or a command's report
-    holds: dict with str keys, list or tuple, str, int, bool and None.
+    at indentation ``pad``, for the types a command's report holds: dict
+    with str keys, list or tuple, str, int, bool and None. Traces have
+    their own writer, ``write_trace``.
 
     With an indent, CPython's ``json.dumps`` falls back from its C encoder
     to the pure-Python one, which yields one token at a time. This lays
@@ -508,7 +511,7 @@ def indented_json(value, pad: str = "") -> str:
         )
         return f"{{\n{inner}{body}\n{pad}}}"
     try:
-        return _string_list(value, pad)  # lists of ids are the common case
+        return "".join(_string_list(value, pad))  # lists of ids are the common case
     except TypeError:  # not a list of strings
         body = separator.join([indented_json(item, inner) for item in value])
     return f"[\n{inner}{body}\n{pad}]"
@@ -533,11 +536,14 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
     """Serialize trace records deterministically: equal traces produce
     byte-identical output, the bytes ``json.dumps(..., indent=2)`` writes.
 
-    The record layout is fixed, so it is written here, into one list joined
-    once. Id lists go through ``_string_list``. A ``retrievable`` or ``lost``
-    set that is the previous record's object (``core.snapshot`` shares
-    unchanged stores) reuses that record's text; any other takes its sorted
-    ids from the previous record's, patched by ``_resorted``."""
+    The record layout is fixed, so every part of it, store events,
+    resolutions with their outcomes as ``outcome_json`` lays them out, and
+    the view, is written here as pieces of one list joined once. Id lists
+    are ``_string_list`` pieces. A ``retrievable`` or ``lost`` set that is
+    the previous record's object (``core.snapshot`` shares unchanged
+    stores) reuses that record's pieces; any other takes its sorted ids
+    from the previous record's, patched by ``_resorted``. Ids and event
+    targets must be str; anything else raises TypeError."""
 
     ordered = [record.utterance_index for record in records]
     if ordered != sorted(ordered):
@@ -555,24 +561,45 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
     retrievable = lost = frozenset()
     retrievable_ids: list[str] = []
     lost_ids: list[str] = []
-    retrievable_text = lost_text = "[]"
+    retrievable_pieces = lost_pieces = ("[]",)
     for record in records:
         view = record.view
         if view.retrievable is not retrievable:
             retrievable_ids = _resorted(retrievable_ids, retrievable, view.retrievable)
             retrievable = view.retrievable
-            retrievable_text = _string_list(retrievable_ids, "      ")
+            retrievable_pieces = _string_list(retrievable_ids, "      ")
         if view.lost is not lost:
             lost_ids = _resorted(lost_ids, lost, view.lost)
             lost = view.lost
-            lost_text = _string_list(lost_ids, "      ")
-        events = [{"kind": e.kind.value, "target": e.target} for e in record.events_applied]
+            lost_pieces = _string_list(lost_ids, "      ")
         out += (opening, str(record.utterance_index), ',\n    "eventsApplied": ')
-        out.append(indented_json(events, "    "))
-        out += (',\n    "view": {\n      "immediate": ', _string_list(view.immediate, "      "))
-        out += (',\n      "retrievable": ', retrievable_text, ',\n      "lost": ', lost_text)
+        row = "[\n      {"
+        for event in record.events_applied:
+            out += (row, '\n        "kind": "', event.kind.value, '",\n        "target": ')
+            out += (_quote(event.target), "\n      }")
+            row = ",\n      {"
+        out.append("\n    ]" if record.events_applied else "[]")
+        out.append(',\n    "view": {\n      "immediate": ')
+        out += _string_list(view.immediate, "      ")
+        out += (',\n      "retrievable": ', *retrievable_pieces, ',\n      "lost": ', *lost_pieces)
         out.append('\n    },\n    "resolutions": ')
-        out.append(indented_json([resolution_json(r) for r in record.resolutions], "    "))
+        row = "[\n      {"
+        for resolution in record.resolutions:
+            outcome = resolution.outcome
+            out += (row, '\n        "mentionId": ', _quote(resolution.mention_id))
+            out += (',\n        "outcome": {\n          "kind": "', outcome.kind.value, '"')
+            if outcome.item is not None:
+                out += (',\n          "item": ', _quote(outcome.item))
+            if outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
+                out += (',\n          "effort": ', str(outcome.effort))
+            if outcome.reason is not None:
+                out += (',\n          "reason": "', outcome.reason.value, '"')
+            out.append('\n        },\n        "candidatesConsidered": ')
+            out += _string_list(resolution.candidates_considered, "        ")
+            out += (',\n        "correct": ', "true" if resolution.correct else "false")
+            out.append("\n      }")
+            row = ",\n      {"
+        out.append("\n    ]" if record.resolutions else "[]")
         out += (',\n    "cumulativeEffort": ', str(record.cumulative_effort), "\n  }")
         opening = ',\n  {\n    "utteranceIndex": '
     out.append("\n]\n")

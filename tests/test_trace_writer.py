@@ -24,9 +24,10 @@ from attnsim.driver import (
     replay,
     simulation_report_json,
 )
-from attnsim.resolution import Outcome, Resolution
+from attnsim.resolution import FailureReason, Outcome, OutcomeKind, Resolution
 from attnsim.transcript_io import (
     TraceRecord,
+    _string_list,
     indented_json,
     parse,
     read_trace,
@@ -184,6 +185,67 @@ def _set_steps(rng: random.Random, prefix: str) -> list[frozenset]:
         frozenset(),  # all ids gone
         changed(whole, 0, 0),
     ]
+
+
+def _hand_built_records() -> list[TraceRecord]:
+    """Records no replay needs to make: every event kind, every outcome kind
+    and failure reason, retrieval efforts 1 and 3, empty and non-empty
+    rows and candidate lists, and ids that need escaping in each field."""
+
+    targets = ['a"b\\c', "é𝒳\x01", "s\x7f", "plain"]
+    events = tuple(
+        StoreEvent(kind, targets[index % len(targets)])
+        for index, kind in enumerate(StoreEventKind)
+    )
+    outcomes = [
+        Outcome.immediate('i"1'),
+        Outcome.after_retrieval("r\\1", 1),
+        Outcome.after_retrieval("r\u20282", 3),
+    ] + [Outcome.failure(reason) for reason in FailureReason]
+    assert {outcome.kind for outcome in outcomes} == set(OutcomeKind)
+    candidates = [(), ('i"1',), ("r\\1", "c\x1f", "plain", "é")]
+    resolutions = tuple(
+        Resolution(f"m\t{index}", outcome, candidates[index % len(candidates)], index % 2 == 0)
+        for index, outcome in enumerate(outcomes)
+    )
+    view = AccessibilityView(("x\ny", "plain-id"), frozenset({'q"'}), frozenset({"z"}))
+    return [
+        TraceRecord(0, (), view, (), 0),
+        TraceRecord(1, events, view, (), 0),
+        TraceRecord(2, (), view, resolutions[:1], 0),
+        TraceRecord(3, events[:1], AccessibilityView(()), resolutions, 4),
+        TraceRecord(5, events[::-1], view, resolutions[::-1], 8),
+    ]
+
+
+def test_hand_built_records_are_written_as_json_dumps_writes_them():
+    records = _hand_built_records()
+    text = write_trace(records)
+    assert text == reference_trace(records)
+    assert read_trace(text) == records
+    for record in records:  # each on its own, so every row is also a first row
+        assert write_trace([record]) == reference_trace([record])
+
+
+def test_event_target_must_be_a_string():
+    view = AccessibilityView(())
+    record = TraceRecord(0, (StoreEvent(StoreEventKind.STORE, 7),), view, (), 0)
+    with pytest.raises(TypeError):
+        write_trace([record])
+
+
+# Every ASCII character, one outside ASCII and one outside the basic plane.
+SWEEP = [chr(code) for code in range(0x80)] + ["é", "𝒳"]
+
+
+@pytest.mark.parametrize("pad", ["", "      "], ids=["top", "nested"])
+def test_string_list_escapes_each_character_as_json_dumps_does(pad):
+    for char in SWEEP:
+        for name in (char, char + "id", "i" + char + "d", "id" + char):
+            for strings in ([name], ["a1", name, "b2"]):
+                expected = json.dumps(strings, indent=2).replace("\n", "\n" + pad)
+                assert "".join(_string_list(strings, pad)) == expected, strings
+                assert indented_json(strings, pad) == expected, strings
 
 
 def test_changing_sets_are_written_as_json_dumps_writes_them():
