@@ -47,9 +47,13 @@ DEFAULT_RETRIEVAL_COST = 1
 
 class CacheState:
     def __init__(
-        self, capacity: int | None, item_table: Mapping[str, DiscourseItem]
+        self,
+        capacity: int | None,
+        item_table: Mapping[str, DiscourseItem],
+        retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
     ) -> None:
         self.capacity = capacity  # None means unbounded
+        self.retrieval_cost = retrieval_cost  # effort per item moved from main memory
         self.item_table = item_table
         # Cached item ids, least recently used first, each mapped to the step
         # that admitted it: pins are taken in admission order, whatever the
@@ -72,11 +76,13 @@ class CacheState:
 
 
 def new_cache(
-    item_table: Mapping[str, DiscourseItem], capacity: int | None = DEFAULT_CAPACITY
+    item_table: Mapping[str, DiscourseItem],
+    capacity: int | None = DEFAULT_CAPACITY,
+    retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
 ) -> CacheState:
     if capacity is not None and capacity < 1:
         raise ValueError("capacity must be positive or None")
-    return CacheState(capacity=capacity, item_table=item_table)
+    return CacheState(capacity, item_table, retrieval_cost)
 
 
 def _touch(state: CacheState, item_id: str) -> None:
@@ -169,32 +175,28 @@ def insert_items(state: CacheState, item_ids: Sequence[str]) -> list[StoreEvent]
     return _admit(state, _touch_cached(state, item_ids))
 
 
-def retrieve(
-    state: CacheState,
-    item_ids: Sequence[str],
-    cost_per_item: int = DEFAULT_RETRIEVAL_COST,
-) -> list[StoreEvent]:
+def retrieve(state: CacheState, item_ids: Sequence[str]) -> list[StoreEvent]:
     """Cued retrieval from main memory into the cache.
 
     Items already cached are touched for free; each item actually moved
-    adds ``cost_per_item`` to the state's effort. A discarded record no
+    adds the state's ``retrieval_cost`` to its effort. A discarded record no
     longer exists anywhere, so no caller asks for one: the return cue
     leaves them out, and a resolution retrieves what it found in main memory.
     """
 
     movers = [i for i in _touch_cached(state, item_ids) if i in state.main_memory]
-    state.effort += cost_per_item * len(movers)
+    state.effort += state.retrieval_cost * len(movers)
     return _admit(state, movers)
 
 
 def apply_events(
-    state: CacheState,
-    events_before: Sequence[SegmentEvent],
-    transcript: Transcript,
-    retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
+    state: CacheState, events_before: Sequence[SegmentEvent], transcript: Transcript
 ) -> list[StoreEvent]:
     """Apply segment boundaries: pin on an expected return, unpin when the
-    segment closes, and cue a retrieval of the resumed segment's material.
+    segment closes, and cue a retrieval of the resumed segment's material
+    at the state's retrieval cost. A return releases the pins of the
+    resumed segment and of every segment pushed after it in
+    ``Transcript.events``, innermost first.
 
     An unbounded cache never displaces, so a pin could protect nothing: it
     takes none, and its closing segments find no pins to release.
@@ -218,16 +220,12 @@ def apply_events(
             log.extend(_unpin(state, event.segment_id))
             continue
 
-        # A return also closes every segment opened inside the resumed one:
-        # their pins go first, innermost first.
-        pushed = transcript.push_positions
-        owners = dict.fromkeys(state.pinned.values())
-        inner = [s for s in owners if pushed[s] > pushed[event.segment_id]]
-        for segment_id in sorted(inner, key=pushed.__getitem__, reverse=True):
+        order = transcript.push_order
+        resumed = order[event.segment_id]
+        closed = [s for s in dict.fromkeys(state.pinned.values()) if order[s] >= resumed]
+        for segment_id in sorted(closed, key=order.__getitem__, reverse=True):
             log.extend(_unpin(state, segment_id))
-        log.extend(_unpin(state, event.segment_id))
-        cue = _return_cue(state, transcript, event)
-        log.extend(retrieve(state, cue, retrieval_cost))
+        log.extend(retrieve(state, _return_cue(state, transcript, event)))
     return log
 
 

@@ -157,14 +157,15 @@ class Transcript(_TranscriptFields):
 
     Lookups are indexed lazily, once per transcript, and every replay of
     it shares them: events by position, utterances by id, items by
-    segment, pushes by segment, the first surface carrier of each item,
-    and the ids that pass the kind step and ``staged_filter`` for each
-    cue signature. Every filter stage is a pointwise test on features
-    fixed at parse time, so filtering a store keeps exactly its members
-    in that set, in store order. The class declares no ``__slots__``, so
-    the indexes sit outside the fields: they take no part in equality or
-    repr, and a copy made by ``_replace`` or ``_make`` starts without them.
-    Utterance indexes are assumed to increase along ``utterances``, and
+    segment, each segment's push by utterance position and by place in
+    ``events``, the first surface carrier of each item, and the ids that
+    pass the kind step and ``staged_filter`` for each cue signature.
+    Every filter stage is a pointwise test on features fixed at parse
+    time, so filtering a store keeps exactly its members in that set, in
+    store order. The class declares no ``__slots__``, so the indexes sit
+    outside the fields: they take no part in equality or repr, and a copy
+    made by ``_replace`` or ``_make`` starts without them. Utterance
+    indexes are assumed to increase along ``utterances``, and
     ``item_table`` to list items in introduction order, with
     non-decreasing ``introduced_at``, as the parser builds both.
     """
@@ -208,6 +209,11 @@ class Transcript(_TranscriptFields):
     @cached_property
     def push_positions(self) -> dict[str, int]:
         return {e.segment_id: e.position for e in self.events if e.kind is EventKind.PUSH}
+
+    @cached_property
+    def push_order(self) -> dict[str, int]:
+        # Unlike positions, this orders pushes before the same utterance.
+        return {e.segment_id: n for n, e in enumerate(self.events) if e.kind is EventKind.PUSH}
 
     def utterance_by_id(self, utt_id: str) -> Utterance:
         return self._utterances_by_id[utt_id]

@@ -121,7 +121,7 @@ def replay(
         raise ValueError(f"retrieval cost must be at least 1, got {retrieval_cost}")
     if model_kind is ModelKind.CACHE:
         model = cache_model
-        state = cache_model.new_cache(transcript.item_table, capacity)
+        state = cache_model.new_cache(transcript.item_table, capacity, retrieval_cost)
     else:
         # The stack reports no capacity or retrieval cost.
         model, state = stack_model, stack_model.new_stack()
@@ -131,9 +131,7 @@ def replay(
     findings: list[IRUFinding] = []
     view = None
     for utt in transcript.utterances:
-        applied = model.apply_events(
-            state, transcript.events_at(utt.index), transcript, retrieval_cost
-        )
+        applied = model.apply_events(state, transcript.events_at(utt.index), transcript)
         if utt.is_iru:
             functions = tuple(analyze_iru(utt, state, transcript))
             # The stack model predicts nothing for a restatement whose
@@ -149,9 +147,7 @@ def replay(
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
                 # Strategic retrieval: interpreting the anaphor pulls its
                 # antecedent into the cache and pays for the trip.
-                applied.extend(
-                    model.retrieve(state, [resolution.outcome.item], retrieval_cost)
-                )
+                applied.extend(model.retrieve(state, [resolution.outcome.item]))
             utt_resolutions.append(resolution)
             resolutions.append((utt.id, resolution))
         applied.extend(model.absorb(state, utt))

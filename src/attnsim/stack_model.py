@@ -73,13 +73,10 @@ def apply_event(stack: FocusStack, event: SegmentEvent) -> list[StoreEvent]:
 
 
 def apply_events(
-    stack: FocusStack,
-    events_before: Sequence[SegmentEvent],
-    transcript: Transcript,
-    retrieval_cost: int = 0,
+    stack: FocusStack, events_before: Sequence[SegmentEvent], transcript: Transcript
 ) -> list[StoreEvent]:
     """Apply segment boundaries in order. The stack never retrieves, so
-    the transcript and the retrieval cost go unused."""
+    the transcript goes unused."""
 
     return [logged for event in events_before for logged in apply_event(stack, event)]
 

@@ -519,15 +519,12 @@ def indented_json(value, pad: str = "") -> str:
 
 def _resorted(ids: list[str], old: AbstractSet[str], new: AbstractSet[str]) -> list[str]:
     """``sorted(new)``, given ``ids``, which is ``sorted(old)`` and is edited in
-    place: when at most a quarter of ``new`` changed, each id that left is
-    deleted and each that arrived inserted, and otherwise ``new`` is sorted."""
+    place: each id that left is deleted and each that arrived inserted. In
+    a trace, a changed set mostly differs from the previous one by a few ids."""
 
-    gone, came = old - new, new - old
-    if 4 * (len(gone) + len(came)) > len(new):
-        return sorted(new)
-    for item in gone:
+    for item in old - new:
         del ids[bisect_left(ids, item)]
-    for item in came:
+    for item in new - old:
         insort(ids, item)
     return ids
 
@@ -542,18 +539,12 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
     are ``_string_list`` pieces. A ``retrievable`` or ``lost`` set that is
     the previous record's object (``core.snapshot`` shares unchanged
     stores) reuses that record's pieces; any other takes its sorted ids
-    from the previous record's, patched by ``_resorted``. Ids and event
-    targets must be str; anything else raises TypeError."""
+    from the previous record's, patched by ``_resorted``. The same pass
+    checks each record: utterance indexes and cumulative effort must not
+    decrease, and every record must carry a view; the first record that
+    breaks a rule raises ValueError. Ids and event targets must be str;
+    anything else raises TypeError."""
 
-    ordered = [record.utterance_index for record in records]
-    if ordered != sorted(ordered):
-        raise ValueError("trace records must be ordered by utterance index")
-    efforts = [record.cumulative_effort for record in records]
-    if efforts != sorted(efforts):
-        raise ValueError("cumulative effort must be non-decreasing")
-    for record in records:
-        if record.view is None:
-            raise ValueError(f"trace record {record.utterance_index} has no view")
     if not records:
         return "[]\n"
     out: list[str] = []
@@ -562,8 +553,16 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
     retrievable_ids: list[str] = []
     lost_ids: list[str] = []
     retrievable_pieces = lost_pieces = ("[]",)
+    previous = records[0]
     for record in records:
+        if record.utterance_index < previous.utterance_index:
+            raise ValueError("trace records must be ordered by utterance index")
+        if record.cumulative_effort < previous.cumulative_effort:
+            raise ValueError("cumulative effort must be non-decreasing")
         view = record.view
+        if view is None:
+            raise ValueError(f"trace record {record.utterance_index} has no view")
+        previous = record
         if view.retrievable is not retrievable:
             retrievable_ids = _resorted(retrievable_ids, retrievable, view.retrievable)
             retrievable = view.retrievable

@@ -47,14 +47,12 @@ def restated_items(utt, transcript):
     return list(dict.fromkeys(i for a in antecedents for i in a.items))
 
 
-def cache_step(
-    state, utt, events_before, transcript, retrieval_cost=cache_model.DEFAULT_RETRIEVAL_COST
-):
+def cache_step(state, utt, events_before, transcript):
     """Advance a cache across one utterance the way the replay fold does:
     segment boundaries, then redundancy handling, then the utterance's own
     items. Returns the store events in order."""
 
-    log = cache_model.apply_events(state, events_before, transcript, retrieval_cost)
+    log = cache_model.apply_events(state, events_before, transcript)
     log += cache_model.apply_iru(state, restated_items(utt, transcript))
     return log + cache_model.absorb(state, utt)
 

@@ -61,6 +61,8 @@ STACK_REFERENCE_TRIALS = 400
 REFERENT_INDEX_TRIALS = 400
 REFERENT_INDEX_CAPACITIES = (1, 2, 7, None)
 UNBOUNDED_EQUIVALENCE_TRIALS = 400
+# How often 0, 1, 2 or 3 segment events come before an utterance.
+EVENT_COUNT_WEIGHTS = (10, 5, 2, 1)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -115,15 +117,18 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
     mention_counter = 0
 
     for utt_index in range(n_utts):
-        # Segment boundaries before this utterance.
-        if open_segments and rng.random() < 0.25:
-            if len(open_segments) > 1 and rng.random() < 0.4:
-                target = rng.choice(open_segments[:-1])
-                del open_segments[open_segments.index(target) + 1 :]
-                lines.append(f"RETURN {target}")
-            else:
-                lines.append(f"POP {open_segments.pop()}")
-        if len(open_segments) < 3 and rng.random() < 0.3:
+        # Zero to three segment boundaries before this utterance, in any
+        # mix: several share its position, and a segment can open and
+        # close before the first utterance.
+        for _ in range(rng.choices(range(4), EVENT_COUNT_WEIGHTS)[0]):
+            if open_segments and (len(open_segments) == 3 or rng.random() < 0.45):
+                if len(open_segments) > 1 and rng.random() < 0.4:
+                    target = rng.choice(open_segments[:-1])
+                    del open_segments[open_segments.index(target) + 1 :]
+                    lines.append(f"RETURN {target}")
+                else:
+                    lines.append(f"POP {open_segments.pop()}")
+                continue
             seg_id = f"seg{seg_counter}"
             seg_counter += 1
             flag = " expect-return" if rng.random() < 0.5 else ""
@@ -940,7 +945,7 @@ def _reference_resolutions(transcript: Transcript, capacity, retrieves: bool) ->
         model, state = stack_model, stack_model.new_stack()
     resolutions: list = []
     for utt in transcript.utterances:
-        model.apply_events(state, transcript.events_at(utt.index), transcript, 1)
+        model.apply_events(state, transcript.events_at(utt.index), transcript)
         if utt.is_iru:
             model.apply_iru(state, restated_items(utt, transcript))
         for mention in utt.mentions:
@@ -948,7 +953,7 @@ def _reference_resolutions(transcript: Transcript, capacity, retrieves: bool) ->
                 mention, model.view(state), transcript.item_table, retrieves
             )
             if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
-                model.retrieve(state, [resolution.outcome.item], 1)
+                model.retrieve(state, [resolution.outcome.item])
             resolutions.append((utt.id, resolution))
         model.absorb(state, utt)
     return resolutions

@@ -140,7 +140,7 @@ def test_retrieve_moves_item_in_at_cost():
     evict_one(state)
     assert "x" in state.main_memory
     assert state.effort == 0
-    events = retrieve(state, ["x"], 1)
+    events = retrieve(state, ["x"])
     assert state.effort == 1
     assert "x" in state.by_recency
     assert [e.kind for e in events] == [StoreEventKind.RETRIEVE]
@@ -151,9 +151,47 @@ def test_retrieve_touches_cached_items_for_free():
     state = new_cache(items, capacity=3)
     insert_items(state, ["x", "y"])
     before = state.last_touch["x"]
-    events = retrieve(state, ["x"], 1)
+    events = retrieve(state, ["x"])
     assert state.effort == 0 and events == []
     assert state.last_touch["x"] > before
+
+
+COST_TEXT = """DIALOGUE d
+PUSH s
+UTT u0 speaker=A
+ITEM e0 kind=entity
+ITEM e1 kind=entity
+PUSH t
+UTT u1 speaker=A
+ITEM e2 kind=entity
+ITEM e3 kind=entity
+RETURN s
+UTT u2 speaker=A
+"""
+
+
+def test_a_cache_charges_its_retrieval_cost_for_each_item_moved():
+    transcript = parse(COST_TEXT)
+    state = new_cache(transcript.item_table, capacity=3, retrieval_cost=3)
+    for utt in transcript.utterances[:2]:
+        cache_step(state, utt, transcript.events_at(utt.index), transcript)
+    assert state.main_memory == {"e0"} and state.effort == 0
+    # The return cue names e1, cached, and e0, moved in from main memory.
+    events = apply_events(state, transcript.events_at(2), transcript)
+    assert [f"{e.kind.value} {e.target}" for e in events] == [
+        "Displace e2",
+        "Store e2",
+        "Retrieve e0",
+    ]
+    assert state.effort == 3
+    # A resolution's retrieval, as the replay makes it: e3 is cached.
+    events = retrieve(state, ["e2", "e3"])
+    assert [f"{e.kind.value} {e.target}" for e in events] == [
+        "Displace e1",
+        "Store e1",
+        "Retrieve e2",
+    ]
+    assert state.effort == 6
 
 
 def test_absorb_inserts_items():
@@ -316,6 +354,64 @@ def test_an_old_segment_does_not_release_a_pin_again():
         "Unpin a",
     ]
     assert state.pinned == {}
+    check_cache_invariants(state)
+
+
+def _replay_events(text, capacity):
+    """The store events of each utterance of a cache replay of ``text``."""
+
+    transcript = parse(text)
+    state = new_cache(transcript.item_table, capacity)
+    logs = []
+    for utt in transcript.utterances:
+        events = cache_step(state, utt, transcript.events_at(utt.index), transcript)
+        logs.append([f"{e.kind.value} {e.target}" for e in events])
+    return logs, state
+
+
+def test_a_return_releases_a_segment_pushed_before_the_same_utterance():
+    # b opens inside a before u1, so the two pushes share a position. The
+    # return to a closes b, so b's pin on e0 goes and u2 displaces e0.
+    logs, state = _replay_events(
+        """DIALOGUE d
+UTT u0 speaker=A
+ITEM e0 kind=entity
+PUSH a
+PUSH b expect-return
+UTT u1 speaker=A
+ITEM e1 kind=entity
+RETURN a
+UTT u2 speaker=A
+ITEM e2 kind=entity
+""",
+        capacity=2,
+    )
+    assert logs[2] == ["Unpin e0", "Displace e0", "Store e0"]
+    assert state.pinned == {}
+    check_cache_invariants(state)
+
+
+def test_a_return_keeps_the_pins_of_a_segment_pushed_before_the_resumed_one():
+    # a opens before b, at the same position, so the return to b leaves
+    # a open and a's pin on e0 in place.
+    logs, state = _replay_events(
+        """DIALOGUE d
+UTT u0 speaker=A
+ITEM e0 kind=entity
+PUSH a expect-return
+PUSH b
+UTT u1 speaker=A
+ITEM e1 kind=entity
+PUSH c expect-return
+UTT u2 speaker=A
+ITEM e2 kind=entity
+RETURN b
+UTT u3 speaker=A
+""",
+        capacity=7,
+    )
+    assert logs[3] == ["Unpin e1"]
+    assert state.pinned == {"e0": "a"}
     check_cache_invariants(state)
 
 

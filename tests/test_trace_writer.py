@@ -27,6 +27,7 @@ from attnsim.driver import (
 from attnsim.resolution import FailureReason, Outcome, OutcomeKind, Resolution
 from attnsim.transcript_io import (
     TraceRecord,
+    _resorted,
     _string_list,
     indented_json,
     parse,
@@ -152,7 +153,7 @@ def test_shared_and_equal_sets_are_written_as_json_dumps_writes_them():
 
 def _set_steps(rng: random.Random, prefix: str) -> list[frozenset]:
     """Sets for consecutive records, each a new object unless noted, whose
-    changes fall on both sides of the writer's quarter-changed fallback."""
+    changes run from one id to a quarter of the set, more, and all of it."""
 
     def fresh() -> str:
         return f"{prefix}{rng.randrange(10**6)}"
@@ -261,6 +262,52 @@ def test_changing_sets_are_written_as_json_dumps_writes_them():
     text = write_trace(records)
     assert text == reference_trace(records)
     assert read_trace(text) == records
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (set(), {"b", "a", "c"}),  # growing from empty
+        ({"a", "b"}, {"c", "d", "e"}),  # every id replaced
+        ({"a", "b", "c"}, set()),  # shrinking to empty
+        ({"a", "c", "e"}, {"b", "c", "d", "e"}),
+    ],
+    ids=["from-empty", "all-replaced", "to-empty", "some-changed"],
+)
+def test_resorted_patches_the_sorted_ids_of_the_previous_set(old, new):
+    assert _resorted(sorted(old), old, new) == sorted(new)
+
+
+def _faulty_records(fault: str, at: int) -> list[TraceRecord]:
+    """Five records, utterance index and effort rising by ten, with the
+    record at ``at`` out of order, with less effort, or without a view."""
+
+    records = [TraceRecord(i * 10, (), AccessibilityView(()), (), i * 10) for i in range(5)]
+    # The first record is at fault when it is ahead of the second; any
+    # other is one behind the record before it, but ahead of the first.
+    wrong = 99 if at == 0 else at * 10 - 11
+    if fault == "ordered":
+        records[at] = records[at]._replace(utterance_index=wrong)
+    elif fault == "non-decreasing":
+        records[at] = records[at]._replace(cumulative_effort=wrong)
+    else:
+        records[at] = records[at]._replace(view=None)
+    return records
+
+
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("ordered", "trace records must be ordered by utterance index"),
+        ("non-decreasing", "cumulative effort must be non-decreasing"),
+        ("view", "trace record {index} has no view"),
+    ],
+    ids=["order", "effort", "view"],
+)
+def test_write_trace_rejects_a_faulty_record_anywhere(fault, message, at):
+    with pytest.raises(ValueError, match=f"^{message.format(index=at * 10)}$"):
+        write_trace(_faulty_records(fault, at))
 
 
 def test_empty_record_list():
