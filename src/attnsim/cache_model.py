@@ -18,9 +18,11 @@ and eviction takes the first unpinned one. Each pin is one entry of a
 map from the pinned item to the segment whose push took it, in pin
 order; displacing the item drops it. An admitted item has one record,
 in one store; the property suites check that after every step.
-Resolution reads the live stores; a trace record's ``AccessibilityView``
-comes from ``core.snapshot``, which freezes main memory and the discarded
-set anew only where they differ from the previous record's.
+Resolution reads the live stores, the immediate tier as a one-pass
+iterator over the cached ids from most recently used; a trace record's
+``AccessibilityView`` comes from ``core.snapshot``, which freezes main
+memory and the discarded set anew only where they differ from the
+previous record's.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .core import (
     DiscourseItem,
     EventKind,
     ItemKind,
-    SalienceOrder,
     SegmentEvent,
     StoreEvent,
     StoreEventKind,
@@ -70,7 +71,7 @@ class CacheState:
         self.last_touch: dict[str, int] = {}
 
     # The stores as resolution reads them, cached ids most recent first.
-    immediate = property(lambda self: SalienceOrder((self.by_recency,)))
+    immediate = property(lambda self: reversed(self.by_recency))
     retrievable = property(lambda self: self.main_memory)
     lost = property(lambda self: self.discarded)
 

@@ -5,6 +5,8 @@ attentional stores, the annotated utterance/event structure of a dialogue,
 the accessibility snapshot both models produce, and the whole
 candidate-filter pipeline: the two pointwise filters, ``staged_filter``
 that chains them, and the per-transcript survivor sets built from it.
+Each model's live state yields its own immediate tier, a fresh one-pass
+iterator in salience order on every read; ``snapshot`` reads it once.
 
 Records are ``typing.NamedTuple``s: equality is tuple equality, so a record
 also equals a plain tuple of its fields, and a copy with changes is
@@ -18,9 +20,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
-from typing import AbstractSet, Iterator, Mapping, NamedTuple, Reversible, Sequence
+from typing import AbstractSet, Mapping, NamedTuple, Sequence
 
 
 class ItemKind(Enum):
@@ -331,8 +332,9 @@ class AccessibilityView(_ViewFields):
 
 def snapshot(state, previous: AccessibilityView | None = None) -> AccessibilityView:
     """A trace record's view of a model's live ``immediate``, ``retrievable``
-    and ``lost`` stores. A store equal to its frozenset in ``previous``, the
-    preceding record's view, shares that frozenset; any other is frozen anew.
+    and ``lost`` stores, reading the immediate tier once. A store equal to
+    its frozenset in ``previous``, the preceding record's view, shares that
+    frozenset; any other is frozen anew.
     """
 
     return AccessibilityView(
@@ -344,24 +346,6 @@ def snapshot(state, previous: AccessibilityView | None = None) -> AccessibilityV
 
 def _frozen(store: AbstractSet[str], earlier: frozenset[str] | None) -> frozenset[str]:
     return earlier if earlier == store else frozenset(store)
-
-
-class SalienceOrder:
-    """A live immediate tier: the keys of ``stores`` (a sized, reversible
-    collection), last store first and each from its last key, re-iterable
-    and with membership by lookup."""
-
-    def __init__(self, stores: Reversible[Mapping[str, object]]) -> None:
-        self.stores = stores
-
-    def __iter__(self) -> Iterator[str]:
-        if len(self.stores) == 1:  # the cache's one store: no chain to step
-            (store,) = self.stores
-            return reversed(store)
-        return chain.from_iterable(map(reversed, reversed(self.stores)))
-
-    def __contains__(self, item_id: object) -> bool:
-        return any(item_id in store for store in self.stores)
 
 
 def agreement_filter(

@@ -182,24 +182,26 @@ def analyze_iru(
     transcript: Transcript,
 ) -> list[tuple[str, IRUFunction]]:
     """Classify what restating buys for each item a redundant utterance
-    re-realizes, judged against the state just before the utterance, as
-    ``resolve`` reads it. Every antecedent is an earlier utterance, so each
-    of its items is in some store: one neither immediate nor retrievable
-    is lost.
+    re-realizes, once each in order of first mention, by the store that
+    holds it just before the utterance: one retrievable is retrieved from
+    memory, one lost is reinstantiated, and any other is refreshed. Every
+    antecedent is an earlier utterance, so each of its items sits in
+    exactly one store: one neither retrievable nor lost is immediate.
     """
 
+    retrievable, lost = before.retrievable, before.lost
+    restated = dict.fromkeys(
+        item_id
+        for antecedent_id in utt.iru_antecedents
+        for item_id in transcript.utterance_by_id(antecedent_id).items
+    )
     functions: list[tuple[str, IRUFunction]] = []
-    seen: set[str] = set()
-    immediate = before.immediate
-    for antecedent_id in utt.iru_antecedents:
-        for item_id in transcript.utterance_by_id(antecedent_id).items:
-            if item_id in seen:
-                continue
-            seen.add(item_id)
-            if item_id in immediate:
-                functions.append((item_id, IRUFunction.REFRESH_IN_CACHE))
-            elif item_id in before.retrievable:
-                functions.append((item_id, IRUFunction.RETRIEVE_FROM_MEMORY))
-            else:
-                functions.append((item_id, IRUFunction.REINSTANTIATE))
+    for item_id in restated:
+        if item_id in retrievable:
+            function = IRUFunction.RETRIEVE_FROM_MEMORY
+        elif item_id in lost:
+            function = IRUFunction.REINSTANTIATE
+        else:
+            function = IRUFunction.REFRESH_IN_CACHE
+        functions.append((item_id, function))
     return functions

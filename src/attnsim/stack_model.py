@@ -12,18 +12,19 @@ is a dict of item ids in insertion order, most recently mentioned last.
 An item lives in one space at a time, so a move touches only the items
 moved, and a pop hands its spaces' items to the popped set as they are.
 ``parse`` admits only segment events that match the open segments, so
-the stack applies them unchecked. Resolution reads the live stores; a
-trace record's ``AccessibilityView`` comes from ``core.snapshot``, which
-freezes the popped set anew only where it differs from the previous
-record's.
+the stack applies them unchecked. Resolution reads the live stores, the
+immediate tier as a one-pass iterator over the spaces, top first and each
+from its most recent item; a trace record's ``AccessibilityView`` comes
+from ``core.snapshot``, which freezes the popped set anew only where it
+differs from the previous record's.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from .core import (
-    SalienceOrder,
     EventKind,
     SegmentEvent,
     StoreEvent,
@@ -42,7 +43,9 @@ class FocusStack:
         self.popped: set[str] = set()
 
     # The stores as resolution reads them, stacked ids top space first.
-    immediate = property(lambda self: SalienceOrder(self.spaces.values()))
+    immediate = property(
+        lambda self: chain.from_iterable(map(reversed, reversed(self.spaces.values())))
+    )
     # The stack never retrieves: popped material is simply lost.
     retrievable = frozenset()
     effort = 0

@@ -128,9 +128,9 @@ def parse(text: str) -> Transcript:
     utterances: list[tuple[str, str, tuple[str, ...], list[str], list[Mention]]] = []
     utt_items, utt_mentions = [], []  # the current utterance's item ids and mentions
     utterance_ids: set[str] = set()
-    # Item id -> its DiscourseItem fields after the id. Items are built once
-    # the file has been read, when every pred: tag an entity takes is known.
-    items: dict[str, tuple] = {}
+    # Item id -> its DiscourseItem. An entity takes the pred: tags of the
+    # propositions naming it once the whole file has been read.
+    items: dict[str, DiscourseItem] = {}
     derived_tags: dict[str, set[str]] = {}  # argument id -> its pred: tags
     mention_forms: dict[str, MentionForm] = {}
     events: list[SegmentEvent] = []
@@ -235,7 +235,9 @@ def parse(text: str) -> Transcript:
             predicate, realizes = fields.get("pred"), fields.get("realizes")
             args, sel_classes = _listed(fields, "args"), frozenset(_listed(fields, "sel"))
             at = len(utterances) - 1
-            items[record_id] = (kind, gender, number, predicate, args, sel_classes, realizes, at)
+            items[record_id] = DiscourseItem(
+                record_id, kind, gender, number, predicate, args, sel_classes, realizes, at
+            )
             utt_items.append(record_id)
             for ref in args:
                 if predicate:
@@ -313,13 +315,10 @@ def parse(text: str) -> Transcript:
             # A return-pop case classifies a pronoun among entity candidates.
             raise ParseError(line_no, f"mention {ref!r} is an ellipsis, not a pronoun", raw)
 
-    item_table = {}
-    for item_id, (kind, gender, number, predicate, args, sel, realizes, at) in items.items():
-        if kind is ItemKind.ENTITY and item_id in derived_tags:
-            sel |= derived_tags[item_id]
-        item_table[item_id] = DiscourseItem(
-            item_id, kind, gender, number, predicate, args, sel, realizes, at
-        )
+    for item_id, tags in derived_tags.items():
+        item = items[item_id]
+        if item.kind is ItemKind.ENTITY:
+            items[item_id] = item._replace(sel_classes=item.sel_classes | tags)
 
     return Transcript(
         dialogue_id=dialogue_id,
@@ -337,7 +336,7 @@ def parse(text: str) -> Transcript:
             )
         ),
         events=tuple(events),
-        item_table=item_table,
+        item_table=items,
         cases=tuple(cases),
     )
 

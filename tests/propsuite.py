@@ -9,6 +9,7 @@ exercised; the acceptance gate checks the total.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +31,15 @@ from attnsim.core import (
     segment_items,
     staged_filter,
 )
-from attnsim.driver import ModelKind, replay
+from attnsim.driver import (
+    ModelKind,
+    classify_corpus,
+    compare_transcript,
+    divergence_report_json,
+    pops_report_json,
+    replay,
+    simulation_report_json,
+)
 from attnsim.resolution import (
     FailureReason,
     Outcome,
@@ -61,6 +70,13 @@ STACK_REFERENCE_TRIALS = 400
 REFERENT_INDEX_TRIALS = 400
 REFERENT_INDEX_CAPACITIES = (1, 2, 7, None)
 UNBOUNDED_EQUIVALENCE_TRIALS = 400
+RENAMING_TRIALS = 60
+RENAMING_MODELS = (
+    (ModelKind.STACK, None),
+    (ModelKind.CACHE, 7),
+    (ModelKind.CACHE, 2),
+    (ModelKind.CACHE, None),
+)
 # How often 0, 1, 2 or 3 segment events come before an utterance.
 EVENT_COUNT_WEIGHTS = (10, 5, 2, 1)
 
@@ -82,11 +98,15 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
     material is a discarded surface form (see ``run_fresh_view_suite``).
     Pronouns carry verb and selectional cues too, so mentions that differ
     in one cue meet in one replay (see ``run_referent_index_suite``).
+    The text also holds comment and blank lines, entities that leave their
+    gender or number unspecified, propositions of any gender, surface
+    forms that realize entities, ``sel=pred:…`` requirements and pronouns
+    whose gold item is declared in a later utterance.
     """
 
     n_entities = rng.randint(1, max(1, max_items - 4))
     n_props = rng.randint(0, min(4, max_items - n_entities))
-    n_surfaces = rng.randint(0, min(3, max_items - n_entities - n_props)) if n_props else 0
+    n_surfaces = rng.randint(0, min(3, max_items - n_entities - n_props))
 
     entity_ids = [f"e{i}" for i in range(n_entities)]
     prop_ids = [f"q{i}" for i in range(n_props)]
@@ -94,12 +114,17 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
 
     decls: dict[str, str] = {}
     for entity_id in entity_ids:
-        fields = f"kind=entity gender={rng.choice(_GENDERS)} num={rng.choice(_NUMBERS)}"
+        fields = "kind=entity"
+        if rng.random() < 0.85:
+            fields += f" gender={rng.choice(_GENDERS)}"
+        if rng.random() < 0.85:
+            fields += f" num={rng.choice(_NUMBERS)}"
         if rng.random() < 0.3:
             fields += f" sel={rng.choice(_TAGS)}"
         decls[entity_id] = f"ITEM {entity_id} {fields}"
     for prop_id in prop_ids:
-        fields = f"kind=prop pred={rng.choice(_PREDS)} gender=n num=sg"
+        gender = rng.choice(_GENDERS) if rng.random() < 0.3 else "n"
+        fields = f"kind=prop pred={rng.choice(_PREDS)} gender={gender} num=sg"
         if entity_ids and rng.random() < 0.7:
             args = rng.sample(entity_ids, rng.randint(1, min(2, len(entity_ids))))
             fields += " args=" + ",".join(args)
@@ -109,7 +134,7 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
     rng.shuffle(pending)
     pending_surfaces = list(surface_ids)
 
-    lines = ["DIALOGUE gen"]
+    lines = ["# generated", "DIALOGUE gen"]
     n_utts = rng.randint(3, 16)
     open_segments: list[str] = []
     seg_counter = 0
@@ -117,6 +142,8 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
     mention_counter = 0
 
     for utt_index in range(n_utts):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", f"# before u{utt_index}", "   # indented"]))
         # Zero to three segment boundaries before this utterance, in any
         # mix: several share its position, and a segment can open and
         # close before the first utterance.
@@ -140,24 +167,29 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
             count = rng.randint(1, min(2, utt_index))
             antecedents = rng.sample(range(utt_index), count)
             header += " iru=" + ",".join(f"u{i}" for i in sorted(antecedents))
+        if rng.random() < 0.05:
+            header += "  # a trailing comment"
         lines.append(header)
 
-        introduced_props = [i for i in introduced if i.startswith("q")]
         for _ in range(rng.randint(0, 3)):
             if pending and rng.random() < 0.7:
                 item_id = pending.pop()
                 lines.append(decls[item_id])
                 introduced.append(item_id)
-                if item_id.startswith("q"):
-                    introduced_props.append(item_id)
-            elif pending_surfaces and introduced_props:
+            elif pending_surfaces and any(not i.startswith("f") for i in introduced):
+                # Mostly a proposition's wording, which an ellipsis needs.
+                realizable = [i for i in introduced if i.startswith("q")]
+                if not realizable or rng.random() < 0.3:
+                    realizable = [i for i in introduced if not i.startswith("f")]
                 surface_id = pending_surfaces.pop()
-                realized = rng.choice(introduced_props)
-                lines.append(f"ITEM {surface_id} kind=surface realizes={realized}")
+                lines.append(f"ITEM {surface_id} kind=surface realizes={rng.choice(realizable)}")
                 introduced.append(surface_id)
             elif introduced:
                 lines.append(f"ITEM {rng.choice(introduced)}")
         referable = [i for i in introduced if not i.startswith("f")]
+        later = [i for i in pending if i.startswith("e")]
+        if later and rng.random() < 0.05:
+            referable = later  # declared in a later utterance
         if referable and rng.random() < 0.4:
             gold = rng.choice(referable)
             mention_counter += 1
@@ -170,7 +202,8 @@ def random_transcript_text(rng: random.Random, max_items: int = 20) -> str:
                 if rng.random() < 0.3:
                     cues += f" verb={rng.choice(_PREDS)}"
                 if rng.random() < 0.2:
-                    cues += f" sel={rng.choice(_TAGS)}"
+                    tag = rng.choice(_TAGS) if rng.random() < 0.6 else "pred:" + rng.choice(_PREDS)
+                    cues += f" sel={tag}"
                 lines.append(
                     f"PRON m{mention_counter} gender={gender} num={number}{cues} gold={gold}"
                 )
@@ -991,6 +1024,116 @@ def run_referent_index_suite(seed: int = SEED, trials: int = REFERENT_INDEX_TRIA
     return traces
 
 
+# Per record type, the keys whose values name ids: one, or a comma list.
+_ID_KEYS = {
+    "UTT": ("iru",),
+    "ITEM": ("args", "realizes"),
+    "PRON": ("gold",),
+    "ELLIPSIS": ("gold",),
+    "CASE": ("mention",),
+}
+# The trace and report lists that are sorted by id, not by salience.
+_ID_SORTED = frozenset({"retrievable", "lost", "candidatesConsidered"})
+
+
+def _order_reversing_names(transcript: Transcript) -> dict[str, str]:
+    """A new name for every id of an item, mention, utterance, segment and
+    case, such that the new names sort in the reverse order of the old."""
+
+    ids = sorted(
+        {utt.id for utt in transcript.utterances}
+        | transcript.item_table.keys()
+        | {mention.id for mention in transcript.mentions()}
+        | {event.segment_id for event in transcript.events}
+        | {case.case_id for case in transcript.cases}
+    )
+    width = len(str(len(ids)))
+    return {old: f"n{len(ids) - 1 - k:0{width}d}" for k, old in enumerate(ids)}
+
+
+def _renamed_text(text: str, names: dict[str, str]) -> str:
+    """``text`` with every id renamed; comments go, and ``pred=``,
+    ``verb=``, ``sel=`` and the dialogue id stay as they are."""
+
+    lines = []
+    for raw in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        tokens = raw.partition("#")[0].split()
+        if tokens and tokens[0] != "DIALOGUE":
+            record, record_id, *fields = tokens
+            tokens = [record, names[record_id]]
+            for field in fields:
+                key, equals, value = field.partition("=")
+                if key in _ID_KEYS.get(record, ()):
+                    field = key + equals + ",".join(names[ref] for ref in value.split(","))
+                tokens.append(field)
+        lines.append(" ".join(tokens))
+    return "\n".join(lines)
+
+
+def _named_back(value, original: dict[str, str], key: str | None = None):
+    """A report or trace in comparable form: each renamed id mapped back
+    through ``original``, each object an ordered list of its entries, and
+    each list that is sorted by id a set."""
+
+    if isinstance(value, str):
+        return original.get(value, value)
+    if isinstance(value, dict):
+        return [(original.get(k, k), _named_back(v, original, k)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        items = [_named_back(v, original) for v in value]
+        return frozenset(items) if key in _ID_SORTED else items
+    return value
+
+
+def _reports(transcript: Transcript) -> dict[str, object]:
+    """What ``compare``, ``pops``, and ``run --trace`` under each of
+    ``RENAMING_MODELS``, report about ``transcript``, as JSON values."""
+
+    out: dict[str, object] = {
+        "compare": divergence_report_json(compare_transcript(transcript)),
+        "pops": pops_report_json(classify_corpus(transcript)),
+    }
+    for model, capacity in RENAMING_MODELS:
+        label = f"{model.value} at capacity {capacity}"
+        report = replay(transcript, model, capacity, views=True)
+        out[f"run, {label}"] = simulation_report_json(report)
+        out[f"trace, {label}"] = json.loads(write_trace(report.records))
+    return out
+
+
+def assert_renaming_invariant(text: str, where: str) -> None:
+    """Renaming every id by a bijection that reverses their sort order
+    changes no report or trace, once the new ids are mapped back; only the
+    lists sorted by id may reorder."""
+
+    transcript = parse(text)
+    names = _order_reversing_names(transcript)
+    renamed = parse(_renamed_text(text, names))
+    original = {new: old for old, new in names.items()}
+    expected = _reports(transcript)
+    for label, report in _reports(renamed).items():
+        assert _named_back(report, original) == _named_back(expected[label], {}), (
+            f"{where} {label}: differs after renaming"
+        )
+
+
+def run_renaming_suite(seed: int = SEED, trials: int = RENAMING_TRIALS) -> int:
+    """Outcomes, store events, salience orders, restatement functions and
+    return-pop classifications do not depend on what the ids are called,
+    on the fixtures and on generated texts."""
+
+    for path in sorted(FIXTURES.glob("*.dlg")):
+        where = f"run_renaming_suite {path.name}"
+        assert_renaming_invariant(path.read_text(encoding="utf-8"), where)
+    rng = random.Random(seed + 13)
+    traces = 0
+    for trial in range(trials):
+        where = _where("run_renaming_suite", seed, trial)
+        assert_renaming_invariant(random_transcript_text(rng), where)
+        traces += 1
+    return traces
+
+
 ALL_SUITES = (
     run_invariant_suite,
     run_lru_oracle_suite,
@@ -1004,6 +1147,7 @@ ALL_SUITES = (
     run_fresh_view_suite,
     run_stack_reference_suite,
     run_referent_index_suite,
+    run_renaming_suite,
 )
 
 

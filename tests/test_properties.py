@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import propsuite
+from attnsim.core import Gender, ItemKind, Number
+from attnsim.transcript_io import parse
+
+COVERAGE_TRIALS = 200
 
 
 def test_cache_invariants_hold_on_random_traces():
@@ -60,3 +66,55 @@ def test_stack_matches_value_based_reference():
 
 def test_referent_index_matches_per_store_filtering():
     assert propsuite.run_referent_index_suite() == propsuite.REFERENT_INDEX_TRIALS
+
+
+def test_renaming_ids_changes_no_report_or_trace():
+    assert propsuite.run_renaming_suite() == propsuite.RENAMING_TRIALS
+
+
+def test_generated_texts_cover_every_format_feature_but_case():
+    """Counted from the raw lines and the parsed transcripts of the seeded
+    trials, not from the generator's own bookkeeping."""
+
+    counts = dict.fromkeys(
+        [
+            "comment line",
+            "blank line",
+            "entity without gender=",
+            "entity without num=",
+            "proposition whose gender is not n",
+            "surface form realizing an entity",
+            "pronoun with sel=pred:",
+            "pronoun whose gold is declared later",
+            "several segment events before one utterance",
+        ],
+        0,
+    )
+    rng = random.Random(propsuite.SEED)
+    for _ in range(COVERAGE_TRIALS):
+        text = propsuite.random_transcript_text(rng)
+        lines = text.splitlines()
+        counts["comment line"] += sum(line.lstrip().startswith("#") for line in lines)
+        counts["blank line"] += sum(not line.strip() for line in lines)
+        transcript = parse(text)
+        table = transcript.item_table
+        for item in table.values():
+            if item.kind is ItemKind.ENTITY:
+                counts["entity without gender="] += item.gender is Gender.UNSPECIFIED
+                counts["entity without num="] += item.number is Number.UNSPECIFIED
+            elif item.kind is ItemKind.PROPOSITION:
+                counts["proposition whose gender is not n"] += item.gender is not Gender.NEUT
+            else:
+                realized = table[item.realizes]
+                counts["surface form realizing an entity"] += realized.kind is ItemKind.ENTITY
+        for utt in transcript.utterances:
+            for mention in utt.mentions:
+                counts["pronoun with sel=pred:"] += any(
+                    tag.startswith("pred:") for tag in mention.required_sel_classes
+                )
+                gold = table[mention.gold_antecedent]
+                counts["pronoun whose gold is declared later"] += gold.introduced_at > utt.index
+            counts["several segment events before one utterance"] += (
+                len(transcript.events_at(utt.index)) > 1
+            )
+    assert all(counts.values()), counts

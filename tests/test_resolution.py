@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from attnsim import cache_model, stack_model
 from attnsim.core import (
     AccessibilityView,
     DiscourseItem,
@@ -390,6 +391,57 @@ def test_analyze_iru_splits_by_store():
         "a": IRUFunction.RETRIEVE_FROM_MEMORY,
         "b": IRUFunction.REINSTANTIATE,
     }
+
+
+LIVE_IRU_TEXT = """\
+DIALOGUE t
+UTT u0 speaker=A
+ITEM e0 kind=entity gender=n num=sg
+ITEM q0 kind=prop pred=fix gender=n num=sg
+ITEM f0 kind=surface realizes=q0
+ITEM e1 kind=entity gender=n num=sg
+PUSH s
+UTT u1 speaker=B
+ITEM e2 kind=entity gender=n num=sg
+ITEM e3 kind=entity gender=n num=sg
+POP s
+UTT u2 speaker=A iru=u0,u1
+"""
+
+
+_REFRESH = IRUFunction.REFRESH_IN_CACHE
+_RETRIEVE = IRUFunction.RETRIEVE_FROM_MEMORY
+_REINSTANTIATE = IRUFunction.REINSTANTIATE
+
+
+@pytest.mark.parametrize(
+    "model, capacity, expected",
+    [
+        # Capacity 2 keeps only u1's items: u0's went to main memory, and
+        # its surface form f0 was discarded.
+        (cache_model, 2, [_RETRIEVE, _RETRIEVE, _REINSTANTIATE, _RETRIEVE, _REFRESH, _REFRESH]),
+        # The stack keeps u0's items in the root space and loses u1's with s.
+        (stack_model, None, [_REFRESH] * 4 + [_REINSTANTIATE] * 2),
+    ],
+    ids=["cache", "stack"],
+)
+def test_analyze_iru_reads_a_live_state_by_store(model, capacity, expected):
+    transcript = parse(LIVE_IRU_TEXT)
+    if model is cache_model:
+        state = cache_model.new_cache(transcript.item_table, capacity)
+    else:
+        state = stack_model.new_stack()
+    *earlier, restating = transcript.utterances
+    for utt in earlier:
+        model.apply_events(state, transcript.events_at(utt.index), transcript)
+        model.absorb(state, utt)
+    model.apply_events(state, transcript.events_at(restating.index), transcript)
+    functions = analyze_iru(restating, state, transcript)
+    assert functions == list(zip(["e0", "q0", "f0", "e1", "e2", "e3"], expected))
+    assert analyze_iru(restating, model.view(state), transcript) == functions
+    kind = ModelKind.CACHE if model is cache_model else ModelKind.STACK
+    (finding,) = replay(transcript, kind, capacity).iru_findings
+    assert finding.functions == tuple(functions)
 
 
 def test_dialogue_c_functions_per_model(dialogue_c):

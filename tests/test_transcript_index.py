@@ -1,5 +1,5 @@
-"""The transcript's indexed lookups, and the models' live immediate tier,
-agree with plain linear scans."""
+"""The transcript's indexed lookups agree with plain linear scans, and the
+models' live immediate tiers walk their stores in salience order."""
 
 from __future__ import annotations
 
@@ -8,10 +8,14 @@ import re
 
 import pytest
 
+from attnsim import cache_model, stack_model
 from attnsim.core import (
+    DiscourseItem,
     EventKind,
-    SalienceOrder,
+    ItemKind,
+    SegmentEvent,
     Transcript,
+    Utterance,
     segment_assignments,
     segment_items,
 )
@@ -128,16 +132,32 @@ def test_indexes_stay_out_of_equality_and_repr(dialogue_a):
             assert replay(copy, model) == replay(renamed, model)
 
 
-@pytest.mark.parametrize("count", [0, 1, 3])
-@pytest.mark.parametrize("container", [tuple, lambda stores: dict(enumerate(stores)).values()],
-                         ids=["tuple", "dict-values"])
-def test_salience_order_walks_last_store_first_from_its_last_key(count, container):
-    # The cache hands one store in a tuple, the stack its spaces' dict values.
-    rng = random.Random(SEED)
-    stores = [dict.fromkeys(f"s{k}i{rng.randrange(100)}" for _ in range(k + 2)) for k in range(count)]
-    reference = [key for store in reversed(stores) for key in reversed(store)]
-    order = SalienceOrder(container(stores))
-    assert list(order) == reference
-    assert list(order) == reference  # re-iterable
-    for key in [*reference, "absent", "s0i"]:
-        assert (key in order) == (key in reference)
+@pytest.mark.parametrize(
+    "pushes, spaces",
+    [([], [("b", "c", "a", "d")]), (["s1", "s2"], [("b",), ("c", "a"), ("d",)])],
+    ids=["1-space", "3-spaces"],
+)
+def test_a_focus_stack_yields_its_spaces_top_first_from_each_last_key(pushes, spaces):
+    # u1 moves a from the root space to the end of the top one.
+    stack = stack_model.new_stack()
+    for index, items in enumerate([("a", "b"), ("c", "a"), ("d",)]):
+        if 0 < index <= len(pushes):
+            push = SegmentEvent(EventKind.PUSH, pushes[index - 1], index)
+            stack_model.apply_event(stack, push)
+        stack_model.absorb(stack, Utterance(f"u{index}", "A", index, items))
+    assert [tuple(space) for space in stack.spaces.values()] == spaces
+    assert tuple(stack.immediate) == ("d", "a", "c", "b")
+    assert tuple(stack.immediate) == ("d", "a", "c", "b")  # a fresh iterator each read
+
+
+def test_a_cache_yields_its_entries_most_recently_used_first():
+    table = {i: DiscourseItem(i, ItemKind.ENTITY) for i in "abcd"}
+    cache = cache_model.new_cache(table, capacity=3)
+    cache_model.insert_items(cache, ["a", "b", "c"])
+    cache_model.insert_items(cache, ["a"])  # a touch
+    assert tuple(cache.immediate) == ("a", "c", "b")
+    cache_model.insert_items(cache, ["d", "b"])  # b is touched, d displaces c
+    cache_model.retrieve(cache, ["c"])  # c is re-admitted, displacing a
+    assert cache.main_memory == {"a"}
+    assert tuple(cache.immediate) == ("c", "d", "b")
+    assert tuple(cache.immediate) == ("c", "d", "b")  # a fresh iterator each read
