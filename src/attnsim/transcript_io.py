@@ -37,28 +37,55 @@ _GENDERS = {"m": Gender.MASC, "f": Gender.FEM, "n": Gender.NEUT}
 _NUMBERS = {"sg": Number.SG, "pl": Number.PL}
 _KINDS = {kind.value: kind for kind in ItemKind}
 
-_VALUES = {"kind": _KINDS, "gender": _GENDERS, "num": _NUMBERS}
 
-_GENDER_OUT = {gender: code for code, gender in _GENDERS.items()}
-_NUMBER_OUT = {number: code for code, number in _NUMBERS.items()}
-
-
-class _Fields(NamedTuple):
-    required: tuple[str, ...]  # checked in this order
-    optional: tuple[str, ...] = ()
-    flags: tuple[str, ...] = ()
+class _Key(NamedTuple):
+    attribute: str  # the record field the key fills
+    required: bool = False
+    # Its value: the str as written, a tuple or a frozenset of its
+    # comma-separated parts, True for a bare flag, or the member a code names.
+    form: type | Mapping = str
 
 
-# The key=value fields and bare flags each record type takes after its id.
+# The keys each record type takes after its id, in the order a written line
+# has them. The required ones are checked in this order too.
 _FIELDS = {
-    "UTT": _Fields(("speaker",), ("iru",)),
-    "ITEM": _Fields(("kind",), ("gender", "num", "pred", "args", "sel", "realizes")),
-    "PRON": _Fields(("gender", "num", "gold"), ("verb", "sel")),
-    "ELLIPSIS": _Fields(("gold",)),
-    "PUSH": _Fields((), flags=("expect-return",)),
-    "CASE": _Fields(("mention",), flags=("iru", "central-competitor")),
+    "UTT": {"speaker": _Key("speaker", True), "iru": _Key("iru_antecedents", form=tuple)},
+    "ITEM": {
+        "kind": _Key("kind", True, _KINDS),
+        "gender": _Key("gender", form=_GENDERS),
+        "num": _Key("number", form=_NUMBERS),
+        "pred": _Key("predicate"),
+        "args": _Key("args", form=tuple),
+        "sel": _Key("sel_classes", form=frozenset),
+        "realizes": _Key("realizes"),
+    },
+    "PRON": {
+        "gender": _Key("gender", True, _GENDERS),
+        "num": _Key("number", True, _NUMBERS),
+        "verb": _Key("verb_lemma"),
+        "sel": _Key("required_sel_classes", form=frozenset),
+        "gold": _Key("gold_antecedent", True),
+    },
+    "ELLIPSIS": {"gold": _Key("gold_antecedent", True)},
+    "PUSH": {"expect-return": _Key("expect_return", form=bool)},
+    "CASE": {
+        "mention": _Key("mention_id", True),
+        "iru": _Key("iru_at_return", form=bool),
+        "central-competitor": _Key("central_competitor", form=bool),
+    },
 }
-_KEYS = {record: frozenset(spec.required + spec.optional) for record, spec in _FIELDS.items()}
+# From _FIELDS, in its order: each record type's required keys, and its keys
+# whose value is a code.
+_REQUIRED = {
+    record: [(key, spec.attribute) for key, spec in keys.items() if spec.required]
+    for record, keys in _FIELDS.items()
+}
+_CODED = {
+    record: [
+        (key, spec.attribute, spec.form) for key, spec in keys.items() if type(spec.form) is dict
+    ]
+    for record, keys in _FIELDS.items()
+}
 
 
 class ParseError(Exception):
@@ -69,46 +96,40 @@ class ParseError(Exception):
         self.offending_text = offending_text
 
 
-def _split_fields(
-    record: str, tokens: Sequence[str], line_no: int, text: str
-) -> tuple[dict[str, str], set[str]]:
-    spec = _FIELDS[record]
-    keys = _KEYS[record]
-    fields: dict[str, str] = {}
-    seen_flags: set[str] = set()
+def _split_fields(record: str, tokens: Sequence[str], line_no: int, text: str) -> dict:
+    """The values of a record line's fields, keyed by record attribute.
+
+    Key errors come first, in token order; then a missing required key, in
+    table order; then a bad code, in table order."""
+
+    keys = _FIELDS[record]
+    fields: dict = {}
     for token in tokens:
-        if token in spec.flags:
-            seen_flags.add(token)
-            continue
         key, equals, value = token.partition("=")
+        spec = keys.get(key)
         if not equals:
-            raise ParseError(line_no, f"malformed field {token!r}", text)
-        if key not in keys:
+            if spec is None or spec.form is not bool:
+                raise ParseError(line_no, f"malformed field {token!r}", text)
+            fields[spec.attribute] = True
+            continue
+        if spec is None or spec.form is bool:
             raise ParseError(line_no, f"unknown key {key!r}", text)
         if not value:
             raise ParseError(line_no, f"empty value for {key!r}", text)
-        if key in fields:
+        attribute, _, form = spec
+        if attribute in fields:
             raise ParseError(line_no, f"repeated key {key!r}", text)
-        fields[key] = value
-    for key in spec.required:
-        if key not in fields:
+        fields[attribute] = form(value.split(",")) if form is tuple or form is frozenset else value
+    for key, attribute in _REQUIRED[record]:
+        if attribute not in fields:
             raise ParseError(line_no, f"{record} requires {key}=", text)
-    return fields, seen_flags
-
-
-def _lookup(fields: Mapping[str, str], key: str, line_no: int, text: str, default=None):
-    """The enum member the ``key`` field names, or ``default`` if it is absent."""
-
-    if key not in fields:
-        return default
-    value = fields[key]
-    if value not in _VALUES[key]:
-        raise ParseError(line_no, f"bad {key} value {value!r}", text)
-    return _VALUES[key][value]
-
-
-def _listed(fields: Mapping[str, str], key: str) -> tuple[str, ...]:
-    return tuple(fields[key].split(",")) if key in fields else ()
+    for key, attribute, codes in _CODED[record]:
+        if attribute in fields:
+            value = fields[attribute]
+            if value not in codes:
+                raise ParseError(line_no, f"bad {key} value {value!r}", text)
+            fields[attribute] = codes[value]
+    return fields
 
 
 def parse(text: str) -> Transcript:
@@ -124,10 +145,9 @@ def parse(text: str) -> Transcript:
     """
 
     dialogue_id: str | None = None
-    # Per utterance: id, speaker, iru antecedents, item ids, mentions.
-    utterances: list[tuple[str, str, tuple[str, ...], list[str], list[Mention]]] = []
+    # Utterance id -> its header's fields, item ids and mentions.
+    utterances: dict[str, tuple[dict, list[str], list[Mention]]] = {}
     utt_items, utt_mentions = [], []  # the current utterance's item ids and mentions
-    utterance_ids: set[str] = set()
     # Item id -> its DiscourseItem. An entity takes the pred: tags of the
     # propositions naming it once the whole file has been read.
     items: dict[str, DiscourseItem] = {}
@@ -137,8 +157,7 @@ def parse(text: str) -> Transcript:
     open_segments: list[str] = []
     used_segments: set[str] = set()
     last_return: SegmentEvent | None = None
-    cases: list[CaseRecord] = []
-    case_ids: set[str] = set()
+    cases: dict[str, CaseRecord] = {}
     # Every reference: (line, text, key, ref, known ids), checked in order
     # once every line has been read.
     deferred: list[tuple[int, str, str, str, Container[str]]] = []
@@ -173,18 +192,12 @@ def parse(text: str) -> Transcript:
                         line_no, f"POP {seg_id!r} does not match the open segment", raw
                     )
                 open_segments.pop()
-                events.append(
-                    SegmentEvent(
-                        kind=EventKind.POP, segment_id=seg_id, position=len(utterances)
-                    )
-                )
+                events.append(SegmentEvent(EventKind.POP, seg_id, len(utterances)))
             else:
                 if seg_id not in open_segments:
                     raise ParseError(line_no, f"RETURN to unopened segment {seg_id!r}", raw)
                 del open_segments[open_segments.index(seg_id) + 1 :]
-                last_return = SegmentEvent(
-                    kind=EventKind.RETURN, segment_id=seg_id, position=len(utterances)
-                )
+                last_return = SegmentEvent(EventKind.RETURN, seg_id, len(utterances))
                 events.append(last_return)
             continue
 
@@ -198,18 +211,16 @@ def parse(text: str) -> Transcript:
         record_id, tokens = rest[0], rest[1:]
 
         if record == "UTT":
-            if record_id in utterance_ids:
+            if record_id in utterances:
                 raise ParseError(line_no, f"duplicate utterance id {record_id!r}", raw)
-            fields, _ = _split_fields(record, tokens, line_no, raw)
-            antecedents = _listed(fields, "iru")
-            for ref in antecedents:
-                if ref not in utterance_ids:
+            fields = _split_fields(record, tokens, line_no, raw)
+            for ref in fields.get("iru_antecedents", ()):
+                if ref not in utterances:
                     raise ParseError(
                         line_no, f"iru antecedent {ref!r} is not an earlier utterance", raw
                     )
-            utterance_ids.add(record_id)
             utt_items, utt_mentions = [], []
-            utterances.append((record_id, fields["speaker"], antecedents, utt_items, utt_mentions))
+            utterances[record_id] = (fields, utt_items, utt_mentions)
 
         elif record == "ITEM":
             if not tokens:
@@ -222,96 +233,66 @@ def parse(text: str) -> Transcript:
                 continue
             if record_id in items:
                 raise ParseError(line_no, f"duplicate item id {record_id!r}", raw)
-            fields, _ = _split_fields(record, tokens, line_no, raw)
-            kind = _lookup(fields, "kind", line_no, raw)
-            gender = _lookup(fields, "gender", line_no, raw, Gender.UNSPECIFIED)
-            number = _lookup(fields, "num", line_no, raw, Number.UNSPECIFIED)
-            if kind is not ItemKind.PROPOSITION and ("pred" in fields or "args" in fields):
+            fields = _split_fields(record, tokens, line_no, raw)
+            item = DiscourseItem(record_id, introduced_at=len(utterances) - 1, **fields)
+            if item.kind is not ItemKind.PROPOSITION and (item.predicate or item.args):
                 raise ParseError(line_no, "pred/args are only valid on kind=prop", raw)
-            if kind is ItemKind.SURFACE_FORM and "realizes" not in fields:
+            if item.kind is ItemKind.SURFACE_FORM and item.realizes is None:
                 raise ParseError(line_no, "kind=surface requires realizes=", raw)
-            if kind is not ItemKind.SURFACE_FORM and "realizes" in fields:
+            if item.kind is not ItemKind.SURFACE_FORM and item.realizes is not None:
                 raise ParseError(line_no, "realizes= is only valid on kind=surface", raw)
-            predicate, realizes = fields.get("pred"), fields.get("realizes")
-            args, sel_classes = _listed(fields, "args"), frozenset(_listed(fields, "sel"))
-            at = len(utterances) - 1
-            items[record_id] = DiscourseItem(
-                record_id, kind, gender, number, predicate, args, sel_classes, realizes, at
-            )
+            items[record_id] = item
             utt_items.append(record_id)
-            for ref in args:
-                if predicate:
+            for ref in item.args:
+                if item.predicate:
                     # Dialogue-derived capability tags: an entity named as an
                     # argument of a proposition picks up its predicate's tag.
-                    derived_tags.setdefault(ref, set()).add(derived_tag(predicate))
+                    derived_tags.setdefault(ref, set()).add(derived_tag(item.predicate))
                 deferred.append((line_no, raw, "args", ref, items))
-            if realizes is not None:
-                deferred.append((line_no, raw, "realizes", realizes, items))
+            if item.realizes is not None:
+                deferred.append((line_no, raw, "realizes", item.realizes, items))
 
         elif record in {"PRON", "ELLIPSIS"}:
             if record_id in mention_forms:
                 raise ParseError(line_no, f"duplicate mention id {record_id!r}", raw)
-            fields, _ = _split_fields(record, tokens, line_no, raw)
-            if record == "PRON":
-                mention = Mention(
-                    id=record_id,
-                    form=MentionForm.PRONOUN,
-                    gender=_lookup(fields, "gender", line_no, raw),
-                    number=_lookup(fields, "num", line_no, raw),
-                    verb_lemma=fields.get("verb"),
-                    required_sel_classes=frozenset(_listed(fields, "sel")),
-                    gold_antecedent=fields["gold"],
-                )
-            else:
-                mention = Mention(
-                    id=record_id, form=MentionForm.VP_ELLIPSIS, gold_antecedent=fields["gold"]
-                )
-            mention_forms[record_id] = mention.form
+            fields = _split_fields(record, tokens, line_no, raw)
+            form = MentionForm.PRONOUN if record == "PRON" else MentionForm.VP_ELLIPSIS
+            mention = Mention(record_id, form, **fields)
+            mention_forms[record_id] = form
             utt_mentions.append(mention)
-            deferred.append((line_no, raw, "gold", fields["gold"], items))
+            deferred.append((line_no, raw, "gold", mention.gold_antecedent, items))
 
         elif record == "PUSH":
-            _, flags = _split_fields(record, tokens, line_no, raw)
+            fields = _split_fields(record, tokens, line_no, raw)
             if record_id in used_segments:
                 raise ParseError(line_no, f"segment id {record_id!r} already used", raw)
             used_segments.add(record_id)
             open_segments.append(record_id)
-            events.append(
-                SegmentEvent(
-                    kind=EventKind.PUSH,
-                    segment_id=record_id,
-                    position=len(utterances),
-                    expect_return="expect-return" in flags,
-                )
-            )
+            events.append(SegmentEvent(EventKind.PUSH, record_id, len(utterances), **fields))
 
         else:  # CASE
-            if record_id in case_ids:
+            if record_id in cases:
                 raise ParseError(line_no, f"duplicate case id {record_id!r}", raw)
             if last_return is None:
                 raise ParseError(line_no, "CASE before any RETURN", raw)
-            fields, flags = _split_fields(record, tokens, line_no, raw)
-            case_ids.add(record_id)
-            cases.append(
-                CaseRecord(
-                    case_id=record_id,
-                    mention_id=fields["mention"],
-                    segment_id=last_return.segment_id,
-                    return_position=last_return.position,
-                    iru_at_return="iru" in flags,
-                    central_competitor="central-competitor" in flags,
-                )
+            fields = _split_fields(record, tokens, line_no, raw)
+            case = CaseRecord(
+                record_id,
+                segment_id=last_return.segment_id,
+                return_position=last_return.position,
+                **fields,
             )
-            deferred.append((line_no, raw, "mention", fields["mention"], mention_forms))
+            cases[record_id] = case
+            deferred.append((line_no, raw, "mention", case.mention_id, mention_forms))
 
     if dialogue_id is None:
         raise ParseError(1, "empty transcript: missing DIALOGUE record", "")
 
     for line_no, raw, key, ref, known in deferred:
         if ref not in known:
-            noun = "mention" if key == "mention" else "item"
+            noun = "mention" if known is mention_forms else "item"
             raise ParseError(line_no, f"{key} references undeclared {noun} {ref!r}", raw)
-        if key == "mention" and mention_forms[ref] is MentionForm.VP_ELLIPSIS:
+        if known is mention_forms and mention_forms[ref] is MentionForm.VP_ELLIPSIS:
             # A return-pop case classifies a pronoun among entity candidates.
             raise ParseError(line_no, f"mention {ref!r} is an ellipsis, not a pronoun", raw)
 
@@ -325,102 +306,84 @@ def parse(text: str) -> Transcript:
         utterances=tuple(
             Utterance(
                 id=utt_id,
-                speaker=speaker,
                 index=index,
                 items=tuple(utt_items),
                 mentions=tuple(utt_mentions),
-                iru_antecedents=antecedents,
+                **fields,
             )
-            for index, (utt_id, speaker, antecedents, utt_items, utt_mentions) in enumerate(
-                utterances
+            for index, (utt_id, (fields, utt_items, utt_mentions)) in enumerate(
+                utterances.items()
             )
         ),
         events=tuple(events),
         item_table=items,
-        cases=tuple(cases),
+        cases=tuple(cases.values()),
     )
 
 
-def _item_line(item: DiscourseItem) -> str:
-    parts = [f"ITEM {item.id}", f"kind={item.kind.value}"]
-    if item.gender is not Gender.UNSPECIFIED:
-        parts.append(f"gender={_GENDER_OUT[item.gender]}")
-    if item.number is not Number.UNSPECIFIED:
-        parts.append(f"num={_NUMBER_OUT[item.number]}")
-    if item.predicate:
-        parts.append(f"pred={item.predicate}")
-    if item.args:
-        parts.append("args=" + ",".join(item.args))
-    if item.sel_classes:
-        parts.append("sel=" + ",".join(sorted(item.sel_classes)))
-    if item.realizes:
-        parts.append(f"realizes={item.realizes}")
-    return " ".join(parts)
+def _record_line(record: str, record_id: str, value: NamedTuple) -> str:
+    """The line that declares ``value``: its required keys, and each optional
+    one that differs from the record type's default, in table order."""
 
-
-def _mention_line(mention: Mention) -> str:
-    if mention.form is MentionForm.VP_ELLIPSIS:
-        return f"ELLIPSIS {mention.id} gold={mention.gold_antecedent}"
-    parts = [
-        f"PRON {mention.id}",
-        f"gender={_GENDER_OUT[mention.gender]}",
-        f"num={_NUMBER_OUT[mention.number]}",
-    ]
-    if mention.verb_lemma:
-        parts.append(f"verb={mention.verb_lemma}")
-    if mention.required_sel_classes:
-        parts.append("sel=" + ",".join(sorted(mention.required_sel_classes)))
-    parts.append(f"gold={mention.gold_antecedent}")
+    parts = [record, record_id]
+    for key, (attribute, required, form) in _FIELDS[record].items():
+        field = getattr(value, attribute)
+        if not required and field == value._field_defaults[attribute]:
+            continue
+        if form is bool:
+            parts.append(key)
+            continue
+        if form is frozenset:
+            field = ",".join(sorted(field))
+        elif form is tuple:
+            field = ",".join(field)
+        elif form is not str:
+            field = next(code for code, member in form.items() if member is field)
+        parts.append(f"{key}={field}")
     return " ".join(parts)
 
 
 def write_transcript(transcript: Transcript) -> str:
     """Serialize a Transcript back to the line format.
 
-    Re-parsing the output yields a structurally equal transcript.
+    Re-parsing the output yields a structurally equal transcript. The
+    output is canonical: each record's keys in ``_FIELDS`` order, optional
+    keys and flags only where they differ from the default, sets sorted,
+    an item declared at its first utterance and referenced bare after, and
+    each CASE right after its RETURN.
     """
 
     lines = [f"DIALOGUE {transcript.dialogue_id}"]
-    cases_by_return = {
-        (case.segment_id, case.return_position): [] for case in transcript.cases
-    }
+    cases_by_return: dict[tuple[str, int], list[CaseRecord]] = {}
     for case in transcript.cases:
-        cases_by_return[(case.segment_id, case.return_position)].append(case)
+        cases_by_return.setdefault((case.segment_id, case.return_position), []).append(case)
 
     def emit_events(position: int) -> None:
         for event in transcript.events_at(position):
             if event.kind is EventKind.PUSH:
-                suffix = " expect-return" if event.expect_return else ""
-                lines.append(f"PUSH {event.segment_id}{suffix}")
+                lines.append(_record_line("PUSH", event.segment_id, event))
             elif event.kind is EventKind.POP:
                 lines.append(f"POP {event.segment_id}")
             else:
                 lines.append(f"RETURN {event.segment_id}")
                 # Each case once: a CASE after a repeated RETURN would re-declare it.
                 for case in cases_by_return.pop((event.segment_id, event.position), []):
-                    parts = [f"CASE {case.case_id}", f"mention={case.mention_id}"]
-                    if case.iru_at_return:
-                        parts.append("iru")
-                    if case.central_competitor:
-                        parts.append("central-competitor")
-                    lines.append(" ".join(parts))
+                    lines.append(_record_line("CASE", case.case_id, case))
 
     declared: set[str] = set()
     for utt in transcript.utterances:
         emit_events(utt.index)
-        header = f"UTT {utt.id} speaker={utt.speaker}"
-        if utt.iru_antecedents:
-            header += " iru=" + ",".join(utt.iru_antecedents)
-        lines.append(header)
+        lines.append(_record_line("UTT", utt.id, utt))
         for item_id in utt.items:
             item = transcript.item_table[item_id]
             if item.introduced_at == utt.index and item_id not in declared:
                 declared.add(item_id)
-                lines.append(_item_line(item))
+                lines.append(_record_line("ITEM", item_id, item))
             else:
                 lines.append(f"ITEM {item_id}")
         for mention in utt.mentions:
-            lines.append(_mention_line(mention))
+            record = "PRON" if mention.form is MentionForm.PRONOUN else "ELLIPSIS"
+            lines.append(_record_line(record, mention.id, mention))
     emit_events(len(transcript.utterances))
     return "\n".join(lines) + "\n"
 

@@ -125,6 +125,8 @@ def test_strict_errors(body, fragment):
         ("UTT u1 speaker=A\nITEM x gender=q", 3, "ITEM requires kind="),
         ("UTT u1 speaker=A\nPRON p gold=x", 3, "PRON requires gender="),
         ("UTT u1 speaker=A\nPRON p gender=q gold=x", 3, "PRON requires num="),
+        # Values are read in table order, not token order.
+        ("UTT u1 speaker=A\nITEM x kind=entity num=du gender=q", 3, "bad gender value 'q'"),
         # Forward references: line order, then the order within the line.
         (
             "UTT u1 speaker=A\nPRON p gender=f num=sg gold=g1\nITEM q kind=prop args=a,b",
@@ -303,6 +305,33 @@ REPEATED_RETURN = (
 )
 
 
+# Each record type with its optional keys and flags out of table order, and
+# the line write_transcript writes for it: keys in table order, sets sorted.
+# x also takes the pred: tag of p, which names it.
+OUT_OF_ORDER = [
+    ("DIALOGUE t", "DIALOGUE t"),
+    ("UTT u1 speaker=A", "UTT u1 speaker=A"),
+    (
+        "ITEM x sel=b,a num=sg gender=f kind=entity",
+        "ITEM x kind=entity gender=f num=sg sel=a,b,pred:lift",
+    ),
+    ("ITEM p args=x kind=prop pred=lift", "ITEM p kind=prop pred=lift args=x"),
+    ("ITEM s realizes=p kind=surface", "ITEM s kind=surface realizes=p"),
+    ("PUSH S1 expect-return", "PUSH S1 expect-return"),
+    ("UTT u2 iru=u1 speaker=B", "UTT u2 speaker=B iru=u1"),
+    ("ITEM x", "ITEM x"),
+    (
+        "PRON q gold=x sel=c,a verb=lift num=sg gender=f",
+        "PRON q gender=f num=sg verb=lift sel=a,c gold=x",
+    ),
+    ("ELLIPSIS e gold=p", "ELLIPSIS e gold=p"),
+    ("RETURN S1", "RETURN S1"),
+    ("CASE c1 central-competitor iru mention=q", "CASE c1 mention=q iru central-competitor"),
+    ("UTT u3 speaker=A", "UTT u3 speaker=A"),
+]
+OUT_OF_ORDER_TEXT = "".join(line + "\n" for line, _ in OUT_OF_ORDER)
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -316,11 +345,15 @@ REPEATED_RETURN = (
             REPEATED_RETURN.replace("mention=p", "mention=p iru central-competitor"),
             id="central-competitor",
         ),
+        pytest.param(OUT_OF_ORDER_TEXT, id="out-of-table-order"),
     ],
 )
 def test_fixture_round_trip(name):
     transcript = load_fixture(name) if name.endswith(".dlg") else parse(name)
-    assert parse(write_transcript(transcript)) == transcript
+    written = write_transcript(transcript)
+    assert parse(written) == transcript
+    if name == OUT_OF_ORDER_TEXT:
+        assert written == "".join(line + "\n" for _, line in OUT_OF_ORDER)
 
 
 def test_write_trace_of_empty_record_list():
