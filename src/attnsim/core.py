@@ -4,7 +4,7 @@ Everything here is shared by both attentional models: the items that occupy
 attentional stores, the annotated utterance/event structure of a dialogue,
 the accessibility snapshot both models produce, and the whole
 candidate-filter pipeline: the two pointwise filters, ``staged_filter``
-that chains them, and the per-transcript survivor sets built from it.
+that chains them, and the per-transcript survivor sets of its last stage.
 Each model's live state yields its own immediate tier, a fresh one-pass
 iterator in salience order on every read; ``snapshot`` reads it once.
 
@@ -253,7 +253,7 @@ class Transcript(_TranscriptFields):
             pool = self._agreeing.get(key)
             if pool is None:
                 pool = self._agreeing[key] = agreement_filter(self._pools[key[0]], mention)
-            found = frozenset(staged_filter(pool, mention).after_dialogue_selection)
+            found = frozenset(item.id for item in selection_filter(pool, required_tags(mention)))
             self._survivors[signature] = found
         return found
 
@@ -385,6 +385,13 @@ class CascadeTrace(NamedTuple):
     after_dialogue_selection: tuple[str, ...]
 
 
+def required_tags(mention: Mention) -> frozenset[str]:
+    """The tags a referent of ``mention`` must have, its verb's ``pred:`` tag too."""
+
+    required = mention.required_sel_classes
+    return required | {derived_tag(mention.verb_lemma)} if mention.verb_lemma else required
+
+
 def staged_filter(
     candidates: Sequence[DiscourseItem], mention: Mention
 ) -> CascadeTrace:
@@ -392,10 +399,8 @@ def staged_filter(
     selectional tags, then by the tags only the dialogue supplies (its
     ``pred:`` tags and its verb's); each stage filters the one before."""
 
-    required = mention.required_sel_classes
+    required = required_tags(mention)
     dialogue_tags = {tag for tag in required if tag.startswith(DERIVED_TAG_PREFIX)}
-    if mention.verb_lemma:
-        dialogue_tags.add(derived_tag(mention.verb_lemma))
     agreeing = agreement_filter(candidates, mention)
     static = selection_filter(agreeing, required - dialogue_tags)
     dialogue = selection_filter(static, dialogue_tags)

@@ -68,7 +68,7 @@ def load_transcript(path: str) -> Transcript:
 class IRUFinding(NamedTuple):
     utterance_id: str
     functions: tuple[tuple[str, IRUFunction], ...]
-    no_predicted_function: bool = False
+    no_predicted_function: bool
 
 
 class SimulationReport(NamedTuple):

@@ -87,8 +87,8 @@ class ReturnPopCase(NamedTuple):
     case_id: str
     mention: Mention
     candidates_at_return: tuple[DiscourseItem, ...]
-    iru_at_return: bool = False
-    competitor_ever_central: bool = False
+    iru_at_return: bool
+    competitor_ever_central: bool
 
 
 def _surface_carrier(

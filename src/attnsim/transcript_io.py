@@ -96,39 +96,52 @@ class ParseError(Exception):
         self.offending_text = offending_text
 
 
-def _split_fields(record: str, tokens: Sequence[str], line_no: int, text: str) -> dict:
-    """The values of a record line's fields, keyed by record attribute.
+def _split_fields(record: str, text: str, line_no: int, line: str, read: dict) -> dict:
+    """The values of the fields in ``text``, a line's text after its id, keyed
+    by record attribute, from ``read`` if it holds ``(record, text)``.
 
     Key errors come first, in token order; then a missing required key, in
-    table order; then a bad code, in table order."""
+    table order; then a bad code, in table order; then an ITEM's kind and
+    keys that do not go together."""
 
+    if (fields := read.get((record, text))) is not None:
+        return fields
     keys = _FIELDS[record]
-    fields: dict = {}
-    for token in tokens:
+    fields = {}
+    for token in text.split():
         key, equals, value = token.partition("=")
         spec = keys.get(key)
         if not equals:
             if spec is None or spec.form is not bool:
-                raise ParseError(line_no, f"malformed field {token!r}", text)
+                raise ParseError(line_no, f"malformed field {token!r}", line)
             fields[spec.attribute] = True
             continue
         if spec is None or spec.form is bool:
-            raise ParseError(line_no, f"unknown key {key!r}", text)
+            raise ParseError(line_no, f"unknown key {key!r}", line)
         if not value:
-            raise ParseError(line_no, f"empty value for {key!r}", text)
+            raise ParseError(line_no, f"empty value for {key!r}", line)
         attribute, _, form = spec
         if attribute in fields:
-            raise ParseError(line_no, f"repeated key {key!r}", text)
+            raise ParseError(line_no, f"repeated key {key!r}", line)
         fields[attribute] = form(value.split(",")) if form is tuple or form is frozenset else value
     for key, attribute in _REQUIRED[record]:
         if attribute not in fields:
-            raise ParseError(line_no, f"{record} requires {key}=", text)
+            raise ParseError(line_no, f"{record} requires {key}=", line)
     for key, attribute, codes in _CODED[record]:
         if attribute in fields:
             value = fields[attribute]
             if value not in codes:
-                raise ParseError(line_no, f"bad {key} value {value!r}", text)
+                raise ParseError(line_no, f"bad {key} value {value!r}", line)
             fields[attribute] = codes[value]
+    if record == "ITEM":
+        kind = fields["kind"]
+        if kind is not ItemKind.PROPOSITION and ("predicate" in fields or "args" in fields):
+            raise ParseError(line_no, "pred/args are only valid on kind=prop", line)
+        if kind is ItemKind.SURFACE_FORM and "realizes" not in fields:
+            raise ParseError(line_no, "kind=surface requires realizes=", line)
+        if kind is not ItemKind.SURFACE_FORM and "realizes" in fields:
+            raise ParseError(line_no, "realizes= is only valid on kind=surface", line)
+    read[record, text] = fields
     return fields
 
 
@@ -142,6 +155,9 @@ def parse(text: str) -> Transcript:
     the lines above it), or, if no line has one, the first line that
     references an item or mention declared nowhere in the file, or a CASE
     whose mention is an ellipsis.
+
+    Each distinct pair of record type and field text is read once per call;
+    every check that depends on where a line sits runs on every line.
     """
 
     dialogue_id: str | None = None
@@ -158,6 +174,7 @@ def parse(text: str) -> Transcript:
     used_segments: set[str] = set()
     last_return: SegmentEvent | None = None
     cases: dict[str, CaseRecord] = {}
+    read: dict[tuple[str, str], dict] = {}  # (record type, field text) -> its fields
     # Every reference: (line, text, key, ref, known ids), checked in order
     # once every line has been read.
     deferred: list[tuple[int, str, str, str, Container[str]]] = []
@@ -166,26 +183,26 @@ def parse(text: str) -> Transcript:
     # five more characters that universal newlines leave inside a line.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split(None, 2)  # record type, id, field text
+        if not parts:
             continue
-        record, *rest = line.split()
+        record = parts[0]
 
         if dialogue_id is None:
             if record != "DIALOGUE":
                 raise ParseError(line_no, "transcript must start with DIALOGUE", raw)
-            if len(rest) != 1:
+            if len(parts) != 2:
                 raise ParseError(line_no, "DIALOGUE takes a single id", raw)
-            dialogue_id = rest[0]
+            dialogue_id = parts[1]
             continue
 
         if record == "DIALOGUE":
             raise ParseError(line_no, "repeated DIALOGUE record", raw)
 
         if record in {"POP", "RETURN"}:
-            if len(rest) != 1:
+            if len(parts) != 2:
                 raise ParseError(line_no, f"{record} takes a single segment id", raw)
-            seg_id = rest[0]
+            seg_id = parts[1]
             if record == "POP":
                 if not open_segments or open_segments[-1] != seg_id:
                     raise ParseError(
@@ -205,15 +222,15 @@ def parse(text: str) -> Transcript:
             raise ParseError(line_no, f"unknown record type {record!r}", raw)
         if not utterances and record in {"ITEM", "PRON", "ELLIPSIS"}:
             raise ParseError(line_no, f"{record} before any UTT", raw)
-        if not rest:
+        if len(parts) == 1:
             needs = "a segment id" if record == "PUSH" else "an id"
             raise ParseError(line_no, f"{record} needs {needs}", raw)
-        record_id, tokens = rest[0], rest[1:]
+        record_id, fields_text = parts[1], parts[2] if len(parts) == 3 else ""
 
         if record == "UTT":
             if record_id in utterances:
                 raise ParseError(line_no, f"duplicate utterance id {record_id!r}", raw)
-            fields = _split_fields(record, tokens, line_no, raw)
+            fields = _split_fields(record, fields_text, line_no, raw, read)
             for ref in fields.get("iru_antecedents", ()):
                 if ref not in utterances:
                     raise ParseError(
@@ -223,7 +240,7 @@ def parse(text: str) -> Transcript:
             utterances[record_id] = (fields, utt_items, utt_mentions)
 
         elif record == "ITEM":
-            if not tokens:
+            if not fields_text:
                 # Bare reference: the utterance re-realizes a known item.
                 if record_id not in items:
                     raise ParseError(
@@ -233,14 +250,8 @@ def parse(text: str) -> Transcript:
                 continue
             if record_id in items:
                 raise ParseError(line_no, f"duplicate item id {record_id!r}", raw)
-            fields = _split_fields(record, tokens, line_no, raw)
+            fields = _split_fields(record, fields_text, line_no, raw, read)
             item = DiscourseItem(record_id, introduced_at=len(utterances) - 1, **fields)
-            if item.kind is not ItemKind.PROPOSITION and (item.predicate or item.args):
-                raise ParseError(line_no, "pred/args are only valid on kind=prop", raw)
-            if item.kind is ItemKind.SURFACE_FORM and item.realizes is None:
-                raise ParseError(line_no, "kind=surface requires realizes=", raw)
-            if item.kind is not ItemKind.SURFACE_FORM and item.realizes is not None:
-                raise ParseError(line_no, "realizes= is only valid on kind=surface", raw)
             items[record_id] = item
             utt_items.append(record_id)
             for ref in item.args:
@@ -255,7 +266,7 @@ def parse(text: str) -> Transcript:
         elif record in {"PRON", "ELLIPSIS"}:
             if record_id in mention_forms:
                 raise ParseError(line_no, f"duplicate mention id {record_id!r}", raw)
-            fields = _split_fields(record, tokens, line_no, raw)
+            fields = _split_fields(record, fields_text, line_no, raw, read)
             form = MentionForm.PRONOUN if record == "PRON" else MentionForm.VP_ELLIPSIS
             mention = Mention(record_id, form, **fields)
             mention_forms[record_id] = form
@@ -263,7 +274,7 @@ def parse(text: str) -> Transcript:
             deferred.append((line_no, raw, "gold", mention.gold_antecedent, items))
 
         elif record == "PUSH":
-            fields = _split_fields(record, tokens, line_no, raw)
+            fields = _split_fields(record, fields_text, line_no, raw, read)
             if record_id in used_segments:
                 raise ParseError(line_no, f"segment id {record_id!r} already used", raw)
             used_segments.add(record_id)
@@ -275,7 +286,7 @@ def parse(text: str) -> Transcript:
                 raise ParseError(line_no, f"duplicate case id {record_id!r}", raw)
             if last_return is None:
                 raise ParseError(line_no, "CASE before any RETURN", raw)
-            fields = _split_fields(record, tokens, line_no, raw)
+            fields = _split_fields(record, fields_text, line_no, raw, read)
             case = CaseRecord(
                 record_id,
                 segment_id=last_return.segment_id,
@@ -305,11 +316,12 @@ def parse(text: str) -> Transcript:
         dialogue_id=dialogue_id,
         utterances=tuple(
             Utterance(
-                id=utt_id,
-                index=index,
-                items=tuple(utt_items),
-                mentions=tuple(utt_mentions),
-                **fields,
+                utt_id,
+                fields["speaker"],
+                index,
+                tuple(utt_items),
+                tuple(utt_mentions),
+                fields.get("iru_antecedents", ()),
             )
             for index, (utt_id, (fields, utt_items, utt_mentions)) in enumerate(
                 utterances.items()

@@ -1007,19 +1007,32 @@ def assert_resolutions_match_reference(transcript: Transcript, where: str) -> No
         )
 
 
+def assert_survivors_match_staged_filter(transcript: Transcript, where: str) -> None:
+    """Each mention's survivor set holds the ids that pass the kind step and
+    every ``staged_filter`` stage over the whole item table."""
+
+    table = transcript.item_table
+    for mention in transcript.mentions():
+        expected = frozenset(_reference_referents(table, mention, table))
+        assert transcript.survivors(mention) == expected, f"{where} {mention.id}: survivors"
+
+
 def run_referent_index_suite(seed: int = SEED, trials: int = REFERENT_INDEX_TRIALS) -> int:
-    """Resolving against per-signature survivor sets gives the same
-    resolutions as filtering each store for each mention, on the fixtures
-    and on generated texts."""
+    """Per-signature survivor sets equal ``staged_filter``'s last stage, and
+    resolving against them gives the same resolutions as filtering each
+    store for each mention, on the fixtures and on generated texts."""
 
     for path in sorted(FIXTURES.glob("*.dlg")):
         transcript = parse(path.read_text(encoding="utf-8"))
+        assert_survivors_match_staged_filter(transcript, f"run_referent_index_suite {path.name}")
         assert_resolutions_match_reference(transcript, f"run_referent_index_suite {path.name}")
     rng = random.Random(seed + 9)
     traces = 0
     for trial in range(trials):
         where = _where("run_referent_index_suite", seed, trial)
-        assert_resolutions_match_reference(parse(random_transcript_text(rng)), where)
+        transcript = parse(random_transcript_text(rng))
+        assert_survivors_match_staged_filter(transcript, where)
+        assert_resolutions_match_reference(transcript, where)
         traces += 1
     return traces
 

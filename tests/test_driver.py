@@ -206,11 +206,11 @@ def test_replays_share_one_survivor_set_per_cue_signature(source, monkeypatch):
         transcript = parse(gen.generate(random.Random(7), shape, "generated")[0])
     calls = []
 
-    def counting(candidates, mention, _filter=core.staged_filter):
-        calls.append(mention)
-        return _filter(candidates, mention)
+    def counting(candidates, required, _filter=core.selection_filter):
+        calls.append(required)
+        return _filter(candidates, required)
 
-    monkeypatch.setattr(core, "staged_filter", counting)
+    monkeypatch.setattr(core, "selection_filter", counting)
     compare_transcript(transcript)
     replay(transcript, ModelKind.CACHE, capacity=2, views=True)
     replay(transcript, ModelKind.STACK)
@@ -408,6 +408,27 @@ def test_cli_run_reports_json(capsys):
     assert payload["model"] == "stack"
     assert payload["totalEffort"] == 0
     assert {r["mentionId"] for r in payload["resolutions"]} == {"her", "ell_8a"}
+
+
+def test_cli_accepts_the_least_capacity_and_cost(capsys):
+    argv = ["run", "--model", "cache", "--capacity", "1", "--cost", "1"]
+    assert main([*argv, str(fixture_path("dialogue_b.dlg"))]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["capacity"], payload["retrievalCost"]) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [([], "command"), (["run", str(fixture_path("dialogue_a.dlg"))], "--model")],
+)
+def test_cli_missing_required_argument_is_a_usage_error(argv, missing, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: attnsim")
+    assert f"the following arguments are required: {missing}" in captured.err
 
 
 def test_cli_default_capacity_is_seven():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from attnsim import transcript_io
 from attnsim.core import EventKind, Gender, ItemKind, MentionForm, Number
 from attnsim.transcript_io import ParseError, parse, write_transcript
 
-from conftest import load_fixture
+from conftest import fixture_path, load_fixture
 
 
 def test_minimal_transcript():
@@ -127,6 +130,28 @@ def test_strict_errors(body, fragment):
         ("UTT u1 speaker=A\nPRON p gender=q gold=x", 3, "PRON requires num="),
         # Values are read in table order, not token order.
         ("UTT u1 speaker=A\nITEM x kind=entity num=du gender=q", 3, "bad gender value 'q'"),
+        # A bad code met again is reported where it first stands.
+        (
+            "UTT u1 speaker=A\nITEM x kind=entity gender=x\nITEM y kind=entity gender=x",
+            3,
+            "bad gender value 'x'",
+        ),
+        # A field text read on an earlier line still meets every check that
+        # depends on where its line sits.
+        ("UTT u1 speaker=A\nUTT u1 speaker=A", 3, "duplicate utterance id 'u1'"),
+        ("UTT u1 speaker=A\nITEM x kind=entity\nITEM x kind=entity", 4, "duplicate item id 'x'"),
+        (
+            "UTT u1 speaker=A\nITEM x kind=entity\nPRON p gender=f num=sg gold=x\n"
+            "PRON p gender=f num=sg gold=x",
+            5,
+            "duplicate mention id 'p'",
+        ),
+        ("PUSH S1 expect-return\nPOP S1\nPUSH S1 expect-return", 4, "segment id 'S1' already used"),
+        (
+            "UTT u1 speaker=A\nPRON p gender=f num=sg gold=x\nPRON q gender=f num=sg gold=x",
+            3,
+            "gold references undeclared item 'x'",
+        ),
         # Forward references: line order, then the order within the line.
         (
             "UTT u1 speaker=A\nPRON p gender=f num=sg gold=g1\nITEM q kind=prop args=a,b",
@@ -174,6 +199,84 @@ def test_error_precedence(body, line, message):
     with pytest.raises(ParseError) as exc:
         parse("DIALOGUE t\n" + body + "\n")
     assert (exc.value.line_number, exc.value.message) == (line, message)
+
+
+def test_a_field_text_keeps_its_meaning_in_each_record_type():
+    # ``iru`` is a flag on CASE and ``iru=`` a key on UTT; ``gold=x`` is all
+    # an ELLIPSIS needs, but not all a PRON needs.
+    text = (
+        "DIALOGUE t\nUTT u0 speaker=A\nITEM x kind=prop\nPUSH S1\nUTT u1 speaker=A iru=u0\n"
+        "ITEM e kind=entity\nPRON p gender=n num=sg gold=e\nELLIPSIS v gold=x\n"
+        "RETURN S1\nCASE c1 mention=p iru\n"
+    )
+    transcript = parse(text)
+    assert [utt.iru_antecedents for utt in transcript.utterances] == [(), ("u0",)]
+    assert transcript.cases[0].iru_at_return
+    for tail, message in [
+        ("CASE c2 mention=p iru=u0", "unknown key 'iru'"),
+        ("UTT u2 speaker=A iru", "malformed field 'iru'"),
+        ("PRON q gold=x", "PRON requires gender="),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(text + tail + "\n")
+        assert (exc.value.line_number, exc.value.message) == (11, message)
+
+
+def _outcome(text: str) -> tuple:
+    try:
+        transcript = parse(text)
+    except ParseError as error:
+        return (error.line_number, error.message, error.offending_text)
+    return (repr(transcript), write_transcript(transcript))
+
+
+@pytest.mark.parametrize("name", ["dialogue_a", "dialogue_b", "dialogue_c", "return_pops"])
+def test_a_parse_carries_nothing_to_the_next(name):
+    # Copies of a fixture with one line repeated, moved or dropped share
+    # their field texts with it and with each other. Each parses to the same
+    # outcome whichever text was parsed just before it.
+    lines = fixture_path(f"{name}.dlg").read_text(encoding="utf-8").splitlines()
+    rng = random.Random(name)
+    texts = []
+    for _ in range(30):
+        copy = list(lines)
+        i, j = rng.randrange(len(copy)), rng.randrange(len(copy))
+        how = rng.randrange(3)
+        if how == 0:
+            copy.insert(j, copy[i])
+        elif how == 1:
+            copy.insert(j, copy.pop(i))
+        else:
+            del copy[i]
+        texts.append("\n".join(copy) + "\n")
+    alone = [_outcome(text) for text in texts]
+    assert any(len(outcome) == 2 for outcome in alone)
+    assert any(len(outcome) == 3 for outcome in alone)
+    for text, expected in zip(texts[1:], alone[1:]):
+        parse("\n".join(lines) + "\n")
+        assert _outcome(text) == expected
+    for text, expected in zip(texts[::-1], alone[::-1]):
+        assert _outcome(text) == expected
+
+
+def _module_state() -> dict:
+    state = {}
+    for name, value in vars(transcript_io).items():
+        state[name] = (
+            repr(value),
+            repr(getattr(value, "__defaults__", None)),
+            repr(getattr(value, "__kwdefaults__", None)),
+            value.cache_info() if hasattr(value, "cache_info") else None,
+        )
+    return state
+
+
+def test_parse_leaves_the_module_globals_unchanged(dialogue_b):
+    before = _module_state()
+    parse(write_transcript(dialogue_b))
+    with pytest.raises(ParseError):
+        parse("DIALOGUE t\nUTT u1 speaker=A\nITEM x kind=entity gender=q\n")
+    assert _module_state() == before
 
 
 def test_local_error_beats_earlier_forward_reference():
