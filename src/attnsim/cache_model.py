@@ -13,11 +13,13 @@ The replay fold owns one ``CacheState`` and every step updates it in
 place and returns the store events it generated, as the stack model's
 steps do, so a step costs the same however long the transcript has run.
 Cached ids sit in a dict in recency order, least recently used first,
-each mapped to the step that admitted it: a touch moves an id to the end
-and eviction takes the first unpinned one. Each pin is one entry of a
-map from the pinned item to the segment whose push took it, in pin
-order; displacing the item drops it. An admitted item has one record,
-in one store; the property suites check that after every step.
+each mapped to the step that admitted it, and a touch moves an id to the
+end. Displacement takes unpinned entries from least recently used, then
+pinned ones, and a batch larger than the cache displaces its own
+earliest members. Each pin is one entry of a map from the pinned item
+to the segment whose push took it, in pin order; displacing the item
+drops it. An admitted item has one record, in one store; the property
+suites check that after every step.
 Resolution reads the live stores, the immediate tier as a one-pass
 iterator over the cached ids from most recently used; a trace record's
 ``AccessibilityView`` comes from ``core.snapshot``, which freezes main
@@ -44,6 +46,10 @@ from .core import (
 
 DEFAULT_CAPACITY = 7
 DEFAULT_RETRIEVAL_COST = 1
+
+# Read per displaced entry: before Python 3.12 a member read through its enum runs a hook.
+_SURFACE_FORM, _RETRIEVE = ItemKind.SURFACE_FORM, StoreEventKind.RETRIEVE
+_DISPLACE, _STORE, _DISCARD = StoreEventKind.DISPLACE, StoreEventKind.STORE, StoreEventKind.DISCARD
 
 
 class CacheState:
@@ -86,39 +92,43 @@ def new_cache(
     return CacheState(capacity, item_table, retrieval_cost)
 
 
-def _touch(state: CacheState, item_id: str) -> None:
-    state.step += 1
-    state.by_recency[item_id] = state.by_recency.pop(item_id)
-    state.last_touch[item_id] = state.step
-
-
-def evict_one(state: CacheState) -> list[StoreEvent]:
-    """Displace one entry: the least recently used unpinned one, or the
-    least recently used pinned one when everything is pinned.
+def evict(state: CacheState, count: int) -> list[StoreEvent]:
+    """Displace ``count`` entries, picked in one scan of the cache from
+    least recently used: unpinned ones first, then pinned ones when too
+    few are unpinned.
 
     Entities and propositions are stored to main memory; surface forms
-    are discarded and become unrecoverable by retrieval. ``_admit`` evicts
-    only from a nonempty cache: ``new_cache`` keeps the capacity positive.
+    are discarded and become unrecoverable by retrieval. ``_admit`` asks
+    for at most as many entries as the cache holds.
     """
 
-    entries = state.by_recency
-    unpinned = (item_id for item_id in entries if item_id not in state.pinned)
-    victim = next(unpinned, next(iter(entries)))
-    del entries[victim]
-    # A displaced entry is not in the cache, so its pin goes too; otherwise
-    # a later unpin could strip a fresh pin on a re-entry.
-    state.pinned.pop(victim, None)
-    if state.item_table[victim].kind is ItemKind.SURFACE_FORM:
-        state.discarded.add(victim)
-        fate = StoreEventKind.DISCARD
-    else:
-        state.main_memory.add(victim)
-        fate = StoreEventKind.STORE
-    return [StoreEvent(StoreEventKind.DISPLACE, victim), StoreEvent(fate, victim)]
+    entries, pinned = state.by_recency, state.pinned
+    victims: list[str] = []
+    held: list[str] = []  # pinned entries passed over, least recently used first
+    for item_id in entries:
+        if len(victims) >= count:
+            break
+        (held if item_id in pinned else victims).append(item_id)
+    victims += held[: count - len(victims)]
+    events: list[StoreEvent] = []
+    for victim in victims:
+        del entries[victim]
+        # A displaced entry is not in the cache, so its pin goes too;
+        # otherwise a later unpin could strip a fresh pin on a re-entry.
+        pinned.pop(victim, None)
+        if state.item_table[victim].kind is _SURFACE_FORM:
+            state.discarded.add(victim)
+            fate = _DISCARD
+        else:
+            state.main_memory.add(victim)
+            fate = _STORE
+        events += (StoreEvent(_DISPLACE, victim), StoreEvent(fate, victim))
+    return events
 
 
 def _admit(state: CacheState, movers: Sequence[str]) -> list[StoreEvent]:
-    """Bring absent items in, displacing as one up-front cascade.
+    """Bring absent items in, wherever their records live, displacing as
+    one up-front cascade.
 
     Running the cascade before any insertion keeps the displacement order
     honest: unpinned entries always drain before pinned ones. When the
@@ -126,42 +136,39 @@ def _admit(state: CacheState, movers: Sequence[str]) -> list[StoreEvent]:
     displaced in turn as the later ones arrive.
     """
 
-    events: list[StoreEvent] = []
-    if state.capacity is not None:
-        deficit = len(state.by_recency) + len(movers) - state.capacity
-        for _ in range(max(0, min(deficit, len(state.by_recency)))):
-            events.extend(evict_one(state))
+    entries, capacity = state.by_recency, state.capacity
+    deficit = 0 if capacity is None else len(entries) + len(movers) - capacity
+    events = evict(state, min(deficit, len(entries)))
+    main_memory, discarded, last_touch = state.main_memory, state.discarded, state.last_touch
+    step = state.step
     for item_id in movers:
-        if state.capacity is not None and len(state.by_recency) >= state.capacity:
-            events.extend(evict_one(state))
-        _readmit(state, item_id, events)
+        if capacity is not None and len(entries) >= capacity:
+            events += evict(state, 1)
+        store = main_memory if item_id in main_memory else discarded
+        if item_id in store:
+            store.remove(item_id)
+            events.append(StoreEvent(_RETRIEVE, item_id))
+        step += 1
+        entries[item_id] = last_touch[item_id] = step
+    state.step = step
     return events
-
-
-def _readmit(state: CacheState, item_id: str, events: list[StoreEvent]) -> None:
-    """Bring an absent item into the cache, wherever its record lives."""
-
-    if item_id in state.main_memory:
-        state.main_memory.remove(item_id)
-        events.append(StoreEvent(StoreEventKind.RETRIEVE, item_id))
-    elif item_id in state.discarded:
-        state.discarded.remove(item_id)
-        events.append(StoreEvent(StoreEventKind.RETRIEVE, item_id))
-    state.step += 1
-    state.by_recency[item_id] = state.step
-    state.last_touch[item_id] = state.step
 
 
 def _touch_cached(state: CacheState, item_ids: Sequence[str]) -> list[str]:
     """Touch the cached items among ``item_ids`` and return the absent ones,
     each once, in order of first mention."""
 
+    entries, last_touch = state.by_recency, state.last_touch
+    step = state.step
     absent: list[str] = []
     for item_id in dict.fromkeys(item_ids):
-        if item_id in state.by_recency:
-            _touch(state, item_id)
+        if item_id in entries:
+            step += 1
+            entries[item_id] = entries.pop(item_id)  # keeps its admission step
+            last_touch[item_id] = step
         else:
             absent.append(item_id)
+    state.step = step
     return absent
 
 
@@ -173,7 +180,8 @@ def insert_items(state: CacheState, item_ids: Sequence[str]) -> list[StoreEvent]
     it is uttered again.
     """
 
-    return _admit(state, _touch_cached(state, item_ids))
+    absent = _touch_cached(state, item_ids)
+    return _admit(state, absent) if absent else []
 
 
 def retrieve(state: CacheState, item_ids: Sequence[str]) -> list[StoreEvent]:

@@ -123,16 +123,17 @@ def replay(
         model = cache_model
         state = cache_model.new_cache(transcript.item_table, capacity, retrieval_cost)
     else:
-        # The stack reports no capacity or retrieval cost.
         model, state = stack_model, stack_model.new_stack()
-        capacity, retrieval_cost = None, 0
+    # Bound per call, not at import, so that a wrapper installed before the call runs.
+    apply_events, apply_iru, absorb = model.apply_events, model.apply_iru, model.absorb
+    snapshot, events_at = model.view, transcript.events_at
     records: list[TraceRecord] = []
     resolutions: list[tuple[str, Resolution]] = []
     findings: list[IRUFinding] = []
     view = None
     for utt in transcript.utterances:
-        applied = model.apply_events(state, transcript.events_at(utt.index), transcript)
-        if utt.is_iru:
+        applied = apply_events(state, events_at(utt.index), transcript)
+        if utt.iru_antecedents:
             functions = tuple(analyze_iru(utt, state, transcript))
             # The stack model predicts nothing for a restatement whose
             # content is already sitting in stacked focus spaces.
@@ -140,7 +141,7 @@ def replay(
                 function is IRUFunction.REFRESH_IN_CACHE for _, function in functions
             )
             findings.append(IRUFinding(utt.id, functions, model is stack_model and all_fresh))
-            applied.extend(model.apply_iru(state, [item for item, _ in functions]))
+            applied.extend(apply_iru(state, [item for item, _ in functions]))
         utt_resolutions = []
         for mention in utt.mentions:
             resolution = resolve(mention, state, transcript, retrieval_cost, candidates)
@@ -150,19 +151,12 @@ def replay(
                 applied.extend(model.retrieve(state, [resolution.outcome.item]))
             utt_resolutions.append(resolution)
             resolutions.append((utt.id, resolution))
-        applied.extend(model.absorb(state, utt))
+        applied.extend(absorb(state, utt))
         if views:
             # Each record shares the previous record's unchanged stores.
-            view = model.view(state, view)
-        records.append(
-            TraceRecord(
-                utterance_index=utt.index,
-                events_applied=tuple(applied),
-                view=view,
-                resolutions=tuple(utt_resolutions),
-                cumulative_effort=state.effort,
-            )
-        )
+            view = snapshot(state, view)
+        record = TraceRecord(utt.index, tuple(applied), view, tuple(utt_resolutions), state.effort)
+        records.append(record)
     return SimulationReport(
         dialogue_id=transcript.dialogue_id,
         model_kind=model_kind,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import islice
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .core import (
     AccessibilityView,
@@ -46,13 +46,13 @@ class Outcome(NamedTuple):
 
     @classmethod
     def immediate(cls, item: str) -> "Outcome":
-        return cls(OutcomeKind.IMMEDIATE, item=item)
+        return cls(OutcomeKind.IMMEDIATE, item)
 
     @classmethod
     def after_retrieval(cls, item: str, effort: int) -> "Outcome":
         if effort <= 0:
             raise ValueError("retrieval outcomes carry positive effort")
-        return cls(OutcomeKind.AFTER_RETRIEVAL, item=item, effort=effort)
+        return cls(OutcomeKind.AFTER_RETRIEVAL, item, effort)
 
     @classmethod
     def failure(cls, reason: FailureReason) -> "Outcome":
@@ -119,33 +119,31 @@ def resolve(
     the resolution lists none.
     """
 
-    gold = mention.gold_antecedent
-
-    def resolution(outcome: Outcome, considered: Sequence[str] = ()) -> Resolution:
-        considered = tuple(considered) if candidates else ()
-        return Resolution(mention.id, outcome, considered, correct=outcome.item == gold)
-
+    mention_id, gold = mention.id, mention.gold_antecedent
     if mention.form is MentionForm.VP_ELLIPSIS:
         carrier = _surface_carrier(gold, transcript.carriers)
         if carrier is not None and carrier.id in accessibility.lost:
-            return resolution(Outcome.failure(FailureReason.SURFACE_FORM_LOST))
+            outcome = Outcome.failure(FailureReason.SURFACE_FORM_LOST)
+            return Resolution(mention_id, outcome, (), gold is None)
 
     survivors = transcript.survivors(mention)
     found = filter(survivors.__contains__, accessibility.immediate)
     winners = tuple(islice(found, None if candidates else 1))
     if winners:
-        return resolution(Outcome.immediate(winners[0]), winners)
+        immediate = Outcome.immediate(winners[0])
+        return Resolution(mention_id, immediate, winners if candidates else (), winners[0] == gold)
 
     # The retrievable store has no salience order; survivors go by id.
     # Two survivors already make the mention ambiguous.
     smaller, larger = sorted((survivors, accessibility.retrievable), key=len)
     found = filter(larger.__contains__, smaller)
     winners = sorted(islice(found, None if candidates else 2))
+    considered = tuple(winners) if candidates else ()
     if len(winners) == 1:
-        return resolution(Outcome.after_retrieval(winners[0], retrieval_cost), winners)
-    if winners:
-        return resolution(Outcome.failure(FailureReason.AMBIGUOUS), winners)
-    return resolution(Outcome.failure(FailureReason.NO_CANDIDATE))
+        outcome = Outcome.after_retrieval(winners[0], retrieval_cost)
+        return Resolution(mention_id, outcome, considered, winners[0] == gold)
+    reason = FailureReason.AMBIGUOUS if winners else FailureReason.NO_CANDIDATE
+    return Resolution(mention_id, Outcome.failure(reason), considered, gold is None)
 
 
 def cascade_survivors(case: ReturnPopCase) -> CascadeTrace:

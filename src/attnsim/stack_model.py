@@ -81,7 +81,10 @@ def apply_events(
     """Apply segment boundaries in order. The stack never retrieves, so
     the transcript goes unused."""
 
-    return [logged for event in events_before for logged in apply_event(stack, event)]
+    log: list[StoreEvent] = []
+    for event in events_before:
+        log += apply_event(stack, event)
+    return log
 
 
 def _pop_spaces(stack: FocusStack, count: int) -> list[StoreEvent]:

@@ -480,10 +480,17 @@ def indented_json(value, pad: str = "") -> str:
     inner = pad + "  "
     separator = ",\n" + inner
     if isinstance(value, dict):
-        body = separator.join(
-            [f"{_quote(key)}: {indented_json(item, inner)}" for key, item in value.items()]
-        )
-        return f"{{\n{inner}{body}\n{pad}}}"
+        pieces = []
+        for key, item in value.items():
+            kind = type(item)  # a str, int, bool or None member is written in place
+            if kind is str or kind is int:
+                text = _quote(item) if kind is str else int.__repr__(item)
+            elif item is None or kind is bool:
+                text = "null" if item is None else "true" if item else "false"
+            else:
+                text = indented_json(item, inner)
+            pieces.append(f"{_quote(key)}: {text}")
+        return f"{{\n{inner}{separator.join(pieces)}\n{pad}}}"
     try:
         return "".join(_string_list(value, pad))  # lists of ids are the common case
     except TypeError:  # not a list of strings

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import faulthandler
 import gc
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -16,6 +18,31 @@ from attnsim.transcript_io import parse
 pytest.register_assert_rewrite("propsuite")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# The hang timer's traceback goes to a copy of the terminal's stderr, taken
+# while pytest does not capture it: the captured stream is lost on exit.
+HANG_SECONDS = 60
+_hang_stderr: int | None = None
+
+
+def pytest_configure(config):
+    global _hang_stderr
+    _hang_stderr = os.dup(sys.__stderr__.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(_hang_stderr)
+
+
+@pytest.fixture(autouse=True)
+def hang_ends_the_run():
+    """A test still running after ``HANG_SECONDS`` dumps every thread's
+    traceback and ends the whole run with exit code 1, so a looping test
+    names where it loops and cannot hold the run forever."""
+
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True, file=_hang_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def fixture_path(name: str) -> Path:

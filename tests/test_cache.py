@@ -8,7 +8,7 @@ from attnsim.cache_model import (
     CacheState,
     absorb,
     apply_events,
-    evict_one,
+    evict,
     insert_items,
     new_cache,
     retrieve,
@@ -81,7 +81,7 @@ def fold_cache(transcript, upto_id, capacity=7):
 def test_evict_one_takes_least_recently_used():
     items = table("a", "b", "c")
     state = state_with([("a", 1), ("b", 2), ("c", 3)], items)
-    assert evict_one(state) == [
+    assert evict(state, 1) == [
         StoreEvent(StoreEventKind.DISPLACE, "a"),
         StoreEvent(StoreEventKind.STORE, "a"),
     ]
@@ -92,7 +92,7 @@ def test_evict_one_takes_least_recently_used():
 def test_evict_one_prefers_unpinned():
     items = table("a", "b")
     state = state_with([("a", 1), ("b", 2)], items, pinned={"a": "seg"})
-    displaced, _ = evict_one(state)
+    displaced, _ = evict(state, 1)
     assert displaced.target == "b"
     assert tuple(state.by_recency) == ("a",)
     assert state.pinned == {"a": "seg"}
@@ -101,7 +101,7 @@ def test_evict_one_prefers_unpinned():
 def test_evict_one_discards_surface_forms():
     items = table(("host", ItemKind.PROPOSITION), ("s", ItemKind.SURFACE_FORM))
     state = state_with([("s", 1)], items, pinned={"s": "seg"})
-    assert evict_one(state) == [
+    assert evict(state, 1) == [
         StoreEvent(StoreEventKind.DISPLACE, "s"),
         StoreEvent(StoreEventKind.DISCARD, "s"),
     ]
@@ -137,7 +137,7 @@ def test_retrieve_moves_item_in_at_cost():
     state = new_cache(items, capacity=3)
     insert_items(state, ["x"])
     # Push x out to main memory by hand via eviction.
-    evict_one(state)
+    evict(state, 1)
     assert "x" in state.main_memory
     assert state.effort == 0
     events = retrieve(state, ["x"])
@@ -154,6 +154,73 @@ def test_retrieve_touches_cached_items_for_free():
     events = retrieve(state, ["x"])
     assert state.effort == 0 and events == []
     assert state.last_touch["x"] > before
+
+
+def logged(events):
+    return [f"{event.kind.value} {event.target}" for event in events]
+
+
+def test_a_batch_larger_than_the_cache_displaces_unpinned_then_pinned_then_itself():
+    items = table("a", "b", "c", "m", "x", "y", "z", ("s", ItemKind.SURFACE_FORM))
+    state = state_with([("a", 1), ("b", 2), ("c", 3)], items, capacity=3)
+    state.pinned = {"c": "seg", "a": "seg"}  # pin order is not recency order
+    state.main_memory = {"m"}
+    # Five absent items, two more than the cache holds.
+    events = insert_items(state, ["s", "m", "x", "y", "z"])
+    assert logged(events) == [
+        # The up-front cascade: the unpinned entry, then the pinned ones
+        # from least recently used.
+        "Displace b",
+        "Store b",
+        "Displace a",
+        "Store a",
+        "Displace c",
+        "Store c",
+        "Retrieve m",
+        # The batch's own earliest members make room for its last two.
+        "Displace s",
+        "Discard s",
+        "Displace m",
+        "Store m",
+    ]
+    assert tuple(state.by_recency) == ("x", "y", "z")
+    assert state.pinned == {}
+    assert state.main_memory == {"a", "b", "c", "m"}
+    assert state.discarded == {"s"}
+    check_cache_invariants(state)
+
+
+def test_retrieving_more_than_the_cache_holds_displaces_in_one_order():
+    items = table("a", "b", "x", "y", "z")
+    state = state_with([("a", 1), ("b", 2)], items, capacity=2, pinned={"a": "seg"})
+    state.main_memory = {"x", "y", "z"}
+    events = retrieve(state, ["x", "y", "z"])
+    assert logged(events) == [
+        "Displace b",
+        "Store b",
+        "Displace a",
+        "Store a",
+        "Retrieve x",
+        "Retrieve y",
+        "Displace x",
+        "Store x",
+        "Retrieve z",
+    ]
+    assert tuple(state.by_recency) == ("y", "z")
+    assert state.main_memory == {"a", "b", "x"}
+    assert state.effort == 3
+    check_cache_invariants(state)
+
+
+def test_inserting_only_cached_items_displaces_nothing():
+    items = table("a", "b")
+    state = state_with([("a", 1), ("b", 2)], items, capacity=2, pinned={"a": "seg"})
+    assert insert_items(state, ["b", "a", "b"]) == []
+    assert tuple(state.by_recency) == ("b", "a")
+    assert state.last_touch == {"b": 3, "a": 4}
+    assert state.step == 4
+    assert state.pinned == {"a": "seg"}
+    assert state.main_memory == set() and state.discarded == set()
 
 
 COST_TEXT = """DIALOGUE d

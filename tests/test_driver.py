@@ -549,6 +549,42 @@ def test_cli_without_stdout_descriptor_exits_3():
     )
 
 
+class _FlushFails:
+    """A stdout with its own descriptor that takes every write and fails
+    every flush with ENOSPC, as a full device does once its buffer fills."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.written: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.written.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def test_cli_stdout_that_fails_on_flush_exits_3(tmp_path, capsys, monkeypatch):
+    # In process: the stand-in's own descriptor is pointed at devnull, never
+    # pytest's descriptor 1. A small report, so only the flush fails.
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        stdout = _FlushFails(fd)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["compare", str(fixture_path("dialogue_a.dlg"))]) == 3
+        assert "".join(stdout.written).startswith('{\n  "dialogueId": ')
+        assert capsys.readouterr().err == (
+            f"output error: <stdout>: {os.strerror(errno.ENOSPC)}\n"
+        )
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
 @pytest.mark.parametrize("cost", ["0", "-1", "x", "1.5"])
 @pytest.mark.parametrize(
     "fixture", ["dialogue_a.dlg", "dialogue_b.dlg", "dialogue_c.dlg", "return_pops.dlg"]
