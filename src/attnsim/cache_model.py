@@ -29,6 +29,7 @@ previous record's.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Mapping, Sequence
 
 from .core import (
@@ -99,30 +100,38 @@ def evict(state: CacheState, count: int) -> list[StoreEvent]:
 
     Entities and propositions are stored to main memory; surface forms
     are discarded and become unrecoverable by retrieval. ``_admit`` asks
-    for at most as many entries as the cache holds.
+    for at least one entry and at most as many as the cache holds.
     """
 
-    entries, pinned = state.by_recency, state.pinned
-    victims: list[str] = []
-    held: list[str] = []  # pinned entries passed over, least recently used first
-    for item_id in entries:
-        if len(victims) >= count:
-            break
-        (held if item_id in pinned else victims).append(item_id)
-    victims += held[: count - len(victims)]
+    entries, pinned, item_table = state.by_recency, state.pinned, state.item_table
+    if pinned:
+        victims, held = [], []  # held: pinned entries passed, least recently used first
+        for item_id in entries:
+            if item_id in pinned:
+                held.append(item_id)
+            else:
+                victims.append(item_id)
+                if len(victims) == count:
+                    break
+        else:
+            victims += held[: count - len(victims)]
+        for victim in victims:
+            # A displaced entry is not in the cache, so its pin goes too;
+            # otherwise a later unpin could strip a fresh pin on a re-entry.
+            pinned.pop(victim, None)
+    else:
+        victims = list(islice(entries, count))
+    new = tuple.__new__  # skips StoreEvent's Python-level __new__
     events: list[StoreEvent] = []
     for victim in victims:
         del entries[victim]
-        # A displaced entry is not in the cache, so its pin goes too;
-        # otherwise a later unpin could strip a fresh pin on a re-entry.
-        pinned.pop(victim, None)
-        if state.item_table[victim].kind is _SURFACE_FORM:
+        if item_table[victim].kind is _SURFACE_FORM:
             state.discarded.add(victim)
             fate = _DISCARD
         else:
             state.main_memory.add(victim)
             fate = _STORE
-        events += (StoreEvent(_DISPLACE, victim), StoreEvent(fate, victim))
+        events += (new(StoreEvent, (_DISPLACE, victim)), new(StoreEvent, (fate, victim)))
     return events
 
 
@@ -138,7 +147,7 @@ def _admit(state: CacheState, movers: Sequence[str]) -> list[StoreEvent]:
 
     entries, capacity = state.by_recency, state.capacity
     deficit = 0 if capacity is None else len(entries) + len(movers) - capacity
-    events = evict(state, min(deficit, len(entries)))
+    events = evict(state, min(deficit, len(entries))) if deficit > 0 else []
     main_memory, discarded, last_touch = state.main_memory, state.discarded, state.last_touch
     step = state.step
     for item_id in movers:
@@ -147,7 +156,7 @@ def _admit(state: CacheState, movers: Sequence[str]) -> list[StoreEvent]:
         store = main_memory if item_id in main_memory else discarded
         if item_id in store:
             store.remove(item_id)
-            events.append(StoreEvent(_RETRIEVE, item_id))
+            events.append(tuple.__new__(StoreEvent, (_RETRIEVE, item_id)))
         step += 1
         entries[item_id] = last_touch[item_id] = step
     state.step = step
@@ -161,7 +170,7 @@ def _touch_cached(state: CacheState, item_ids: Sequence[str]) -> list[str]:
     entries, last_touch = state.by_recency, state.last_touch
     step = state.step
     absent: list[str] = []
-    for item_id in dict.fromkeys(item_ids):
+    for item_id in dict.fromkeys(item_ids) if len(item_ids) > 1 else item_ids:
         if item_id in entries:
             step += 1
             entries[item_id] = entries.pop(item_id)  # keeps its admission step
@@ -220,8 +229,7 @@ def apply_events(
             unpinned = sorted(
                 (i for i in entries if i not in state.pinned), key=entries.__getitem__
             )
-            for item_id in unpinned:
-                state.pinned[item_id] = event.segment_id
+            state.pinned.update(dict.fromkeys(unpinned, event.segment_id))
             log.extend(StoreEvent(StoreEventKind.PIN, i) for i in unpinned)
             continue
 

@@ -239,10 +239,10 @@ class Transcript(_TranscriptFields):
         return carriers
 
     def survivors(self, mention: Mention) -> frozenset[str]:
-        signature = (
-            mention.form,
-            mention.gender,
-            mention.number,
+        signature = (  # member values: an enum member hashes in Python code
+            mention.form._value_,
+            mention.gender._value_,
+            mention.number._value_,
             mention.required_sel_classes,
             mention.verb_lemma,
         )

@@ -127,6 +127,7 @@ def replay(
     # Bound per call, not at import, so that a wrapper installed before the call runs.
     apply_events, apply_iru, absorb = model.apply_events, model.apply_iru, model.absorb
     snapshot, events_at = model.view, transcript.events_at
+    after_retrieval = OutcomeKind.AFTER_RETRIEVAL
     records: list[TraceRecord] = []
     resolutions: list[tuple[str, Resolution]] = []
     findings: list[IRUFinding] = []
@@ -145,7 +146,7 @@ def replay(
         utt_resolutions = []
         for mention in utt.mentions:
             resolution = resolve(mention, state, transcript, retrieval_cost, candidates)
-            if resolution.outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
+            if resolution.outcome.kind is after_retrieval:
                 # Strategic retrieval: interpreting the anaphor pulls its
                 # antecedent into the cache and pays for the trip.
                 applied.extend(model.retrieve(state, [resolution.outcome.item]))
@@ -155,8 +156,8 @@ def replay(
         if views:
             # Each record shares the previous record's unchanged stores.
             view = snapshot(state, view)
-        record = TraceRecord(utt.index, tuple(applied), view, tuple(utt_resolutions), state.effort)
-        records.append(record)
+        record = (utt.index, tuple(applied), view, tuple(utt_resolutions), state.effort)
+        records.append(tuple.__new__(TraceRecord, record))  # it checks nothing
     return SimulationReport(
         dialogue_id=transcript.dialogue_id,
         model_kind=model_kind,

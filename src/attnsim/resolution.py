@@ -30,6 +30,10 @@ class OutcomeKind(Enum):
     FAILURE = "Failure"
 
 
+# Read per mention: before Python 3.12 a member read through its enum runs a hook.
+_IMMEDIATE, _VP_ELLIPSIS = OutcomeKind.IMMEDIATE, MentionForm.VP_ELLIPSIS
+
+
 class FailureReason(Enum):
     SURFACE_FORM_LOST = "SurfaceFormLost"
     NO_CANDIDATE = "NoCandidate"
@@ -46,7 +50,7 @@ class Outcome(NamedTuple):
 
     @classmethod
     def immediate(cls, item: str) -> "Outcome":
-        return cls(OutcomeKind.IMMEDIATE, item)
+        return tuple.__new__(cls, (_IMMEDIATE, item, 0, None))  # nothing to check
 
     @classmethod
     def after_retrieval(cls, item: str, effort: int) -> "Outcome":
@@ -120,7 +124,7 @@ def resolve(
     """
 
     mention_id, gold = mention.id, mention.gold_antecedent
-    if mention.form is MentionForm.VP_ELLIPSIS:
+    if mention.form is _VP_ELLIPSIS:
         carrier = _surface_carrier(gold, transcript.carriers)
         if carrier is not None and carrier.id in accessibility.lost:
             outcome = Outcome.failure(FailureReason.SURFACE_FORM_LOST)
@@ -131,7 +135,8 @@ def resolve(
     winners = tuple(islice(found, None if candidates else 1))
     if winners:
         immediate = Outcome.immediate(winners[0])
-        return Resolution(mention_id, immediate, winners if candidates else (), winners[0] == gold)
+        considered = winners if candidates else ()
+        return tuple.__new__(Resolution, (mention_id, immediate, considered, winners[0] == gold))
 
     # The retrievable store has no salience order; survivors go by id.
     # Two survivors already make the mention ambiguous.

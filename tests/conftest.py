@@ -28,6 +28,24 @@ _hang_stderr: int | None = None
 def pytest_configure(config):
     global _hang_stderr
     _hang_stderr = os.dup(sys.__stderr__.fileno())
+    _check_tested_tree()
+
+
+def _check_tested_tree():
+    """Stop the session when ``PYTHONPATH``'s first entry holds an attnsim
+    package other than the one imported: ``pyproject.toml``'s ``pythonpath``
+    puts this checkout's ``src`` first, so the tests would quietly run
+    against this tree instead of the one asked for."""
+
+    first = os.environ.get("PYTHONPATH", "").split(os.pathsep)[0]
+    asked = Path(first, "attnsim").resolve()
+    imported = Path(cache_model.__file__).resolve().parent
+    if first and (asked / "__init__.py").is_file() and asked != imported:
+        pytest.exit(
+            f"PYTHONPATH asks for the attnsim package in {asked}, but the tests "
+            f"import the one in {imported}; run them from that package's checkout",
+            returncode=pytest.ExitCode.USAGE_ERROR,
+        )
 
 
 def pytest_unconfigure(config):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from attnsim import cache_model
 from attnsim.cache_model import (
     CacheState,
     absorb,
@@ -25,9 +26,10 @@ from attnsim.core import (
     Utterance,
 )
 
+from attnsim.driver import ModelKind, replay
 from attnsim.transcript_io import parse
 
-from conftest import cache_step
+from conftest import FIXTURES, cache_step, load_fixture
 from propsuite import check_cache_invariants
 
 EMPTY = Transcript(dialogue_id="unit")
@@ -108,6 +110,31 @@ def test_evict_one_discards_surface_forms():
     assert "s" in state.discarded
     assert "s" not in state.main_memory
     assert state.pinned == {}
+
+
+@pytest.mark.parametrize(
+    "pinned, count, victims",
+    [
+        ({}, 1, ["a"]),
+        ({}, 2, ["a", "s"]),
+        ({}, 4, ["a", "s", "p", "b"]),
+        ({"p": "seg", "a": "seg"}, 1, ["s"]),
+        ({"p": "seg", "a": "seg"}, 2, ["s", "b"]),
+        ({"p": "seg", "a": "seg"}, 4, ["s", "b", "a", "p"]),
+    ],
+)
+def test_evict_takes_unpinned_then_pinned_from_least_recently_used(pinned, count, victims):
+    items = table("a", "b", ("p", ItemKind.PROPOSITION), ("s", ItemKind.SURFACE_FORM))
+    state = state_with([("b", 4), ("a", 1), ("p", 3), ("s", 2)], items, 4, dict(pinned))
+    fates = {"a": "Store", "b": "Store", "p": "Store", "s": "Discard"}
+    assert logged(evict(state, count)) == [
+        line for victim in victims for line in (f"Displace {victim}", f"{fates[victim]} {victim}")
+    ]
+    assert tuple(state.by_recency) == tuple(i for i in "aspb" if i not in victims)
+    assert state.pinned == {i: "seg" for i in pinned if i not in victims}
+    assert state.main_memory == set(victims) - {"s"}
+    assert state.discarded == set(victims) & {"s"}
+    check_cache_invariants(state)
 
 
 @pytest.mark.parametrize(
@@ -490,6 +517,19 @@ def test_infinite_capacity_never_displaces():
         assert all(e.kind is not StoreEventKind.DISPLACE for e in events)
     assert len(state.by_recency) == 15
     assert state.effort == 0
+
+
+@pytest.mark.parametrize("fixture", sorted(path.name for path in FIXTURES.glob("*.dlg")))
+def test_an_unbounded_cache_never_enters_evict(fixture, monkeypatch):
+    """Nothing is displaced at capacity ``None``, so no admission asks
+    ``evict`` for a cascade, not even an empty one."""
+
+    def refuse(state, count):
+        raise AssertionError(f"evict({count}) called on an unbounded cache")
+
+    monkeypatch.setattr(cache_model, "evict", refuse)
+    report = replay(load_fixture(fixture), ModelKind.CACHE, None)
+    assert report.records
 
 
 def test_unbounded_cache_takes_no_pins():
