@@ -29,7 +29,6 @@ previous record's.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Mapping, Sequence
 
 from .core import (
@@ -104,27 +103,23 @@ def evict(state: CacheState, count: int) -> list[StoreEvent]:
     """
 
     entries, pinned, item_table = state.by_recency, state.pinned, state.item_table
-    if pinned:
-        victims, held = [], []  # held: pinned entries passed, least recently used first
-        for item_id in entries:
-            if item_id in pinned:
-                held.append(item_id)
-            else:
-                victims.append(item_id)
-                if len(victims) == count:
-                    break
+    victims, held = [], []  # held: pinned entries passed, least recently used first
+    for item_id in entries:
+        if item_id in pinned:
+            held.append(item_id)
         else:
-            victims += held[: count - len(victims)]
-        for victim in victims:
-            # A displaced entry is not in the cache, so its pin goes too;
-            # otherwise a later unpin could strip a fresh pin on a re-entry.
-            pinned.pop(victim, None)
+            victims.append(item_id)
+            if len(victims) == count:
+                break
     else:
-        victims = list(islice(entries, count))
+        victims += held[: count - len(victims)]
     new = tuple.__new__  # skips StoreEvent's Python-level __new__
     events: list[StoreEvent] = []
     for victim in victims:
         del entries[victim]
+        # A displaced entry is not in the cache, so its pin goes too;
+        # otherwise a later unpin could strip a fresh pin on a re-entry.
+        pinned.pop(victim, None)
         if item_table[victim].kind is _SURFACE_FORM:
             state.discarded.add(victim)
             fate = _DISCARD
@@ -146,8 +141,8 @@ def _admit(state: CacheState, movers: Sequence[str]) -> list[StoreEvent]:
     """
 
     entries, capacity = state.by_recency, state.capacity
-    deficit = 0 if capacity is None else len(entries) + len(movers) - capacity
-    events = evict(state, min(deficit, len(entries))) if deficit > 0 else []
+    count = 0 if capacity is None else min(len(entries) + len(movers) - capacity, len(entries))
+    events = evict(state, count) if count > 0 else []
     main_memory, discarded, last_touch = state.main_memory, state.discarded, state.last_touch
     step = state.step
     for item_id in movers:
@@ -170,7 +165,7 @@ def _touch_cached(state: CacheState, item_ids: Sequence[str]) -> list[str]:
     entries, last_touch = state.by_recency, state.last_touch
     step = state.step
     absent: list[str] = []
-    for item_id in dict.fromkeys(item_ids) if len(item_ids) > 1 else item_ids:
+    for item_id in dict.fromkeys(item_ids):
         if item_id in entries:
             step += 1
             entries[item_id] = entries.pop(item_id)  # keeps its admission step
@@ -229,7 +224,8 @@ def apply_events(
             unpinned = sorted(
                 (i for i in entries if i not in state.pinned), key=entries.__getitem__
             )
-            state.pinned.update(dict.fromkeys(unpinned, event.segment_id))
+            for item_id in unpinned:
+                state.pinned[item_id] = event.segment_id
             log.extend(StoreEvent(StoreEventKind.PIN, i) for i in unpinned)
             continue
 

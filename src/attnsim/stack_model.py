@@ -104,13 +104,12 @@ def apply_utterance(stack: FocusStack, utt: Utterance) -> None:
     item ends where its last mention puts it.
     """
 
-    spaces, popped = stack.spaces, stack.popped
-    top = next(reversed(spaces.values()))
+    top = stack.top
     for item_id in utt.items:
-        if item_id in popped:
-            popped.remove(item_id)
+        if item_id in stack.popped:
+            stack.popped.remove(item_id)
         else:
-            for space in spaces.values():
+            for space in stack.spaces.values():
                 if item_id in space:
                     del space[item_id]
                     break

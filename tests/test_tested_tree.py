@@ -35,8 +35,3 @@ def test_a_session_asked_for_another_tree_stops_naming_both(tmp_path):
     assert str(other) in output
     assert str(ROOT / "src" / "attnsim") in output
 
-
-def test_a_session_asked_for_this_tree_runs():
-    child = run_session(os.pathsep.join(["src", str(ROOT / "tests")]))
-    assert child.returncode == 0, child.stdout + child.stderr
-    assert "1 passed" in child.stdout
