@@ -10,7 +10,10 @@ iterator in salience order on every read; ``snapshot`` reads it once.
 
 Records are ``typing.NamedTuple``s: equality is tuple equality, so a record
 also equals a plain tuple of its fields, and a copy with changes is
-``record._replace(...)``. A record that validates checks in ``__new__``.
+``record._replace(...)``. A record that validates checks in ``__new__`` and
+is always built through it (``AccessibilityView``). One that checks nothing
+may skip it: ``parse`` builds every item, mention, utterance, PUSH event and
+case with ``tuple.__new__``, from its fields in class order.
 ``Transcript`` is one too: a record whose lazily built indexes live in an
 instance dict, outside its fields.
 """
@@ -87,7 +90,8 @@ class DiscourseItem(NamedTuple):
 
     Only a surface form realizes an item, and it must; only a proposition
     has a predicate or arguments. ``parse`` rejects a record that breaks
-    either rule, so the record does not check again."""
+    either rule, so the record checks nothing, and ``parse`` builds it with
+    ``tuple.__new__``."""
 
     id: str
     kind: ItemKind

@@ -36,6 +36,9 @@ from .resolution import FailureReason, Outcome, OutcomeKind, Resolution
 _GENDERS = {"m": Gender.MASC, "f": Gender.FEM, "n": Gender.NEUT}
 _NUMBERS = {"sg": Number.SG, "pl": Number.PL}
 _KINDS = {kind.value: kind for kind in ItemKind}
+# Members parse reads often: on Python 3.11 a read through an enum class is slow.
+_ENTITY, _PROPOSITION, _SURFACE = ItemKind.ENTITY, ItemKind.PROPOSITION, ItemKind.SURFACE_FORM
+_FORMS = {"PRON": MentionForm.PRONOUN, "ELLIPSIS": MentionForm.VP_ELLIPSIS}
 
 
 class _Key(NamedTuple):
@@ -86,6 +89,20 @@ _CODED = {
     ]
     for record, keys in _FIELDS.items()
 }
+# Per record type: the fields of its class that its keys fill, in the class's
+# order, each with its default. An ELLIPSIS fills the same fields as a PRON.
+_LAYOUT = {
+    record: {
+        name: cls._field_defaults.get(name)
+        for name in cls._fields
+        if name in {spec.attribute for spec in _FIELDS[record].values()}
+    }
+    for record, cls in zip(
+        ("UTT", "ITEM", "PRON", "PUSH", "CASE"),
+        (Utterance, DiscourseItem, Mention, SegmentEvent, CaseRecord),
+    )
+}
+_LAYOUT["ELLIPSIS"] = _LAYOUT["PRON"]
 
 
 class ParseError(Exception):
@@ -96,16 +113,14 @@ class ParseError(Exception):
         self.offending_text = offending_text
 
 
-def _split_fields(record: str, text: str, line_no: int, line: str, read: dict) -> dict:
-    """The values of the fields in ``text``, a line's text after its id, keyed
-    by record attribute, from ``read`` if it holds ``(record, text)``.
+def _split_fields(record: str, text: str, line_no: int, line: str, read: dict) -> tuple:
+    """The values ``text``, a line's text after its id, gives ``record``'s
+    ``_LAYOUT`` fields, in that order; stored in ``read[record][text]``.
 
     Key errors come first, in token order; then a missing required key, in
     table order; then a bad code, in table order; then an ITEM's kind and
     keys that do not go together."""
 
-    if (fields := read.get((record, text))) is not None:
-        return fields
     keys = _FIELDS[record]
     fields = {}
     for token in text.split():
@@ -135,14 +150,14 @@ def _split_fields(record: str, text: str, line_no: int, line: str, read: dict) -
             fields[attribute] = codes[value]
     if record == "ITEM":
         kind = fields["kind"]
-        if kind is not ItemKind.PROPOSITION and ("predicate" in fields or "args" in fields):
+        if kind is not _PROPOSITION and ("predicate" in fields or "args" in fields):
             raise ParseError(line_no, "pred/args are only valid on kind=prop", line)
-        if kind is ItemKind.SURFACE_FORM and "realizes" not in fields:
+        if kind is _SURFACE and "realizes" not in fields:
             raise ParseError(line_no, "kind=surface requires realizes=", line)
-        if kind is not ItemKind.SURFACE_FORM and "realizes" in fields:
+        if kind is not _SURFACE and "realizes" in fields:
             raise ParseError(line_no, "realizes= is only valid on kind=surface", line)
-    read[record, text] = fields
-    return fields
+    read[record][text] = values = tuple({**_LAYOUT[record], **fields}.values())
+    return values
 
 
 def parse(text: str) -> Transcript:
@@ -156,13 +171,15 @@ def parse(text: str) -> Transcript:
     references an item or mention declared nowhere in the file, or a CASE
     whose mention is an ellipsis.
 
-    Each distinct pair of record type and field text is read once per call;
-    every check that depends on where a line sits runs on every line.
+    Each distinct pair of record type and field text is read once per call,
+    into its fields in class order, and each item, mention, utterance, PUSH
+    event and case is then built with ``tuple.__new__``; every check that
+    depends on where a line sits runs on every line.
     """
 
     dialogue_id: str | None = None
     # Utterance id -> its header's fields, item ids and mentions.
-    utterances: dict[str, tuple[dict, list[str], list[Mention]]] = {}
+    utterances: dict[str, tuple[tuple, list[str], list[Mention]]] = {}
     utt_items, utt_mentions = [], []  # the current utterance's item ids and mentions
     # Item id -> its DiscourseItem. An entity takes the pred: tags of the
     # propositions naming it once the whole file has been read.
@@ -174,16 +191,17 @@ def parse(text: str) -> Transcript:
     used_segments: set[str] = set()
     last_return: SegmentEvent | None = None
     cases: dict[str, CaseRecord] = {}
-    read: dict[tuple[str, str], dict] = {}  # (record type, field text) -> its fields
+    read = {record: {} for record in _FIELDS}  # record type -> field text -> its fields
     # Every reference: (line, text, key, ref, known ids), checked in order
     # once every line has been read.
     deferred: list[tuple[int, str, str, str, Container[str]]] = []
+    new = tuple.__new__  # none of the records parse builds checks anything
 
     # ``str.splitlines`` would also end a line at \x0b, \x1c, U+2028 and
     # five more characters that universal newlines leave inside a line.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, raw in enumerate(lines, start=1):
-        parts = raw.partition("#")[0].split(None, 2)  # record type, id, field text
+        parts = (raw.partition("#")[0] if "#" in raw else raw).split(None, 2)  # type, id, fields
         if not parts:
             continue
         record = parts[0]
@@ -196,42 +214,27 @@ def parse(text: str) -> Transcript:
             dialogue_id = parts[1]
             continue
 
-        if record == "DIALOGUE":
+        if record in _FIELDS:
+            if not utterances and record in {"ITEM", "PRON", "ELLIPSIS"}:
+                raise ParseError(line_no, f"{record} before any UTT", raw)
+            if len(parts) == 1:
+                needs = "a segment id" if record == "PUSH" else "an id"
+                raise ParseError(line_no, f"{record} needs {needs}", raw)
+            fields_text = parts[2] if len(parts) == 3 else ""
+            fields = read[record].get(fields_text)
+        elif record == "DIALOGUE":
             raise ParseError(line_no, "repeated DIALOGUE record", raw)
-
-        if record in {"POP", "RETURN"}:
-            if len(parts) != 2:
-                raise ParseError(line_no, f"{record} takes a single segment id", raw)
-            seg_id = parts[1]
-            if record == "POP":
-                if not open_segments or open_segments[-1] != seg_id:
-                    raise ParseError(
-                        line_no, f"POP {seg_id!r} does not match the open segment", raw
-                    )
-                open_segments.pop()
-                events.append(SegmentEvent(EventKind.POP, seg_id, len(utterances)))
-            else:
-                if seg_id not in open_segments:
-                    raise ParseError(line_no, f"RETURN to unopened segment {seg_id!r}", raw)
-                del open_segments[open_segments.index(seg_id) + 1 :]
-                last_return = SegmentEvent(EventKind.RETURN, seg_id, len(utterances))
-                events.append(last_return)
-            continue
-
-        if record not in _FIELDS:
+        elif record != "POP" and record != "RETURN":
             raise ParseError(line_no, f"unknown record type {record!r}", raw)
-        if not utterances and record in {"ITEM", "PRON", "ELLIPSIS"}:
-            raise ParseError(line_no, f"{record} before any UTT", raw)
-        if len(parts) == 1:
-            needs = "a segment id" if record == "PUSH" else "an id"
-            raise ParseError(line_no, f"{record} needs {needs}", raw)
-        record_id, fields_text = parts[1], parts[2] if len(parts) == 3 else ""
+        elif len(parts) != 2:
+            raise ParseError(line_no, f"{record} takes a single segment id", raw)
+        record_id = parts[1]
 
         if record == "UTT":
             if record_id in utterances:
                 raise ParseError(line_no, f"duplicate utterance id {record_id!r}", raw)
-            fields = _split_fields(record, fields_text, line_no, raw, read)
-            for ref in fields.get("iru_antecedents", ()):
+            fields = fields or _split_fields(record, fields_text, line_no, raw, read)
+            for ref in fields[1]:  # iru_antecedents
                 if ref not in utterances:
                     raise ParseError(
                         line_no, f"iru antecedent {ref!r} is not an earlier utterance", raw
@@ -250,9 +253,8 @@ def parse(text: str) -> Transcript:
                 continue
             if record_id in items:
                 raise ParseError(line_no, f"duplicate item id {record_id!r}", raw)
-            fields = _split_fields(record, fields_text, line_no, raw, read)
-            item = DiscourseItem(record_id, introduced_at=len(utterances) - 1, **fields)
-            items[record_id] = item
+            fields = fields or _split_fields(record, fields_text, line_no, raw, read)
+            items[record_id] = item = new(DiscourseItem, (record_id, *fields, len(utterances) - 1))
             utt_items.append(record_id)
             for ref in item.args:
                 if item.predicate:
@@ -263,38 +265,48 @@ def parse(text: str) -> Transcript:
             if item.realizes is not None:
                 deferred.append((line_no, raw, "realizes", item.realizes, items))
 
-        elif record in {"PRON", "ELLIPSIS"}:
+        elif record == "PRON" or record == "ELLIPSIS":
             if record_id in mention_forms:
                 raise ParseError(line_no, f"duplicate mention id {record_id!r}", raw)
-            fields = _split_fields(record, fields_text, line_no, raw, read)
-            form = MentionForm.PRONOUN if record == "PRON" else MentionForm.VP_ELLIPSIS
-            mention = Mention(record_id, form, **fields)
+            fields = fields or _split_fields(record, fields_text, line_no, raw, read)
+            form = _FORMS[record]
+            mention = new(Mention, (record_id, form, *fields))
             mention_forms[record_id] = form
             utt_mentions.append(mention)
             deferred.append((line_no, raw, "gold", mention.gold_antecedent, items))
 
         elif record == "PUSH":
-            fields = _split_fields(record, fields_text, line_no, raw, read)
+            fields = fields or _split_fields(record, fields_text, line_no, raw, read)
             if record_id in used_segments:
                 raise ParseError(line_no, f"segment id {record_id!r} already used", raw)
             used_segments.add(record_id)
             open_segments.append(record_id)
-            events.append(SegmentEvent(EventKind.PUSH, record_id, len(utterances), **fields))
+            events.append(new(SegmentEvent, (EventKind.PUSH, record_id, len(utterances), *fields)))
+
+        elif record == "POP":
+            if not open_segments or open_segments[-1] != record_id:
+                raise ParseError(
+                    line_no, f"POP {record_id!r} does not match the open segment", raw
+                )
+            open_segments.pop()
+            events.append(SegmentEvent(EventKind.POP, record_id, len(utterances)))
+
+        elif record == "RETURN":
+            if record_id not in open_segments:
+                raise ParseError(line_no, f"RETURN to unopened segment {record_id!r}", raw)
+            del open_segments[open_segments.index(record_id) + 1 :]
+            last_return = SegmentEvent(EventKind.RETURN, record_id, len(utterances))
+            events.append(last_return)
 
         else:  # CASE
             if record_id in cases:
                 raise ParseError(line_no, f"duplicate case id {record_id!r}", raw)
             if last_return is None:
                 raise ParseError(line_no, "CASE before any RETURN", raw)
-            fields = _split_fields(record, fields_text, line_no, raw, read)
-            case = CaseRecord(
-                record_id,
-                segment_id=last_return.segment_id,
-                return_position=last_return.position,
-                **fields,
-            )
-            cases[record_id] = case
-            deferred.append((line_no, raw, "mention", case.mention_id, mention_forms))
+            mention_id, *flags = fields or _split_fields(record, fields_text, line_no, raw, read)
+            _, segment, position, _ = last_return
+            cases[record_id] = new(CaseRecord, (record_id, mention_id, segment, position, *flags))
+            deferred.append((line_no, raw, "mention", mention_id, mention_forms))
 
     if dialogue_id is None:
         raise ParseError(1, "empty transcript: missing DIALOGUE record", "")
@@ -309,21 +321,15 @@ def parse(text: str) -> Transcript:
 
     for item_id, tags in derived_tags.items():
         item = items[item_id]
-        if item.kind is ItemKind.ENTITY:
-            items[item_id] = item._replace(sel_classes=item.sel_classes | tags)
+        if item.kind is _ENTITY:
+            *head, sel_classes, realizes, introduced = item
+            items[item_id] = new(DiscourseItem, (*head, sel_classes | tags, realizes, introduced))
 
     return Transcript(
         dialogue_id=dialogue_id,
         utterances=tuple(
-            Utterance(
-                utt_id,
-                fields["speaker"],
-                index,
-                tuple(utt_items),
-                tuple(utt_mentions),
-                fields.get("iru_antecedents", ()),
-            )
-            for index, (utt_id, (fields, utt_items, utt_mentions)) in enumerate(
+            new(Utterance, (utt_id, speaker, index, tuple(utt_items), tuple(mentions), iru))
+            for index, (utt_id, ((speaker, iru), utt_items, mentions)) in enumerate(
                 utterances.items()
             )
         ),

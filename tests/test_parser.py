@@ -3,14 +3,30 @@
 from __future__ import annotations
 
 import random
+import types
+import typing
 
+import propsuite
 import pytest
 
 from attnsim import transcript_io
-from attnsim.core import EventKind, Gender, ItemKind, MentionForm, Number
+from attnsim.core import (
+    CaseRecord,
+    DiscourseItem,
+    EventKind,
+    Gender,
+    ItemKind,
+    Mention,
+    MentionForm,
+    Number,
+    SegmentEvent,
+    Utterance,
+)
 from attnsim.transcript_io import ParseError, parse, write_transcript
 
 from conftest import fixture_path, load_fixture
+
+RECORD_CLASSES = (DiscourseItem, Mention, Utterance, SegmentEvent, CaseRecord)
 
 
 def test_minimal_transcript():
@@ -392,6 +408,80 @@ def test_case_records(return_pops):
     assert by_id["c01"].segment_id == "g01"
     assert not by_id["c20"].iru_at_return
     assert sum(1 for case in return_pops.cases if case.iru_at_return) == 6
+
+
+def _has_its_type(value, hint) -> bool:
+    """Whether ``value`` is exactly of the type a record field declares: a
+    ``set`` is not a ``frozenset[str]``, nor a list a ``tuple[str, ...]``."""
+
+    if isinstance(hint, types.UnionType):
+        return any(_has_its_type(value, arg) for arg in hint.__args__)
+    if hint is type(None):
+        return value is None
+    return type(value) is (typing.get_origin(hint) or hint)
+
+
+def _parsed_records(transcript) -> list:
+    records = [*transcript.item_table.values(), *transcript.events, *transcript.cases]
+    for utt in transcript.utterances:
+        records += [utt, *utt.mentions]
+    return records
+
+
+def test_parsed_records_keep_their_class_shape():
+    # Records are built positionally; == alone would miss a dropped field or
+    # a set where a frozenset belongs, since a record equals a plain tuple.
+    names = ("dialogue_a", "dialogue_b", "dialogue_c", "return_pops")
+    transcripts = [load_fixture(f"{name}.dlg") for name in names]
+    rng = random.Random(20261020)
+    transcripts += [parse(propsuite.random_transcript_text(rng)) for _ in range(100)]
+    hints = {cls: typing.get_type_hints(cls) for cls in RECORD_CLASSES}
+    seen = set()
+    for transcript in transcripts:
+        for record in _parsed_records(transcript):
+            cls = type(record)
+            assert cls in RECORD_CLASSES
+            seen.add(cls)
+            assert len(record) == len(cls._fields)
+            assert repr(record) == repr(cls(**record._asdict()))
+            for name, value in zip(cls._fields, record):
+                assert _has_its_type(value, hints[cls][name]), (record, name)
+    assert seen == set(RECORD_CLASSES)
+
+
+def test_a_line_without_optional_keys_parses_to_the_class_defaults():
+    transcript = parse(
+        "DIALOGUE t\nPUSH S1\nUTT u1 speaker=A\nITEM e kind=entity\n"
+        "PRON p gender=m num=sg gold=e\nELLIPSIS v gold=e\nRETURN S1\nCASE c mention=p\n"
+    )
+    (utt,) = transcript.utterances
+    pron = Mention("p", MentionForm.PRONOUN, Gender.MASC, Number.SG, gold_antecedent="e")
+    ellipsis = Mention("v", MentionForm.VP_ELLIPSIS, gold_antecedent="e")
+    expected = [
+        (utt, Utterance("u1", "A", 0, ("e",), (pron, ellipsis))),
+        (transcript.item_table["e"], DiscourseItem("e", ItemKind.ENTITY)),
+        (utt.mentions[0], pron),
+        (utt.mentions[1], ellipsis),
+        (transcript.events[0], SegmentEvent(EventKind.PUSH, "S1", 0)),
+        (transcript.cases[0], CaseRecord("c", "p", "S1", 1)),
+    ]
+    for record, default in expected:
+        assert repr(record) == repr(default)
+
+
+def test_a_hash_glued_to_a_token_starts_a_comment():
+    # A # ends a line's text wherever it sits, inside a token too.
+    head = "DIALOGUE t\nUTT u1 speaker=A#x\n"
+    assert parse(head).utterances[0].speaker == "A"
+    pron = "ITEM e1 kind=entity gender=f num=sg\nPRON m gender=f num=sg gold=e1#\n"
+    assert parse(head + pron).utterances[0].mentions[0].gold_antecedent == "e1"
+    for line, message in [
+        ("ITEM e1#x kind=entity", "re-realized item 'e1' not yet declared"),
+        ("ITEM# e1 kind=entity", "ITEM needs an id"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(head + line + "\n")
+        assert (exc.value.line_number, exc.value.message) == (3, message)
 
 
 def test_trailing_event_allowed():
