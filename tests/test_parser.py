@@ -421,13 +421,6 @@ def _has_its_type(value, hint) -> bool:
     return type(value) is (typing.get_origin(hint) or hint)
 
 
-def _parsed_records(transcript) -> list:
-    records = [*transcript.item_table.values(), *transcript.events, *transcript.cases]
-    for utt in transcript.utterances:
-        records += [utt, *utt.mentions]
-    return records
-
-
 def test_parsed_records_keep_their_class_shape():
     # Records are built positionally; == alone would miss a dropped field or
     # a set where a frozenset belongs, since a record equals a plain tuple.
@@ -438,7 +431,10 @@ def test_parsed_records_keep_their_class_shape():
     hints = {cls: typing.get_type_hints(cls) for cls in RECORD_CLASSES}
     seen = set()
     for transcript in transcripts:
-        for record in _parsed_records(transcript):
+        records = [*transcript.item_table.values(), *transcript.events, *transcript.cases]
+        for utt in transcript.utterances:
+            records += [utt, *utt.mentions]
+        for record in records:
             cls = type(record)
             assert cls in RECORD_CLASSES
             seen.add(cls)
