@@ -4,24 +4,23 @@ A new focus space is pushed when an embedded segment opens and popped when
 it completes; accessibility covers every space still on the stack, ordered
 top-to-bottom, while popped items are lost outright.
 
-The replay fold owns one ``FocusStack`` and every step updates it in
-place and returns the store events it generated, as the cache model's
-steps do. The stack is a dict from each open segment's id to its focus
-space, bottom first, with the implicit root space keyed ``None``; a space
-is a dict of item ids in insertion order, most recently mentioned last.
-An item lives in one space at a time, so a move touches only the items
-moved, and a pop hands its spaces' items to the popped set as they are.
-``parse`` admits only segment events that match the open segments, so
-the stack applies them unchecked. Resolution reads the live stores, the
-immediate tier as a one-pass iterator over the spaces, top first and each
-from its most recent item; a trace record's ``AccessibilityView`` comes
+Under the stack, hierarchical and linear recency coincide: items enter
+only the top space, and a lower space becomes the top again only after
+every space above it has been popped. So the open spaces, read bottom
+first, are one sequence of stacked items in order of last mention. The
+``FocusStack`` the replay fold updates in place keeps the open segments'
+ids and one insertion-ordered dict from each stacked item to its space's
+depth; a mention moves its item to the end at the top depth, and a pop
+takes entries off the end while their space is closing. ``parse`` admits
+only segment events that match the open segments, so the stack applies
+them unchecked. Resolution reads the live stores, the immediate tier as
+the dict read backwards; a trace record's ``AccessibilityView`` comes
 from ``core.snapshot``, which freezes the popped set anew only where it
 differs from the previous record's.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 from .core import (
@@ -36,27 +35,24 @@ from .core import (
 
 
 class FocusStack:
-    def __init__(self, spaces: dict[str | None, dict[str, None]]) -> None:
-        # Each open segment's id (None for the root) mapped to its space's
-        # items, bottom space first.
-        self.spaces = spaces
+    def __init__(self) -> None:
+        # The open segments' ids, bottom first; an implicit root space,
+        # None, hosts utterances preceding any push.
+        self.open: list[str | None] = [None]
+        # Each stacked item mapped to its space's index in ``open``, least
+        # recently mentioned first; the depths never decrease.
+        self.stacked: dict[str, int] = {}
         self.popped: set[str] = set()
 
-    # The stores as resolution reads them, stacked ids top space first.
-    immediate = property(
-        lambda self: chain.from_iterable(map(reversed, reversed(self.spaces.values())))
-    )
+    # The stores as resolution reads them, stacked ids most recent first.
+    immediate = property(lambda self: reversed(self.stacked))
     # The stack never retrieves: popped material is simply lost.
     retrievable = frozenset()
     effort = 0
     lost = property(lambda self: self.popped)
-    # The top space's items.
-    top = property(lambda self: next(reversed(self.spaces.values())))
 
 
-def new_stack() -> FocusStack:
-    # An implicit root space hosts utterances preceding any push.
-    return FocusStack(spaces={None: {}})
+new_stack = FocusStack
 
 
 def apply_event(stack: FocusStack, event: SegmentEvent) -> list[StoreEvent]:
@@ -64,15 +60,14 @@ def apply_event(stack: FocusStack, event: SegmentEvent) -> list[StoreEvent]:
     pushed and each one popped (innermost first)."""
 
     if event.kind is EventKind.PUSH:
-        stack.spaces[event.segment_id] = {}
+        stack.open.append(event.segment_id)
         return [StoreEvent(StoreEventKind.PUSH_SPACE, event.segment_id)]
 
     if event.kind is EventKind.POP:
-        return _pop_spaces(stack, 1)
+        return _pop_spaces(stack, len(stack.open) - 1)
 
     # Return: pop everything above the target segment.
-    open_ids = list(stack.spaces)
-    return _pop_spaces(stack, len(open_ids) - 1 - open_ids.index(event.segment_id))
+    return _pop_spaces(stack, stack.open.index(event.segment_id) + 1)
 
 
 def apply_events(
@@ -87,33 +82,34 @@ def apply_events(
     return log
 
 
-def _pop_spaces(stack: FocusStack, count: int) -> list[StoreEvent]:
-    log: list[StoreEvent] = []
-    for _ in range(count):
-        segment_id, items = stack.spaces.popitem()
-        stack.popped.update(items)
-        log.append(StoreEvent(StoreEventKind.POP_SPACE, segment_id))
-    return log
+def _pop_spaces(stack: FocusStack, keep: int) -> list[StoreEvent]:
+    # The popped spaces' items are the entries at the end of ``stacked``
+    # whose depth is ``keep`` or more.
+    stacked = stack.stacked
+    while stacked:
+        item_id, depth = stacked.popitem()
+        if depth < keep:
+            stacked[item_id] = depth
+            break
+        stack.popped.add(item_id)
+    closed = stack.open[keep:]
+    del stack.open[keep:]
+    return [StoreEvent(StoreEventKind.POP_SPACE, segment_id) for segment_id in reversed(closed)]
 
 
 def apply_utterance(stack: FocusStack, utt: Utterance) -> None:
     """Move the utterance's items to the end of the top space.
 
-    Items live in a single space: a re-mention relocates the item rather
-    than duplicating it, and clears it from the popped set. A repeated
-    item ends where its last mention puts it.
+    A re-mention relocates the item rather than duplicating it, and
+    clears it from the popped set. A repeated item ends where its last
+    mention puts it.
     """
 
-    top = stack.top
+    stacked, top = stack.stacked, len(stack.open) - 1
     for item_id in utt.items:
-        if item_id in stack.popped:
-            stack.popped.remove(item_id)
-        else:
-            for space in stack.spaces.values():
-                if item_id in space:
-                    del space[item_id]
-                    break
-        top[item_id] = None
+        stacked.pop(item_id, None)
+        stacked[item_id] = top
+    stack.popped.difference_update(utt.items)
 
 
 def apply_iru(stack: FocusStack, restated: Sequence[str]) -> list[StoreEvent]:
@@ -131,7 +127,7 @@ def absorb(stack: FocusStack, utt: Utterance) -> list[StoreEvent]:
     return []
 
 
-# A trace record's snapshot: all stacked spaces are accessible, top space
-# first and each space's items most-recent-first; the model has no
-# retrieval notion, so nothing is retrievable and popped items are lost.
+# A trace record's snapshot: all stacked items are accessible, most
+# recently mentioned first; the model has no retrieval notion, so nothing
+# is retrievable and popped items are lost.
 view = snapshot

@@ -255,11 +255,23 @@ def check_cache_invariants(state: cache_model.CacheState) -> None:
 def check_stack_invariants(stack: stack_model.FocusStack) -> None:
     """Raise if a focus stack violates the store contracts."""
 
-    stacked = [item_id for space in stack.spaces.values() for item_id in space]
-    if len(set(stacked)) != len(stacked):
-        raise AssertionError("item in more than one space")
-    if not stack.popped.isdisjoint(stacked):
+    depths = list(stack.stacked.values())
+    if any(earlier > later for earlier, later in zip(depths, depths[1:])):
+        raise AssertionError("entries out of space order")
+    if depths and not 0 <= depths[0] <= depths[-1] < len(stack.open):
+        raise AssertionError("entry outside the open spaces")
+    if not stack.popped.isdisjoint(stack.stacked):
         raise AssertionError("popped item still stacked")
+
+
+def stack_spaces(stack: stack_model.FocusStack) -> list[tuple[str | None, tuple[str, ...]]]:
+    """A focus stack's open spaces, bottom first, each as its segment id
+    and its items least recently mentioned first."""
+
+    spaces: list[list[str]] = [[] for _ in stack.open]
+    for item_id, depth in stack.stacked.items():
+        spaces[depth].append(item_id)
+    return [(segment_id, tuple(items)) for segment_id, items in zip(stack.open, spaces)]
 
 
 def _check(check, state, where: str) -> None:
@@ -511,14 +523,13 @@ def run_stack_restore_suite(seed: int = SEED, trials: int = STACK_RESTORE_TRIALS
             for event in transcript.events_at(utt.index):
                 stack_model.apply_event(state, event)
             stack_model.apply_utterance(state, utt)
-        spaces = [(s, tuple(items)) for s, items in state.spaces.items()]
+        spaces = stack_spaces(state)
         popped = set(state.popped)
         push = SegmentEvent(kind=EventKind.PUSH, segment_id="probe", position=0)
         pop = SegmentEvent(kind=EventKind.POP, segment_id="probe", position=0)
         stack_model.apply_event(state, push)
         stack_model.apply_event(state, pop)
-        restored = [(s, tuple(items)) for s, items in state.spaces.items()]
-        assert restored == spaces, f"{where}: spaces changed"
+        assert stack_spaces(state) == spaces, f"{where}: spaces changed"
         assert state.popped == popped, f"{where}: popped set changed"
         traces += 1
     return traces
@@ -881,9 +892,8 @@ def _checked_stack_records(transcript: Transcript, where: str) -> list[tuple]:
 
     def check(at: str) -> None:
         _check(check_stack_invariants, stack, at)
-        assert list(stack.spaces) == [None, *open_segments], f"{at}: open spaces"
-        stacked = {item_id for space in stack.spaces.values() for item_id in space}
-        assert stacked | stack.popped == seen, f"{at}: conservation violated"
+        assert stack.open == [None, *open_segments], f"{at}: open spaces"
+        assert stack.stacked.keys() | stack.popped == seen, f"{at}: conservation violated"
 
     for utt in transcript.utterances:
         at = f"{where} utterance {utt.index}"
@@ -926,6 +936,31 @@ def run_stack_reference_suite(seed: int = SEED, trials: int = STACK_REFERENCE_TR
         assert_stack_matches_reference(parse(random_transcript_text(rng)), where)
         traces += 1
     return traces
+
+
+def deep_nesting_text(utterances: int) -> str:
+    """A transcript ``utterances`` long whose segments nest ever deeper.
+
+    Every utterance after the first pushes a segment that never closes,
+    re-mentions the entity said two spaces down, says a new entity, and
+    holds a pronoun for the re-mentioned one; entities alternate gender,
+    so the pronoun's gold is the first agreeing item. A ``RETURN`` to the
+    outermost segment then closes every other one, and a last utterance
+    re-mentions the first entity, popped with them.
+    """
+
+    def entity(index: int) -> str:
+        return f"ITEM e{index} kind=entity gender={'mf'[index % 2]} num=sg"
+
+    lines = ["DIALOGUE deep", "UTT u0 speaker=A", entity(0)]
+    for index in range(1, utterances - 1):
+        lines += [f"PUSH s{index}", f"UTT u{index} speaker={'AB'[index % 2]}"]
+        if index >= 2:
+            gender, gold = "mf"[index % 2], f"e{index - 2}"
+            lines += [f"ITEM {gold}", f"PRON m{index} gender={gender} num=sg gold={gold}"]
+        lines.append(entity(index))
+    lines += ["RETURN s1", f"UTT u{utterances - 1} speaker=A", "ITEM e0"]
+    return "\n".join(lines) + "\n"
 
 
 # Resolution as it ran before the per-signature referent index: the kind

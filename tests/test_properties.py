@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 
 import propsuite
-from attnsim.core import Gender, ItemKind, Number
+from attnsim import stack_model
+from attnsim.core import EventKind, Gender, ItemKind, Number
 from attnsim.transcript_io import parse
 
 COVERAGE_TRIALS = 200
@@ -87,6 +88,10 @@ def test_generated_texts_cover_every_format_feature_but_case():
             "pronoun with sel=pred:",
             "pronoun whose gold is declared later",
             "several segment events before one utterance",
+            "RETURN closing two or more segments",
+            "repeated RETURN to one segment",
+            "re-mention of an item stacked below the top space",
+            "re-mention of a popped item",
         ],
         0,
     )
@@ -98,6 +103,8 @@ def test_generated_texts_cover_every_format_feature_but_case():
         counts["blank line"] += sum(not line.strip() for line in lines)
         transcript = parse(text)
         table = transcript.item_table
+        stack = stack_model.new_stack()
+        returned_to: set[str] = set()
         for item in table.values():
             if item.kind is ItemKind.ENTITY:
                 counts["entity without gender="] += item.gender is Gender.UNSPECIFIED
@@ -117,4 +124,17 @@ def test_generated_texts_cover_every_format_feature_but_case():
             counts["several segment events before one utterance"] += (
                 len(transcript.events_at(utt.index)) > 1
             )
+            for event in transcript.events_at(utt.index):
+                closed = stack_model.apply_event(stack, event)
+                if event.kind is EventKind.RETURN:
+                    counts["RETURN closing two or more segments"] += len(closed) >= 2
+                    counts["repeated RETURN to one segment"] += event.segment_id in returned_to
+                    returned_to.add(event.segment_id)
+            said = set(utt.items)
+            below_top = [item for _, items in propsuite.stack_spaces(stack)[:-1] for item in items]
+            counts["re-mention of an item stacked below the top space"] += len(
+                said.intersection(below_top)
+            )
+            counts["re-mention of a popped item"] += len(said & stack.popped)
+            stack_model.apply_utterance(stack, utt)
     assert all(counts.values()), counts

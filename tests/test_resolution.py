@@ -30,6 +30,7 @@ from attnsim.resolution import (
     resolve,
 )
 from attnsim.transcript_io import parse
+from propsuite import stack_spaces
 
 
 def entity(item_id, gender=Gender.NEUT, number=Number.SG, sel=()):
@@ -476,7 +477,7 @@ def test_stacked_antecedent_needs_no_surviving_top_space_competitor(dialogue_a, 
             for event in transcript.events_at(utt.index):
                 stack_model.apply_event(state, event)
             snapshot = stack_model.view(state)
-            top_items = set(state.top)
+            _, top_items = stack_spaces(state)[-1]
             for mention in utt.mentions:
                 resolution = resolve(mention, snapshot, transcript)
                 if (
@@ -484,7 +485,7 @@ def test_stacked_antecedent_needs_no_surviving_top_space_competitor(dialogue_a, 
                     and resolution.outcome.item not in top_items
                 ):
                     survivors = agreement_filter(
-                        [transcript.item_table[i] for i in state.top], mention
+                        [transcript.item_table[i] for i in top_items], mention
                     )
                     assert not survivors
             stack_model.apply_utterance(state, utt)

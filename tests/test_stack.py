@@ -12,6 +12,7 @@ from attnsim.stack_model import (
     new_stack,
     view,
 )
+from attnsim.transcript_io import parse
 
 import propsuite
 from conftest import load_fixture
@@ -33,17 +34,13 @@ def utterance(*items, index=0):
     return Utterance(id=f"u{index}", speaker="A", index=index, items=tuple(items))
 
 
-def spaces_of(state):
-    return [(s, tuple(items)) for s, items in state.spaces.items()]
-
-
 def test_push_pop_is_inverse_on_spaces():
     state = new_stack()
     apply_utterance(state, utterance("a", "b"))
-    spaces, popped = spaces_of(state), set(state.popped)
+    spaces, popped = propsuite.stack_spaces(state), set(state.popped)
     apply_event(state, push("S2"))
     apply_event(state, pop("S2"))
-    assert spaces_of(state) == spaces
+    assert propsuite.stack_spaces(state) == spaces
     assert state.popped == popped
 
 
@@ -65,14 +62,14 @@ def test_return_pops_everything_above_target():
         StoreEvent(StoreEventKind.POP_SPACE, "S3"),
         StoreEvent(StoreEventKind.POP_SPACE, "S2"),
     ]
-    assert list(state.spaces) == [None, "S1"]
+    assert state.open == [None, "S1"]
     assert state.popped == {"item_S2", "item_S3"}
 
 
 def test_apply_utterance_into_root():
     state = new_stack()
     apply_utterance(state, utterance("daughter"))
-    assert tuple(state.top) == ("daughter",)
+    assert propsuite.stack_spaces(state) == [(None, ("daughter",))]
 
 
 def test_embedded_segment_keeps_lower_space_unchanged(dialogue_a):
@@ -91,7 +88,7 @@ def test_re_mention_of_popped_item_restores_it():
     assert "x" in state.popped
     apply_utterance(state, utterance("x", index=1))
     assert "x" not in state.popped
-    assert list(state.top)[-1] == "x"
+    assert propsuite.stack_spaces(state) == [(None, ("x",))]
     assert "x" in view(state).immediate
 
 
@@ -103,12 +100,17 @@ def test_check_invariants_rejects_a_popped_item_left_stacked():
         propsuite.check_stack_invariants(state)
 
 
-def test_check_invariants_rejects_an_item_in_two_spaces():
+@pytest.mark.parametrize(
+    "depth, message",
+    [(0, "entries out of space order"), (2, "entry outside the open spaces")],
+    ids=["out-of-order", "closed-space"],
+)
+def test_check_invariants_rejects_a_misplaced_entry(depth, message):
     state = new_stack()
-    apply_utterance(state, utterance("x"))
     apply_event(state, push("S2"))
-    state.top["x"] = None
-    with pytest.raises(AssertionError, match="item in more than one space"):
+    apply_utterance(state, utterance("x"))
+    state.stacked["y"] = depth
+    with pytest.raises(AssertionError, match=message):
         propsuite.check_stack_invariants(state)
 
 
@@ -117,7 +119,7 @@ def test_re_mention_moves_item_to_top_space():
     apply_utterance(state, utterance("a", "b"))
     apply_event(state, push("S2"))
     apply_utterance(state, utterance("a", index=1))
-    assert spaces_of(state) == [(None, ("b",)), ("S2", ("a",))]
+    assert propsuite.stack_spaces(state) == [(None, ("b",)), ("S2", ("a",))]
 
 
 def test_fresh_stack_view_is_empty():
@@ -159,7 +161,7 @@ def test_view_right_after_the_pop_orders_opening_material(dialogue_a):
     snapshot = view(state)
     assert snapshot.immediate == ("p1", "daughter", "s1")
     assert snapshot.lost == {"m_name", "hank"}
-    assert list(state.spaces) == [None]
+    assert state.open == [None]
 
 
 def test_dialogue_b_view_matches_dialogue_a_after_pop(dialogue_a, dialogue_b):
@@ -174,3 +176,9 @@ def test_dialogue_b_view_matches_dialogue_a_after_pop(dialogue_a, dialogue_b):
 @pytest.mark.parametrize("name", ["dialogue_a", "dialogue_b", "dialogue_c", "return_pops"])
 def test_fixture_views_match_value_based_reference(name):
     propsuite.assert_stack_matches_reference(load_fixture(f"{name}.dlg"), name)
+
+
+def test_deep_nesting_matches_value_based_reference():
+    transcript = parse(propsuite.deep_nesting_text(150))
+    assert len(transcript.utterances) == 150
+    propsuite.assert_stack_matches_reference(transcript, "deep nesting")

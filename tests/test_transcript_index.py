@@ -23,7 +23,7 @@ from attnsim.driver import ModelKind, replay
 from attnsim.transcript_io import parse
 
 from conftest import fixture_path, load_fixture
-from propsuite import SEED, _interruption_pair, random_transcript_text
+from propsuite import SEED, _interruption_pair, random_transcript_text, stack_spaces
 
 TRIALS = 150
 
@@ -145,7 +145,7 @@ def test_a_focus_stack_yields_its_spaces_top_first_from_each_last_key(pushes, sp
             push = SegmentEvent(EventKind.PUSH, pushes[index - 1], index)
             stack_model.apply_event(stack, push)
         stack_model.absorb(stack, Utterance(f"u{index}", "A", index, items))
-    assert [tuple(space) for space in stack.spaces.values()] == spaces
+    assert [items for _, items in stack_spaces(stack)] == spaces
     assert tuple(stack.immediate) == ("d", "a", "c", "b")
     assert tuple(stack.immediate) == ("d", "a", "c", "b")  # a fresh iterator each read
 
