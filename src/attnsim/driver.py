@@ -36,9 +36,14 @@ from .transcript_io import (
     TraceRecord,
     outcome_json,
     parse,
+    plain_ids,
     resolution_json,
     write_trace,
 )
+
+
+# Records per ``write_trace`` call when ``run`` writes a trace.
+TRACE_BLOCK = 64
 
 
 class ModelKind(Enum):
@@ -182,12 +187,15 @@ def run(
         transcript, model_kind, capacity, retrieval_cost, views=trace_path is not None
     )
     if trace_path is not None:
-        text = write_trace(report.records)
+        records = report.records
+        # Every id a view or candidate list holds is an item-table id.
+        plain = plain_ids(transcript.item_table)
         try:
             with open(trace_path, "w", encoding="utf-8") as file:
-                # In slices, so no second whole-trace buffer of bytes is built.
-                for start in range(0, len(text), 1 << 20):
-                    file.write(text[start : start + (1 << 20)])
+                # A block at a time, so the whole trace is never one string.
+                for start in range(0, len(records) or 1, TRACE_BLOCK):
+                    stop = start + TRACE_BLOCK
+                    file.write(write_trace(records, start=start, stop=stop, plain=plain))
         except OSError as error:
             raise OutputError(f"{trace_path}: {error.strerror or error}") from error
     return report

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from typing import AbstractSet, Container, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     AccessibilityView,
@@ -443,21 +443,29 @@ _quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
 _PLAIN = bytes(b for b in range(0x20, 0x7F) if b not in b'"\\')
 
 
-def _string_list(strings: Sequence[str], pad: str) -> tuple[str, ...]:
+def plain_ids(ids: Iterable[str]) -> bool:
+    """Whether every string in ``ids`` is made of ``_PLAIN`` characters
+    only, so that none needs escaping; raises TypeError if one is not a
+    str."""
+
+    joined = "".join(ids)
+    return joined.isascii() and not joined.encode().translate(None, _PLAIN)
+
+
+def _string_list(strings: Sequence[str], pad: str, plain: bool = False) -> tuple[str, ...]:
     """The pieces of a list of strings as ``indented_json`` writes it at
     ``pad``, to be joined by the caller; raises TypeError if an element is
     not a str.
 
-    When every string is made of ``_PLAIN`` characters only, none needs
-    escaping, and the body is one join of the strings, returned between
-    its opening and closing pieces so that it is not copied again. Any
-    other list is quoted id by id."""
+    When every string is plain (``plain_ids``; with ``plain`` the caller
+    has checked that already), none needs escaping, and the body is one
+    join of the strings, returned between its opening and closing pieces
+    so that it is not copied again. Any other list is quoted id by id."""
 
     if not strings:
         return ("[]",)
     inner = pad + "  "
-    joined = "".join(strings)
-    if joined.isascii() and not joined.encode().translate(None, _PLAIN):
+    if plain or plain_ids(strings):
         return "[\n" + inner + '"', ('",\n' + inner + '"').join(strings), '"\n' + pad + "]"
     return "[\n" + inner, (",\n" + inner).join(map(_quote, strings)), "\n" + pad + "]"
 
@@ -516,7 +524,13 @@ def _resorted(ids: list[str], old: AbstractSet[str], new: AbstractSet[str]) -> l
     return ids
 
 
-def write_trace(records: Sequence[TraceRecord]) -> str:
+def write_trace(
+    records: Sequence[TraceRecord],
+    *,
+    start: int = 0,
+    stop: int | None = None,
+    plain: bool = False,
+) -> str:
     """Serialize trace records deterministically: equal traces produce
     byte-identical output, the bytes ``json.dumps(..., indent=2)`` writes.
 
@@ -530,18 +544,38 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
     checks each record: utterance indexes and cumulative effort must not
     decrease, and every record must carry a view; the first record that
     breaks a rule raises ValueError. Ids and event targets must be str;
-    anything else raises TypeError."""
+    anything else raises TypeError.
+
+    ``start`` and ``stop`` select ``records[start:stop]`` and return only
+    their part of the text: the opening ``[`` only from record 0, the
+    closing ``]`` only up to the last record, and the first record checked
+    against, and its sorted sets taken from, ``records[start - 1]``. The
+    texts of consecutive ranges concatenate to the text of the whole list,
+    and the call whose range holds a faulty record raises as the whole-list
+    call would. With no records the text is ``[]`` whatever the range.
+    With ``plain`` the caller vouches that every id in a view or candidate
+    list is plain (``plain_ids``), so those lists are joined unchecked;
+    event targets, mention ids and outcome items are quoted one by one."""
 
     if not records:
         return "[]\n"
+    start, stop, _ = slice(start, stop).indices(len(records))
+    if start >= stop:
+        return ""
     out: list[str] = []
-    opening = '[\n  {\n    "utteranceIndex": '
-    retrievable = lost = frozenset()
-    retrievable_ids: list[str] = []
-    lost_ids: list[str] = []
-    retrievable_pieces = lost_pieces = ("[]",)
-    previous = records[0]
-    for record in records:
+    if start:
+        opening = ',\n  {\n    "utteranceIndex": '
+        previous = records[start - 1]
+        if previous.view is None:
+            raise ValueError(f"trace record {previous.utterance_index} has no view")
+        retrievable, lost = previous.view.retrievable, previous.view.lost
+    else:
+        opening = '[\n  {\n    "utteranceIndex": '
+        previous, retrievable, lost = records[0], frozenset(), frozenset()
+    retrievable_ids, lost_ids = sorted(retrievable), sorted(lost)
+    retrievable_pieces = _string_list(retrievable_ids, "      ", plain)
+    lost_pieces = _string_list(lost_ids, "      ", plain)
+    for record in records[start:stop]:
         if record.utterance_index < previous.utterance_index:
             raise ValueError("trace records must be ordered by utterance index")
         if record.cumulative_effort < previous.cumulative_effort:
@@ -553,11 +587,11 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
         if view.retrievable is not retrievable:
             retrievable_ids = _resorted(retrievable_ids, retrievable, view.retrievable)
             retrievable = view.retrievable
-            retrievable_pieces = _string_list(retrievable_ids, "      ")
+            retrievable_pieces = _string_list(retrievable_ids, "      ", plain)
         if view.lost is not lost:
             lost_ids = _resorted(lost_ids, lost, view.lost)
             lost = view.lost
-            lost_pieces = _string_list(lost_ids, "      ")
+            lost_pieces = _string_list(lost_ids, "      ", plain)
         out += (opening, str(record.utterance_index), ',\n    "eventsApplied": ')
         row = "[\n      {"
         for event in record.events_applied:
@@ -566,7 +600,7 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
             row = ",\n      {"
         out.append("\n    ]" if record.events_applied else "[]")
         out.append(',\n    "view": {\n      "immediate": ')
-        out += _string_list(view.immediate, "      ")
+        out += _string_list(view.immediate, "      ", plain)
         out += (',\n      "retrievable": ', *retrievable_pieces, ',\n      "lost": ', *lost_pieces)
         out.append('\n    },\n    "resolutions": ')
         row = "[\n      {"
@@ -581,14 +615,15 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
             if outcome.reason is not None:
                 out += (',\n          "reason": "', outcome.reason.value, '"')
             out.append('\n        },\n        "candidatesConsidered": ')
-            out += _string_list(resolution.candidates_considered, "        ")
+            out += _string_list(resolution.candidates_considered, "        ", plain)
             out += (',\n        "correct": ', "true" if resolution.correct else "false")
             out.append("\n      }")
             row = ",\n      {"
         out.append("\n    ]" if record.resolutions else "[]")
         out += (',\n    "cumulativeEffort": ', str(record.cumulative_effort), "\n  }")
         opening = ',\n  {\n    "utteranceIndex": '
-    out.append("\n]\n")
+    if stop == len(records):
+        out.append("\n]\n")
     return "".join(out)
 
 

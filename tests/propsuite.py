@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet
+from typing import AbstractSet, Container
 
 from attnsim import cache_model, stack_model
 from attnsim.cache_model import new_cache
@@ -75,6 +75,13 @@ RENAMING_MODELS = (
     (ModelKind.STACK, None),
     (ModelKind.CACHE, 7),
     (ModelKind.CACHE, 2),
+    (ModelKind.CACHE, None),
+)
+TRACE_ID_TRIALS = 150
+TRACE_ID_MODELS = (
+    (ModelKind.STACK, None),
+    (ModelKind.CACHE, 1),
+    (ModelKind.CACHE, 7),
     (ModelKind.CACHE, None),
 )
 # How often 0, 1, 2 or 3 segment events come before an utterance.
@@ -1182,6 +1189,34 @@ def run_renaming_suite(seed: int = SEED, trials: int = RENAMING_TRIALS) -> int:
     return traces
 
 
+def check_record_ids(record, table: Container[str], at: str) -> None:
+    """Raise if a trace record's view or a resolution's candidate list
+    holds an id that is not in the item table: ``run --trace`` checks only
+    the table's ids for escaping and writes these lists unchecked."""
+
+    lists = [record.view.immediate, record.view.retrievable, record.view.lost]
+    lists += [resolution.candidates_considered for resolution in record.resolutions]
+    stray = [item_id for ids in lists for item_id in ids if item_id not in table]
+    assert not stray, f"{at}: ids {stray} are not item-table ids"
+
+
+def run_trace_id_suite(seed: int = SEED, trials: int = TRACE_ID_TRIALS) -> int:
+    """Every id in a trace record's view and candidate lists is an
+    item-table id, under every model, checked after every record."""
+
+    rng = random.Random(seed + 14)
+    traces = 0
+    for trial in range(trials):
+        transcript = parse(random_transcript_text(rng))
+        for kind, capacity in TRACE_ID_MODELS:
+            where = f"{_where('run_trace_id_suite', seed, trial)} {kind.value} {capacity}"
+            for record in replay(transcript, kind, capacity, views=True).records:
+                at = f"{where} utterance {record.utterance_index}"
+                check_record_ids(record, transcript.item_table, at)
+        traces += 1
+    return traces
+
+
 ALL_SUITES = (
     run_invariant_suite,
     run_lru_oracle_suite,
@@ -1196,6 +1231,7 @@ ALL_SUITES = (
     run_stack_reference_suite,
     run_referent_index_suite,
     run_renaming_suite,
+    run_trace_id_suite,
 )
 
 

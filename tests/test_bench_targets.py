@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from attnsim import cli, stack_model
+from attnsim.driver import TRACE_BLOCK
 
-from conftest import fixture_path
+from conftest import fixture_path, load_bench_gen
 from test_golden import COMMANDS, FIXTURES, GOLDEN, TRACED
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -59,3 +61,27 @@ def test_reports_print_through_the_wrapped_json_dumps(
     out, _ = capsys.readouterr()
     assert len(calls) == 1
     assert out.encode("utf-8") == (GOLDEN / f"{fixture}.{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "model", [["stack"], ["cache", "--capacity", "inf"]], ids=["stack", "cache-inf"]
+)
+def test_trace_bytes_sum_over_write_trace_calls(model, tmp_path, capsys):
+    # The tracer's write_trace.bytes sums the UTF-8 length of what each
+    # call of attnsim.driver.write_trace returns; run writes a trace a
+    # block of records per call, so the sum must still be the file's size.
+    gen = load_bench_gen()
+    shape = gen.Shape(3 * TRACE_BLOCK + 10, case_gold_outside=0.25)
+    text, _ = gen.generate(random.Random(3), shape, "blocks")
+    source, trace = tmp_path / "in.dlg", tmp_path / "out.trace.json"
+    source.write_text(text, encoding="utf-8")
+    tracer = load_tracer().Tracer()
+    _, restore = tracer.install()
+    try:
+        assert cli.main(["run", "--model", *model, "--trace", str(trace), str(source)]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    calls = [span for span in tracer.spans if span[1] == "transcript_io.write_trace"]
+    assert len(calls) > 1
+    assert tracer.trace_bytes == trace.stat().st_size

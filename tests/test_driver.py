@@ -366,7 +366,7 @@ def test_identical_invocations_are_byte_identical(tmp_path):
 
 def test_cli_writes_a_trace_larger_than_its_slices(tmp_path, capsys):
     # At cache inf every entity stays immediate, so the trace grows with the
-    # square of the length: past 2 MiB, the file is written in three slices.
+    # square of the length: past 2 MiB, over seven blocks of records.
     lines = ["DIALOGUE big"]
     for utterance in range(400):
         lines.append(f"UTT u{utterance} speaker={'AB'[utterance % 2]}")

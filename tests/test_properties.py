@@ -73,6 +73,10 @@ def test_renaming_ids_changes_no_report_or_trace():
     assert propsuite.run_renaming_suite() == propsuite.RENAMING_TRIALS
 
 
+def test_trace_lists_hold_only_item_ids():
+    assert propsuite.run_trace_id_suite() == propsuite.TRACE_ID_TRIALS
+
+
 def test_generated_texts_cover_every_format_feature_but_case():
     """Counted from the raw lines and the parsed transcripts of the seeded
     trials, not from the generator's own bookkeeping."""

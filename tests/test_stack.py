@@ -182,3 +182,26 @@ def test_deep_nesting_matches_value_based_reference():
     transcript = parse(propsuite.deep_nesting_text(150))
     assert len(transcript.utterances) == 150
     propsuite.assert_stack_matches_reference(transcript, "deep nesting")
+
+
+def test_a_re_mention_empties_lost_without_a_store_event():
+    # A re-mention takes an item out of the popped set and logs nothing, so
+    # a record whose store events are empty can still hold a changed
+    # ``lost``: a view cannot skip comparing a store no event touched.
+    transcript = parse(
+        "DIALOGUE d\n"
+        "UTT u0 speaker=A\n"
+        "PUSH g1\n"
+        "UTT u1 speaker=B\n"
+        "ITEM e1 kind=entity gender=f num=sg\n"
+        "POP g1\n"
+        "UTT u2 speaker=A\n"
+        "UTT u3 speaker=B\n"
+        "ITEM e1\n"
+    )
+    records = replay(transcript, ModelKind.STACK, views=True).records
+    assert records[2].events_applied == (StoreEvent(StoreEventKind.POP_SPACE, "g1"),)
+    assert records[2].view.lost == {"e1"}
+    assert records[3].events_applied == ()
+    assert records[3].view.lost == frozenset()
+    assert records[3].view.immediate == ("e1",)

@@ -14,8 +14,10 @@ import random
 
 import pytest
 
+from attnsim import cli
 from attnsim.core import AccessibilityView, StoreEvent, StoreEventKind
 from attnsim.driver import (
+    TRACE_BLOCK,
     ModelKind,
     classify_corpus,
     compare_transcript,
@@ -31,6 +33,7 @@ from attnsim.transcript_io import (
     _string_list,
     indented_json,
     parse,
+    plain_ids,
     read_trace,
     resolution_json,
     write_trace,
@@ -118,6 +121,98 @@ def test_write_trace_matches_json_dumps(name, model):
     text = write_trace(records)
     assert text == reference_trace(records)
     assert read_trace(text) == records
+
+
+def _partitions(count: int, rng: random.Random):
+    """Ranges that cover ``range(count)`` in order: blocks of 1, 2, 7 and
+    64 records, and cuts at random places, some repeated or at either end,
+    so that a range may be empty."""
+
+    for size in (1, 2, 7, 64):
+        yield [(start, start + size) for start in range(0, count, size)]
+    cuts = sorted(rng.choices(range(count + 1), k=rng.randint(0, 8)))
+    bounds = [0, *cuts, count]
+    yield list(zip(bounds, bounds[1:]))
+
+
+def _assert_blocks_make_the_whole(records, label: str, plain: bool = False) -> None:
+    whole = write_trace(records)
+    for ranges in _partitions(len(records), random.Random(label)):
+        blocks = [write_trace(records, start=i, stop=j, plain=plain) for i, j in ranges]
+        assert "".join(blocks) == whole, (label, ranges)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=_label)
+@pytest.mark.parametrize("name", TRANSCRIPTS)
+def test_block_texts_concatenate_to_the_whole_trace(name, model):
+    kind, capacity = model
+    transcript = TRANSCRIPTS[name]
+    records = replay(transcript, kind, capacity, views=True).records
+    # ``plain`` as run sets it: only ESCAPED has item ids to escape.
+    plain = plain_ids(transcript.item_table)
+    assert plain == (name != "escaped")
+    _assert_blocks_make_the_whole(records, f"{name}-{_label(model)}", plain)
+
+
+def test_hand_built_block_texts_concatenate_to_the_whole_trace():
+    _assert_blocks_make_the_whole(_hand_built_records(), "hand-built")
+
+
+def _cli_trace(tmp_path, text: str, model) -> tuple[str, list[TraceRecord]]:
+    """The trace file ``run --trace`` writes for ``text``, and the records
+    a replay of it makes."""
+
+    kind, capacity = model
+    source, trace = tmp_path / "in.dlg", tmp_path / "out.trace.json"
+    source.write_text(text, encoding="utf-8")
+    argv = ["run", "--model", kind.value, "--trace", str(trace), str(source)]
+    if kind is ModelKind.CACHE:
+        argv[3:3] = ["--capacity", str(capacity or "inf")]
+    assert cli.main(argv) == 0
+    records = replay(parse(text), kind, capacity, views=True).records
+    return trace.read_text(encoding="utf-8"), list(records)
+
+
+# A transcript whose one id that needs escaping is a surface form, which
+# is an item, or a segment id, which only event targets hold.
+ONE_ESCAPED = {
+    "surface": (
+        "DIALOGUE d\nUTT u1 speaker=A\nITEM q kind=prop pred=lift gender=n num=sg\n"
+        'ITEM s"1 kind=surface realizes=q\nUTT u2 speaker=B\nELLIPSIS e gold=q\n'
+    ),
+    "segment": (
+        'DIALOGUE d\nPUSH g"1\nUTT u1 speaker=A\nITEM a kind=entity gender=f num=sg\n'
+        'POP g"1\nUTT u2 speaker=B\nPRON p gender=f num=sg gold=a\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("model", MODELS, ids=_label)
+@pytest.mark.parametrize("text", [ESCAPED, *ONE_ESCAPED.values()], ids=["escaped", *ONE_ESCAPED])
+def test_run_writes_ids_that_need_escaping_as_json_dumps_writes_them(tmp_path, text, model):
+    trace, records = _cli_trace(tmp_path, text, model)
+    assert trace == reference_trace(records)
+    # The cache logs no segment event, so it writes no segment id.
+    if text != ONE_ESCAPED["segment"] or model[0] is ModelKind.STACK:
+        assert '\\"' in trace
+
+
+@pytest.mark.parametrize("model", MODELS, ids=_label)
+@pytest.mark.parametrize(
+    "utterances", [0, 1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 2 * TRACE_BLOCK]
+)
+def test_run_writes_traces_of_any_length_whole(tmp_path, utterances, model):
+    lines = ["DIALOGUE d"]
+    for index in range(utterances):
+        lines.append(f"UTT u{index} speaker={'AB'[index % 2]}")
+        lines.append(f"ITEM e{index} kind=entity gender=n num=sg")
+        if index:
+            lines.append(f"PRON p{index} gender=n num=sg gold=e{index - 1}")
+    trace, records = _cli_trace(tmp_path, "\n".join(lines) + "\n", model)
+    assert len(records) == utterances
+    assert trace == reference_trace(records)
+    if not utterances:
+        assert trace == "[]\n"
 
 
 def test_escaped_ids_are_written_as_json_dumps_writes_them():
@@ -306,12 +401,25 @@ def _faulty_records(fault: str, at: int) -> list[TraceRecord]:
     ids=["order", "effort", "view"],
 )
 def test_write_trace_rejects_a_faulty_record_anywhere(fault, message, at):
-    with pytest.raises(ValueError, match=f"^{message.format(index=at * 10)}$"):
-        write_trace(_faulty_records(fault, at))
+    records = _faulty_records(fault, at)
+    match = f"^{message.format(index=at * 10)}$"
+    with pytest.raises(ValueError, match=match):
+        write_trace(records)
+    # In blocks, the calls before the one holding the record that breaks
+    # the rule succeed, and that one raises the same message. A first
+    # record ahead of the second is caught at the second.
+    culprit = 1 if at == 0 and fault != "view" else at
+    for size in (1, 2, 3):
+        held = culprit - culprit % size
+        for start in range(0, held, size):
+            write_trace(records, start=start, stop=start + size)
+        with pytest.raises(ValueError, match=match):
+            write_trace(records, start=held, stop=held + size)
 
 
 def test_empty_record_list():
     assert write_trace([]) == reference_trace([]) == "[]\n"
+    assert write_trace([], start=0, stop=TRACE_BLOCK) == "[]\n"
     assert read_trace(write_trace([])) == []
 
 
