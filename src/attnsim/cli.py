@@ -28,16 +28,17 @@ from .driver import (
     run,
     simulation_report_json,
 )
-from .transcript_io import ParseError, indented_json
+from .transcript_io import ParseError
 
 
 class _Report(json.JSONEncoder):
-    """Writes a report with ``indented_json``. Reports still pass through
-    this module's ``json.dumps``, because ``bench/tracer.py`` times stdout
-    encoding by wrapping that name (its ``cli.json_dumps`` layer)."""
+    """Returns the text of a report, which its writer in ``driver`` has
+    laid out already, as it is. Reports still pass through this module's
+    ``json.dumps``, because ``bench/tracer.py`` times stdout encoding by
+    wrapping that name (its ``cli.json_dumps`` layer)."""
 
-    def encode(self, o) -> str:
-        return indented_json(o)
+    def encode(self, o: str) -> str:
+        return o
 
 
 def _positive(value: str, message: str) -> int:
@@ -101,11 +102,11 @@ def _command(argv: list[str] | None) -> int:
     try:
         if args.command == "run":
             report = run(ModelKind(args.model), args.file, args.capacity, args.cost, args.trace)
-            payload = simulation_report_json(report)
+            text = simulation_report_json(report)
         elif args.command == "compare":
-            payload = divergence_report_json(compare(args.file))
+            text = divergence_report_json(compare(args.file))
         else:
-            payload = pops_report_json(pops(args.file))
+            text = pops_report_json(pops(args.file))
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return 2
@@ -121,7 +122,7 @@ def _command(argv: list[str] | None) -> int:
     try:
         if sys.stdout is None:  # descriptor 1 was closed when Python started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        print(json.dumps(payload, cls=_Report))
+        print(json.dumps(text, cls=_Report))
         sys.stdout.flush()
     except OSError as error:
         if sys.stdout is not None:

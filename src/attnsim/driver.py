@@ -34,10 +34,11 @@ from .resolution import (
 )
 from .transcript_io import (
     TraceRecord,
-    outcome_json,
+    _quote,
+    _string_list,
+    outcome_writer,
     parse,
     plain_ids,
-    resolution_json,
     write_trace,
 )
 
@@ -344,86 +345,94 @@ def pops(transcript_path: str) -> PopsReport:
 
 
 # ---------------------------------------------------------------------------
-# JSON-facing report shapes (stable key order for deterministic output)
+# Reports, each as ``json.dumps(..., indent=2)`` writes its JSON value. The
+# layout of each is fixed, so it is written as pieces of one list joined
+# once, in a stable key order; id lists are ``_string_list`` pieces.
+
+_write_outcome = outcome_writer(" " * 6)  # a resolution's or a row's
 
 
-def _capacity_json(capacity: int | None) -> int | str:
-    return "inf" if capacity is None else capacity
+def _functions_json(functions: tuple[tuple[str, IRUFunction], ...], pad: str) -> str:
+    """A restatement's functions, item id to function, as an object that
+    opens at ``pad``."""
+
+    if not functions:
+        return "{}"
+    inner = "\n" + pad + "  "
+    body = ("," + inner).join(f'{_quote(item)}: "{function.value}"' for item, function in functions)
+    return "{" + inner + body + "\n" + pad + "}"
 
 
-def _functions_json(finding: IRUFinding) -> dict[str, str]:
-    return {item: function.value for item, function in finding.functions}
-
-
-def simulation_report_json(report: SimulationReport) -> dict:
-    data: dict = {
-        "dialogueId": report.dialogue_id,
-        "model": report.model_kind.value,
-    }
+def simulation_report_json(report: SimulationReport) -> str:
+    out = ['{\n  "dialogueId": ', _quote(report.dialogue_id)]
+    out += (',\n  "model": "', report.model_kind.value, '"')
     if report.model_kind is ModelKind.CACHE:
-        data["capacity"] = _capacity_json(report.capacity)
-        data["retrievalCost"] = report.retrieval_cost
-    data["totalEffort"] = report.total_effort
-    data["resolutions"] = [
-        {"utteranceId": utt_id, **resolution_json(resolution)}
-        for utt_id, resolution in report.resolutions
-    ]
-    data["iruFindings"] = [
-        {
-            "utteranceId": finding.utterance_id,
-            "functions": _functions_json(finding),
-            "noPredictedFunction": finding.no_predicted_function,
-        }
-        for finding in report.iru_findings
-    ]
-    return data
+        capacity = '"inf"' if report.capacity is None else str(report.capacity)
+        out += (',\n  "capacity": ', capacity)
+        out += (',\n  "retrievalCost": ', str(report.retrieval_cost))
+    out += (',\n  "totalEffort": ', str(report.total_effort), ',\n  "resolutions": ')
+    opening = '[\n    {\n      "utteranceId": '
+    for utt_id, (mention_id, outcome, candidates, correct) in report.resolutions:
+        out += (opening, _quote(utt_id), ',\n      "mentionId": ', _quote(mention_id))
+        out.append(',\n      "outcome": ')
+        _write_outcome(out, outcome)
+        out.append(',\n      "candidatesConsidered": ')
+        out += _string_list(candidates, "      ")
+        out += (',\n      "correct": ', "true" if correct else "false", "\n    }")
+        opening = ',\n    {\n      "utteranceId": '
+    out.append("\n  ]" if report.resolutions else "[]")
+    out.append(',\n  "iruFindings": ')
+    opening = '[\n    {\n      "utteranceId": '
+    for utt_id, functions, none_predicted in report.iru_findings:
+        functions_text = _functions_json(functions, "      ")
+        out += (opening, _quote(utt_id), ',\n      "functions": ', functions_text)
+        out += (',\n      "noPredictedFunction": ', "true" if none_predicted else "false")
+        out.append("\n    }")
+        opening = ',\n    {\n      "utteranceId": '
+    out.append("\n  ]\n}" if report.iru_findings else "[]\n}")
+    return "".join(out)
 
 
-def divergence_report_json(report: DivergenceReport) -> dict:
-    return {
-        "dialogueId": report.dialogue_id,
-        "perMention": [
-            {
-                "mentionId": row.mention_id,
-                "stack": outcome_json(row.stack_outcome),
-                "cache": outcome_json(row.cache_outcome),
-                "diverges": row.diverges,
-            }
-            for row in report.per_mention
-        ],
-        "iruFindings": [
-            {
-                "utteranceId": utt_id,
-                "stack": {
-                    "functions": _functions_json(stack_f),
-                    "noPredictedFunction": stack_f.no_predicted_function,
-                },
-                "cache": {"functions": _functions_json(cache_f)},
-            }
-            for utt_id, stack_f, cache_f in report.iru_findings
-        ],
-        # The stack model never retrieves, so its effort is always zero.
-        "totalEffort": {"stack": 0, "cache": report.cache_effort},
-    }
+def divergence_report_json(report: DivergenceReport) -> str:
+    out = ['{\n  "dialogueId": ', _quote(report.dialogue_id), ',\n  "perMention": ']
+    opening = '[\n    {\n      "mentionId": '
+    for row in report.per_mention:
+        out += (opening, _quote(row.mention_id), ',\n      "stack": ')
+        _write_outcome(out, row.stack_outcome)
+        out.append(',\n      "cache": ')
+        _write_outcome(out, row.cache_outcome)
+        out += (',\n      "diverges": ', "true" if row.diverges else "false", "\n    }")
+        opening = ',\n    {\n      "mentionId": '
+    out.append("\n  ]" if report.per_mention else "[]")
+    out.append(',\n  "iruFindings": ')
+    opening = '[\n    {\n      "utteranceId": '
+    for utt_id, stack, cache in report.iru_findings:
+        out += (opening, _quote(utt_id), ',\n      "stack": {\n        "functions": ')
+        out += (_functions_json(stack.functions, "        "), ',\n        "noPredictedFunction": ')
+        out += ("true" if stack.no_predicted_function else "false", '\n      },\n      "cache": {')
+        out += ('\n        "functions": ', _functions_json(cache.functions, "        "))
+        out.append("\n      }\n    }")
+        opening = ',\n    {\n      "utteranceId": '
+    out.append("\n  ]" if report.iru_findings else "[]")
+    # The stack model never retrieves, so its effort is always zero.
+    out += (',\n  "totalEffort": {\n    "stack": 0,\n    "cache": ', str(report.cache_effort))
+    out.append("\n  }\n}")
+    return "".join(out)
 
 
-def pops_report_json(report: PopsReport) -> dict:
-    return {
-        "dialogueId": report.dialogue_id,
-        "histogram": {
-            classification.value: count
-            for classification, count in report.histogram.items()
-        },
-        "stageCounts": report.stage_counts,
-        "pronounVerbSufficient": report.pronoun_verb_sufficient,
-        "iruBearing": report.iru_bearing,
-        "cases": [
-            {
-                "caseId": result.case.case_id,
-                "mentionId": result.case.mention.id,
-                "classification": result.classification.value,
-                "candidates": [item.id for item in result.case.candidates_at_return],
-            }
-            for result in report.results
-        ],
-    }
+def pops_report_json(report: PopsReport) -> str:
+    histogram = [f'"{kind.value}": {count}' for kind, count in report.histogram.items()]
+    stages = [f'"{stage}": {count}' for stage, count in report.stage_counts.items()]
+    out = ['{\n  "dialogueId": ', _quote(report.dialogue_id), ',\n  "histogram": {\n    ']
+    out += (",\n    ".join(histogram), '\n  },\n  "stageCounts": {\n    ', ",\n    ".join(stages))
+    out += ('\n  },\n  "pronounVerbSufficient": ', str(report.pronoun_verb_sufficient))
+    out += (',\n  "iruBearing": ', str(report.iru_bearing), ',\n  "cases": ')
+    opening = '[\n    {\n      "caseId": '
+    for case, classification, _ in report.results:
+        out += (opening, _quote(case.case_id), ',\n      "mentionId": ', _quote(case.mention.id))
+        out += (',\n      "classification": "', classification.value, '",\n      "candidates": ')
+        out += _string_list([item.id for item in case.candidates_at_return], "      ")
+        out.append("\n    }")
+        opening = ',\n    {\n      "caseId": '
+    out.append("\n  ]\n}" if report.results else "[]\n}")
+    return "".join(out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from typing import AbstractSet, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     AccessibilityView,
@@ -36,8 +36,10 @@ from .resolution import FailureReason, Outcome, OutcomeKind, Resolution
 _GENDERS = {"m": Gender.MASC, "f": Gender.FEM, "n": Gender.NEUT}
 _NUMBERS = {"sg": Number.SG, "pl": Number.PL}
 _KINDS = {kind.value: kind for kind in ItemKind}
-# Members parse reads often: on Python 3.11 a read through an enum class is slow.
+# Members parse and the outcome writers read often: on Python 3.11 a read
+# through an enum class is slow.
 _ENTITY, _PROPOSITION, _SURFACE = ItemKind.ENTITY, ItemKind.PROPOSITION, ItemKind.SURFACE_FORM
+_IMMEDIATE, _AFTER_RETRIEVAL = OutcomeKind.IMMEDIATE, OutcomeKind.AFTER_RETRIEVAL
 _FORMS = {"PRON": MentionForm.PRONOUN, "ELLIPSIS": MentionForm.VP_ELLIPSIS}
 
 
@@ -418,26 +420,6 @@ class TraceRecord(NamedTuple):
     cumulative_effort: int
 
 
-def outcome_json(outcome: Outcome) -> dict:
-    data: dict = {"kind": outcome.kind.value}
-    if outcome.item is not None:
-        data["item"] = outcome.item
-    if outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
-        data["effort"] = outcome.effort
-    if outcome.reason is not None:
-        data["reason"] = outcome.reason.value
-    return data
-
-
-def resolution_json(resolution: Resolution) -> dict:
-    return {
-        "mentionId": resolution.mention_id,
-        "outcome": outcome_json(resolution.outcome),
-        "candidatesConsidered": resolution.candidates_considered,
-        "correct": resolution.correct,
-    }
-
-
 _quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
 # The bytes _quote copies as they are: printable ASCII but '"' and '\\'.
 _PLAIN = bytes(b for b in range(0x20, 0x7F) if b not in b'"\\')
@@ -453,9 +435,9 @@ def plain_ids(ids: Iterable[str]) -> bool:
 
 
 def _string_list(strings: Sequence[str], pad: str, plain: bool = False) -> tuple[str, ...]:
-    """The pieces of a list of strings as ``indented_json`` writes it at
-    ``pad``, to be joined by the caller; raises TypeError if an element is
-    not a str.
+    """The pieces of a list of strings as ``json.dumps(..., indent=2)``
+    writes it when it opens at ``pad``, to be joined by the caller; raises
+    TypeError if an element is not a str.
 
     When every string is plain (``plain_ids``; with ``plain`` the caller
     has checked that already), none needs escaping, and the body is one
@@ -470,46 +452,32 @@ def _string_list(strings: Sequence[str], pad: str, plain: bool = False) -> tuple
     return "[\n" + inner, (",\n" + inner).join(map(_quote, strings)), "\n" + pad + "]"
 
 
-def indented_json(value, pad: str = "") -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it when it opens
-    at indentation ``pad``, for the types a command's report holds: dict
-    with str keys, list or tuple, str, int, bool and None. Traces have
-    their own writer, ``write_trace``.
+def outcome_writer(pad: str) -> Callable[[list[str], Outcome], None]:
+    """A function that appends to a list of pieces an outcome as
+    ``json.dumps(..., indent=2)`` writes it when it opens at ``pad``: its
+    kind, then its item, its effort after retrieval, or its failure
+    reason. Each layout's constant pieces are built here, once per indent."""
 
-    With an indent, CPython's ``json.dumps`` falls back from its C encoder
-    to the pure-Python one, which yields one token at a time. This lays
-    out the same text with one join per container and escapes strings with
-    the same C function."""
+    key = ",\n" + pad + '  "'
+    head = "{\n" + pad + '  "kind": "'
+    immediate = f'{head}{_IMMEDIATE.value}"{key}item": '
+    retrieved = f'{head}{_AFTER_RETRIEVAL.value}"{key}item": '
+    failure = f'{head}{OutcomeKind.FAILURE.value}"{key}reason": "'
+    effort, close = key + 'effort": ', "\n" + pad + "}"
 
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if not isinstance(value, (dict, list, tuple)):
-        raise TypeError(f"cannot write a {type(value).__name__} as JSON")
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = pad + "  "
-    separator = ",\n" + inner
-    if isinstance(value, dict):
-        pieces = []
-        for key, item in value.items():
-            kind = type(item)  # a str, int, bool or None member is written in place
-            if kind is str or kind is int:
-                text = _quote(item) if kind is str else int.__repr__(item)
-            elif item is None or kind is bool:
-                text = "null" if item is None else "true" if item else "false"
-            else:
-                text = indented_json(item, inner)
-            pieces.append(f"{_quote(key)}: {text}")
-        return f"{{\n{inner}{separator.join(pieces)}\n{pad}}}"
-    try:
-        return "".join(_string_list(value, pad))  # lists of ids are the common case
-    except TypeError:  # not a list of strings
-        body = separator.join([indented_json(item, inner) for item in value])
-    return f"[\n{inner}{body}\n{pad}]"
+    def write(out: list[str], outcome: Outcome) -> None:
+        kind = outcome.kind
+        if kind is _IMMEDIATE:
+            out += (immediate, _quote(outcome.item), close)
+        elif kind is _AFTER_RETRIEVAL:
+            out += (retrieved, _quote(outcome.item), effort, str(outcome.effort), close)
+        else:
+            out += (failure, outcome.reason.value, '"', close)
+
+    return write
+
+
+_write_outcome = outcome_writer(" " * 8)  # a resolution's, in a trace record
 
 
 def _resorted(ids: list[str], old: AbstractSet[str], new: AbstractSet[str]) -> list[str]:
@@ -535,16 +503,16 @@ def write_trace(
     byte-identical output, the bytes ``json.dumps(..., indent=2)`` writes.
 
     The record layout is fixed, so every part of it, store events,
-    resolutions with their outcomes as ``outcome_json`` lays them out, and
-    the view, is written here as pieces of one list joined once. Id lists
-    are ``_string_list`` pieces. A ``retrievable`` or ``lost`` set that is
-    the previous record's object (``core.snapshot`` shares unchanged
-    stores) reuses that record's pieces; any other takes its sorted ids
-    from the previous record's, patched by ``_resorted``. The same pass
-    checks each record: utterance indexes and cumulative effort must not
-    decrease, and every record must carry a view; the first record that
-    breaks a rule raises ValueError. Ids and event targets must be str;
-    anything else raises TypeError.
+    resolutions with their outcomes (``outcome_writer``), and the view, is
+    written here as pieces of one list joined once. Id lists are
+    ``_string_list`` pieces. A ``retrievable`` or ``lost`` set that is the
+    previous record's object (``core.snapshot`` shares unchanged stores)
+    reuses that record's pieces; any other takes its sorted ids from the
+    previous record's, patched by ``_resorted``. The same pass checks each
+    record: utterance indexes and cumulative effort must not decrease, and
+    every record must carry a view; the first record that breaks a rule
+    raises ValueError. Ids and event targets must be str; anything else
+    raises TypeError.
 
     ``start`` and ``stop`` select ``records[start:stop]`` and return only
     their part of the text: the opening ``[`` only from record 0, the
@@ -605,16 +573,10 @@ def write_trace(
         out.append('\n    },\n    "resolutions": ')
         row = "[\n      {"
         for resolution in record.resolutions:
-            outcome = resolution.outcome
             out += (row, '\n        "mentionId": ', _quote(resolution.mention_id))
-            out += (',\n        "outcome": {\n          "kind": "', outcome.kind.value, '"')
-            if outcome.item is not None:
-                out += (',\n          "item": ', _quote(outcome.item))
-            if outcome.kind is OutcomeKind.AFTER_RETRIEVAL:
-                out += (',\n          "effort": ', str(outcome.effort))
-            if outcome.reason is not None:
-                out += (',\n          "reason": "', outcome.reason.value, '"')
-            out.append('\n        },\n        "candidatesConsidered": ')
+            out.append(',\n        "outcome": ')
+            _write_outcome(out, resolution.outcome)
+            out.append(',\n        "candidatesConsidered": ')
             out += _string_list(resolution.candidates_considered, "        ", plain)
             out += (',\n        "correct": ', "true" if resolution.correct else "false")
             out.append("\n      }")

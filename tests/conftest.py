@@ -15,7 +15,7 @@ from attnsim.transcript_io import parse
 # The property suites live in a helper module; rewrite its asserts too, so
 # a failure shows the compared values. This must run before any test
 # module imports it.
-pytest.register_assert_rewrite("propsuite")
+pytest.register_assert_rewrite("propsuite", "report_oracle")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

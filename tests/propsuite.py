@@ -1145,13 +1145,13 @@ def _reports(transcript: Transcript) -> dict[str, object]:
     ``RENAMING_MODELS``, report about ``transcript``, as JSON values."""
 
     out: dict[str, object] = {
-        "compare": divergence_report_json(compare_transcript(transcript)),
-        "pops": pops_report_json(classify_corpus(transcript)),
+        "compare": json.loads(divergence_report_json(compare_transcript(transcript))),
+        "pops": json.loads(pops_report_json(classify_corpus(transcript))),
     }
     for model, capacity in RENAMING_MODELS:
         label = f"{model.value} at capacity {capacity}"
         report = replay(transcript, model, capacity, views=True)
-        out[f"run, {label}"] = simulation_report_json(report)
+        out[f"run, {label}"] = json.loads(simulation_report_json(report))
         out[f"trace, {label}"] = json.loads(write_trace(report.records))
     return out
 

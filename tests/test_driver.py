@@ -672,12 +672,12 @@ def test_cli_compare_and_pops_payloads(capsys):
 
 
 def test_report_json_shapes(dialogue_b, return_pops):
-    sim = simulation_report_json(replay(dialogue_b, ModelKind.CACHE))
+    sim = json.loads(simulation_report_json(replay(dialogue_b, ModelKind.CACHE)))
     assert list(sim)[:2] == ["dialogueId", "model"]
     assert sim["capacity"] == 7
-    div = divergence_report_json(compare_transcript(dialogue_b))
+    div = json.loads(divergence_report_json(compare_transcript(dialogue_b)))
     assert {row["mentionId"] for row in div["perMention"]} == {"her", "ell_8a"}
-    pops_payload = pops_report_json(classify_corpus(return_pops))
+    pops_payload = json.loads(pops_report_json(classify_corpus(return_pops)))
     assert pops_payload["pronounVerbSufficient"] == 17
 
 

@@ -22,7 +22,7 @@ from attnsim.driver import (
     replay,
     simulation_report_json,
 )
-from attnsim.transcript_io import indented_json, parse, write_trace
+from attnsim.transcript_io import parse, write_trace
 
 from conftest import fixture_path, load_bench_gen
 from propsuite import random_transcript_text
@@ -108,26 +108,22 @@ def _command_data(text: str) -> int:
     the number of inputs that defect 4b stopped in ``classify_corpus``."""
 
     transcript = parse(text)
-    payloads = []
     for kind, capacity in MODELS:
         report = replay(transcript, kind, capacity, views=True)
         write_trace(report.records)
-        payloads.append(simulation_report_json(report))
-    payloads.append(divergence_report_json(compare_transcript(transcript)))
-    stopped = 0
+        simulation_report_json(report)
+    divergence_report_json(compare_transcript(transcript))
     try:
-        payloads.append(pops_report_json(classify_corpus(transcript)))
+        pops_report_json(classify_corpus(transcript))
     except ValueError as error:  # defect 4b
         assert "gold antecedent not among candidates" in str(error)
-        stopped = 1
-    for payload in payloads:
-        indented_json(payload)
-    return stopped
+        return 1
+    return 0
 
 
 def test_command_data_holds_no_reference_cycles():
     """Parsed transcripts, replays with views, traces and the report
-    encoders leave no cyclic garbage, so reference counting alone frees
+    writers leave no cyclic garbage, so reference counting alone frees
     what a paused command drops. This calls the driver functions, not
     ``cli.main``: argparse's parser holds cycles of its own, a few hundred
     objects per command."""
