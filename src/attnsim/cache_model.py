@@ -55,10 +55,12 @@ _DISPLACE, _STORE, _DISCARD = StoreEventKind.DISPLACE, StoreEventKind.STORE, Sto
 class CacheState:
     def __init__(
         self,
-        capacity: int | None,
         item_table: Mapping[str, DiscourseItem],
+        capacity: int | None = DEFAULT_CAPACITY,
         retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
     ) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError("capacity must be positive or None")
         self.capacity = capacity  # None means unbounded
         self.retrieval_cost = retrieval_cost  # effort per item moved from main memory
         self.item_table = item_table
@@ -82,14 +84,7 @@ class CacheState:
     lost = property(lambda self: self.discarded)
 
 
-def new_cache(
-    item_table: Mapping[str, DiscourseItem],
-    capacity: int | None = DEFAULT_CAPACITY,
-    retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
-) -> CacheState:
-    if capacity is not None and capacity < 1:
-        raise ValueError("capacity must be positive or None")
-    return CacheState(capacity, item_table, retrieval_cost)
+new_cache = CacheState
 
 
 def evict(state: CacheState, count: int) -> list[StoreEvent]:

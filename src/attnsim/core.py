@@ -124,10 +124,6 @@ class Utterance(NamedTuple):
     mentions: tuple[Mention, ...] = ()
     iru_antecedents: tuple[str, ...] = ()
 
-    @property
-    def is_iru(self) -> bool:
-        return bool(self.iru_antecedents)
-
 
 class SegmentEvent(NamedTuple):
     """A segment boundary preceding the utterance at ``position``."""

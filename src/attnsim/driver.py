@@ -234,13 +234,8 @@ def compare_transcript(
     )
 
 
-def compare(
-    transcript_path: str,
-    capacity: int | None = DEFAULT_CAPACITY,
-    retrieval_cost: int = DEFAULT_RETRIEVAL_COST,
-) -> DivergenceReport:
-    transcript = load_transcript(transcript_path)
-    return compare_transcript(transcript, capacity, retrieval_cost)
+def compare(transcript_path: str) -> DivergenceReport:
+    return compare_transcript(load_transcript(transcript_path))
 
 
 class CaseResult(NamedTuple):
@@ -297,11 +292,12 @@ class PopsReport(NamedTuple):
 def build_cases(transcript: Transcript) -> list[ReturnPopCase]:
     """Assemble return-pop cases from CASE annotations.
 
-    A case's candidate set is every entity introduced between the push of
-    the resumed segment and the return to it, in introduction order: the
-    hierarchically recent material plus everything linearly intervening.
-    A case whose gold antecedent is not among them raises ``ValueError``
-    (defect 4b).
+    A case's candidate set is every entity introduced from the earlier of
+    the resumed segment's push and its gold antecedent's introduction up
+    to the return, in introduction order: the hierarchically recent
+    material plus everything linearly intervening, and everything said
+    since the antecedent. ``parse`` admits only a case whose gold is an
+    entity introduced before its return, so the gold is always among them.
     """
 
     mentions = {mention.id: mention for mention in transcript.mentions()}
@@ -311,14 +307,12 @@ def build_cases(transcript: Transcript) -> list[ReturnPopCase]:
     introduced = [item.introduced_at for item in entities]
     cases = []
     for record in transcript.cases:
-        start = bisect_left(introduced, transcript.push_positions[record.segment_id])
+        mention = mentions[record.mention_id]
+        gold = transcript.item_table[mention.gold_antecedent]
+        first = min(transcript.push_positions[record.segment_id], gold.introduced_at)
+        start = bisect_left(introduced, first)
         stop = bisect_left(introduced, record.return_position)
         candidates = tuple(entities[start:stop])
-        mention = mentions[record.mention_id]
-        if mention.gold_antecedent not in {item.id for item in candidates}:
-            raise ValueError(
-                f"case {record.case_id!r}: gold antecedent not among candidates"
-            )
         cases.append(
             ReturnPopCase(
                 case_id=record.case_id,

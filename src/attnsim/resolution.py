@@ -115,7 +115,8 @@ def resolve(
     retrievable store is found at a cost; several survivors there have no
     salience order to separate them, so the mention is ambiguous. The
     stack's retrievable store is empty, so under the stack only the first
-    tier can answer. Failures are data, not faults. A verb-phrase ellipsis
+    tier can answer. Failures are data, not faults, and never correct:
+    every mention names its gold antecedent. A verb-phrase ellipsis
     fails outright when the first surface form in table order that realizes
     its antecedent is lost, whatever became of later carriers. Survivors and
     carriers come from ``transcript``, the mention's own. Without
@@ -128,7 +129,7 @@ def resolve(
         carrier = _surface_carrier(gold, transcript.carriers)
         if carrier is not None and carrier.id in accessibility.lost:
             outcome = Outcome.failure(FailureReason.SURFACE_FORM_LOST)
-            return Resolution(mention_id, outcome, (), gold is None)
+            return Resolution(mention_id, outcome, (), False)
 
     survivors = transcript.survivors(mention)
     found = filter(survivors.__contains__, accessibility.immediate)
@@ -148,7 +149,7 @@ def resolve(
         outcome = Outcome.after_retrieval(winners[0], retrieval_cost)
         return Resolution(mention_id, outcome, considered, winners[0] == gold)
     reason = FailureReason.AMBIGUOUS if winners else FailureReason.NO_CANDIDATE
-    return Resolution(mention_id, Outcome.failure(reason), considered, gold is None)
+    return Resolution(mention_id, Outcome.failure(reason), considered, False)
 
 
 def cascade_survivors(case: ReturnPopCase) -> CascadeTrace:

@@ -171,7 +171,8 @@ def parse(text: str) -> Transcript:
     names the first line with a local error (one visible from that line and
     the lines above it), or, if no line has one, the first line that
     references an item or mention declared nowhere in the file, or a CASE
-    whose mention is an ellipsis.
+    whose mention is an ellipsis; if none does, the first CASE whose
+    mention's gold antecedent is not an entity introduced before its RETURN.
 
     Each distinct pair of record type and field text is read once per call,
     into its fields in class order, and each item, mention, utterance, PUSH
@@ -187,12 +188,12 @@ def parse(text: str) -> Transcript:
     # propositions naming it once the whole file has been read.
     items: dict[str, DiscourseItem] = {}
     derived_tags: dict[str, set[str]] = {}  # argument id -> its pred: tags
-    mention_forms: dict[str, MentionForm] = {}
+    mention_table: dict[str, Mention] = {}
     events: list[SegmentEvent] = []
     open_segments: list[str] = []
     used_segments: set[str] = set()
     last_return: SegmentEvent | None = None
-    cases: dict[str, CaseRecord] = {}
+    cases: dict[str, tuple[int, str, CaseRecord]] = {}  # case id -> its line and record
     read = {record: {} for record in _FIELDS}  # record type -> field text -> its fields
     # Every reference: (line, text, key, ref, known ids), checked in order
     # once every line has been read.
@@ -268,12 +269,10 @@ def parse(text: str) -> Transcript:
                 deferred.append((line_no, raw, "realizes", item.realizes, items))
 
         elif record == "PRON" or record == "ELLIPSIS":
-            if record_id in mention_forms:
+            if record_id in mention_table:
                 raise ParseError(line_no, f"duplicate mention id {record_id!r}", raw)
             fields = fields or _split_fields(record, fields_text, line_no, raw, read)
-            form = _FORMS[record]
-            mention = new(Mention, (record_id, form, *fields))
-            mention_forms[record_id] = form
+            mention_table[record_id] = mention = new(Mention, (record_id, _FORMS[record], *fields))
             utt_mentions.append(mention)
             deferred.append((line_no, raw, "gold", mention.gold_antecedent, items))
 
@@ -307,19 +306,26 @@ def parse(text: str) -> Transcript:
                 raise ParseError(line_no, "CASE before any RETURN", raw)
             mention_id, *flags = fields or _split_fields(record, fields_text, line_no, raw, read)
             _, segment, position, _ = last_return
-            cases[record_id] = new(CaseRecord, (record_id, mention_id, segment, position, *flags))
-            deferred.append((line_no, raw, "mention", mention_id, mention_forms))
+            case = new(CaseRecord, (record_id, mention_id, segment, position, *flags))
+            cases[record_id] = line_no, raw, case
+            deferred.append((line_no, raw, "mention", mention_id, mention_table))
 
     if dialogue_id is None:
         raise ParseError(1, "empty transcript: missing DIALOGUE record", "")
 
     for line_no, raw, key, ref, known in deferred:
         if ref not in known:
-            noun = "mention" if known is mention_forms else "item"
+            noun = "mention" if known is mention_table else "item"
             raise ParseError(line_no, f"{key} references undeclared {noun} {ref!r}", raw)
-        if known is mention_forms and mention_forms[ref] is MentionForm.VP_ELLIPSIS:
+        if known is mention_table and mention_table[ref].form is MentionForm.VP_ELLIPSIS:
             # A return-pop case classifies a pronoun among entity candidates.
             raise ParseError(line_no, f"mention {ref!r} is an ellipsis, not a pronoun", raw)
+    # A pronoun at a return can resume only an entity said before it.
+    for line_no, raw, case in cases.values():
+        gold = items[mention_table[case.mention_id].gold_antecedent]
+        if gold.kind is not _ENTITY or gold.introduced_at >= case.return_position:
+            message = f"gold antecedent {gold.id!r} is not an entity introduced before the RETURN"
+            raise ParseError(line_no, message, raw)
 
     for item_id, tags in derived_tags.items():
         item = items[item_id]
@@ -337,7 +343,7 @@ def parse(text: str) -> Transcript:
         ),
         events=tuple(events),
         item_table=items,
-        cases=tuple(cases.values()),
+        cases=tuple(case for _, _, case in cases.values()),
     )
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet, Container
@@ -752,7 +754,7 @@ def _fresh_view_fold(
                 discarded_cues += _cue_names_discarded(state, transcript, event)
             cache_model.apply_events(state, [event], transcript)
             _check(check_cache_invariants, state, at)
-        if utt.is_iru:
+        if utt.iru_antecedents:
             functions = analyze_iru(utt, cache_model.view(state), transcript)
             findings.append((utt.id, tuple(functions)))
             cache_model.apply_iru(state, restated_items(utt, transcript))
@@ -970,6 +972,96 @@ def deep_nesting_text(utterances: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def old_survivor_text(utterances: int) -> str:
+    """A transcript ``utterances`` long in which each utterance says a new
+    entity and holds a pronoun with ``sel=rare``, a tag only the first
+    entity has. A scan of the immediate tier from its most salient item
+    meets every later entity before the survivor, wherever a model still
+    holds them all.
+    """
+
+    lines = ["DIALOGUE old"]
+    for index in range(utterances):
+        lines += [
+            f"UTT u{index} speaker={'AB'[index % 2]}",
+            f"ITEM e{index} kind=entity gender=m num=sg" + (" sel=rare" if index == 0 else ""),
+            f"PRON m{index} gender=m num=sg sel=rare gold=e0",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def growing_resumed_text(utterances: int) -> str:
+    """A transcript ``utterances`` long (rounded down to even) whose one
+    resumed segment keeps growing. ``s0`` is pushed with
+    ``expect-return``; each pair of utterances then pushes a segment, says
+    an item in it, returns to ``s0`` and says a new item there, so the
+    cache's cue at each return draws on every item ``s0`` has said.
+    """
+
+    lines = ["DIALOGUE grow", "PUSH s0 expect-return"]
+    for pair in range(utterances // 2):
+        inner, outer = 2 * pair, 2 * pair + 1
+        lines += [f"PUSH g{pair}", f"UTT u{inner} speaker=A", f"ITEM e{inner} kind=entity"]
+        lines += ["RETURN s0", f"UTT u{outer} speaker=B", f"ITEM e{outer} kind=entity"]
+    return "\n".join(lines) + "\n"
+
+
+@contextmanager
+def counting_work():
+    """Count, from outside the models, the items a replay reads, into the
+    ``Counter`` it yields: ``immediate``, the items drawn from either
+    model's immediate tier; ``segment_items``, the ids
+    ``cache_model.segment_items`` returns to the cache's return cue; and
+    ``popped``, the entries the stack's pops move, read from the growth of
+    its popped set. The models gain no counter: the context wraps their
+    class properties and module functions, as ``bench/tracer.py`` does,
+    and puts them back on exit. A count is exact and the same on every
+    run, where a time is not."""
+
+    counts: Counter = Counter()
+    patched = []
+
+    def patch(owner, name, wrapper) -> None:
+        original = getattr(owner, name)
+        patched.append((owner, name, original))
+        setattr(owner, name, wrapper(original))
+
+    def drawn(tier: property) -> property:
+        def immediate(state):
+            for item_id in tier.fget(state):
+                counts["immediate"] += 1
+                yield item_id
+
+        return property(immediate)
+
+    def returned(segment_items):
+        def counted(*args, **kwargs):
+            ids = segment_items(*args, **kwargs)
+            counts["segment_items"] += len(ids)
+            return ids
+
+        return counted
+
+    def popping(apply_event):
+        def counted(stack, event):
+            before = len(stack.popped)
+            events = apply_event(stack, event)
+            counts["popped"] += len(stack.popped) - before
+            return events
+
+        return counted
+
+    patch(cache_model.CacheState, "immediate", drawn)
+    patch(stack_model.FocusStack, "immediate", drawn)
+    patch(cache_model, "segment_items", returned)
+    patch(stack_model, "apply_event", popping)
+    try:
+        yield counts
+    finally:
+        for owner, name, original in reversed(patched):
+            setattr(owner, name, original)
+
+
 # Resolution as it ran before the per-signature referent index: the kind
 # step and ``staged_filter`` over each store, for every mention. It is the
 # reference for ``resolve``'s survivor sets.
@@ -1021,7 +1113,7 @@ def _reference_resolutions(transcript: Transcript, capacity, retrieves: bool) ->
     resolutions: list = []
     for utt in transcript.utterances:
         model.apply_events(state, transcript.events_at(utt.index), transcript)
-        if utt.is_iru:
+        if utt.iru_antecedents:
             model.apply_iru(state, restated_items(utt, transcript))
         for mention in utt.mentions:
             resolution = _reference_resolve(

@@ -53,7 +53,7 @@ def state_with(entries, item_table, capacity=7, pinned=None):
     """A state caching ``(item id, last use)`` entries, each admitted at its
     last use, with the given map from pinned item to pinning segment."""
 
-    state = CacheState(capacity, item_table)
+    state = CacheState(item_table, capacity)
     state.by_recency = dict(sorted(entries, key=lambda e: e[1]))
     state.step = max((use for _, use in entries), default=0)
     state.pinned = pinned or {}

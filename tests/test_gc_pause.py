@@ -105,7 +105,8 @@ def _texts() -> list[str]:
 
 def _command_data(text: str) -> int:
     """Build and drop everything a command builds from ``text``; return
-    the number of inputs that defect 4b stopped in ``classify_corpus``."""
+    the number of its return-pop cases whose gold antecedent was said
+    before the resumed segment's push."""
 
     transcript = parse(text)
     for kind, capacity in MODELS:
@@ -113,12 +114,13 @@ def _command_data(text: str) -> int:
         write_trace(report.records)
         simulation_report_json(report)
     divergence_report_json(compare_transcript(transcript))
-    try:
-        pops_report_json(classify_corpus(transcript))
-    except ValueError as error:  # defect 4b
-        assert "gold antecedent not among candidates" in str(error)
-        return 1
-    return 0
+    report = classify_corpus(transcript)
+    pops_report_json(report)
+    table, pushes = transcript.item_table, transcript.push_positions
+    return sum(
+        table[result.case.mention.gold_antecedent].introduced_at < pushes[record.segment_id]
+        for record, result in zip(transcript.cases, report.results)
+    )
 
 
 def test_command_data_holds_no_reference_cycles():
@@ -132,9 +134,9 @@ def test_command_data_holds_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        stopped = sum(map(_command_data, texts))
+        widened = sum(map(_command_data, texts))
         garbage = gc.collect()
     finally:
         gc.enable()
     assert garbage == 0
-    assert stopped  # the inputs reach defect 4b's exception too
+    assert widened  # the inputs reach a case window that opens before its push too

@@ -396,7 +396,7 @@ def test_mentions_parsed(dialogue_a):
 def test_iru_annotations(dialogue_c):
     assert dialogue_c.utterance_by_id("22b").iru_antecedents == ("6",)
     assert dialogue_c.utterance_by_id("22c").iru_antecedents == ("4", "5")
-    assert not dialogue_c.utterance_by_id("21").is_iru
+    assert not dialogue_c.utterance_by_id("21").iru_antecedents
 
 
 def test_case_records(return_pops):

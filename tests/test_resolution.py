@@ -29,7 +29,7 @@ from attnsim.resolution import (
     classify_return_pop,
     resolve,
 )
-from attnsim.transcript_io import parse
+from attnsim.transcript_io import ParseError, parse
 from propsuite import stack_spaces
 
 
@@ -333,12 +333,24 @@ PRON p2 gender=f num=sg gold=old
 
 
 def test_case_requires_gold_among_candidates():
-    transcript = parse(GOLD_BEFORE_PUSH)
-    (case,) = build_cases(transcript._replace(cases=transcript.cases[:1]))
-    assert [item.id for item in case.candidates_at_return] == ["new", "aside"]
-    with pytest.raises(ValueError) as error:
-        build_cases(transcript)
-    assert str(error.value) == "case 'c2': gold antecedent not among candidates"
+    # c2's gold, "old", was said before S1 was pushed: its window opens there.
+    c1, c2 = build_cases(parse(GOLD_BEFORE_PUSH))
+    assert [item.id for item in c1.candidates_at_return] == ["new", "aside"]
+    assert [item.id for item in c2.candidates_at_return] == ["old", "new", "aside"]
+    # A gold said at or after the RETURN, or not an entity, is no case:
+    # parse names c2's CASE line.
+    late = GOLD_BEFORE_PUSH.replace("gold=old", "gold=late\nITEM late kind=entity gender=f num=sg")
+    prop = GOLD_BEFORE_PUSH.replace("gold=old", "gold=q").replace(
+        "ITEM aside", "ITEM q kind=prop pred=lift args=new\nITEM aside"
+    )
+    for text, gold, line in ((late, "late", 12), (prop, "q", 13)):
+        with pytest.raises(ParseError) as error:
+            parse(text)
+        assert error.value.line_number == line
+        assert error.value.offending_text == "CASE c2 mention=p2"
+        assert error.value.message == (
+            f"gold antecedent {gold!r} is not an entity introduced before the RETURN"
+        )
 
 
 def test_view_stores_must_be_disjoint():
