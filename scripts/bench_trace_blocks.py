@@ -70,19 +70,20 @@ FIRST_SEED = {
 }
 
 
-def variant(change: Path, work: Path, name: str, edits: list[tuple[str, str]]) -> Path:
-    """A copy of the change tree with ``edits`` made to its driver."""
+def variant(change: Path, work: Path, name: str, edits: list[tuple[str, str]],
+            source: Path = DRIVER) -> Path:
+    """A copy of the change tree with ``edits`` made to one source file."""
 
     tree = work / name
     if tree.exists():
         shutil.rmtree(tree)
     shutil.copytree(change, tree, ignore=shutil.ignore_patterns("__pycache__", ".bench_work"))
-    text = (tree / DRIVER).read_text(encoding="utf-8")
+    text = (tree / source).read_text(encoding="utf-8")
     for old, new in edits:
         if text.count(old) != 1:
-            raise SystemExit(f"{name}: {old!r} is not in the driver exactly once")
+            raise SystemExit(f"{name}: {old!r} is not in {source} exactly once")
         text = text.replace(old, new)
-    (tree / DRIVER).write_text(text, encoding="utf-8")
+    (tree / source).write_text(text, encoding="utf-8")
     return tree
 
 

@@ -8,12 +8,13 @@ written, 1 internal error.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .driver import (
     DEFAULT_CAPACITY,
@@ -30,6 +31,9 @@ from .driver import (
 )
 from .transcript_io import ParseError
 
+if TYPE_CHECKING:
+    import argparse
+
 
 class _Report(json.JSONEncoder):
     """Returns the text of a report, which its writer in ``driver`` has
@@ -41,27 +45,28 @@ class _Report(json.JSONEncoder):
         return o
 
 
-def _positive(value: str, message: str) -> int:
-    try:
-        count = int(value)
-    except ValueError:  # argparse would name this function instead
-        raise argparse.ArgumentTypeError(message) from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(message)
-    return count
-
-
-def _capacity(value: str) -> int | None:
-    if value == "inf":
-        return None
-    return _positive(value, "capacity must be positive or 'inf'")
-
-
-def _cost(value: str) -> int:
-    return _positive(value, "retrieval cost must be at least 1")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here: a canonical call (``read_canonical``) never loads
+    # argparse, nor the gettext and locale modules it imports.
+    import argparse
+
+    def positive(value: str, message: str) -> int:
+        try:
+            count = int(value)
+        except ValueError:  # argparse would name this function instead
+            raise argparse.ArgumentTypeError(message) from None
+        if count < 1:
+            raise argparse.ArgumentTypeError(message)
+        return count
+
+    def capacity(value: str) -> int | None:
+        if value == "inf":
+            return None
+        return positive(value, "capacity must be positive or 'inf'")
+
+    def cost(value: str) -> int:
+        return positive(value, "retrieval cost must be at least 1")
+
     parser = argparse.ArgumentParser(
         prog="attnsim",
         description="Replay annotated dialogues through attentional-state models",
@@ -70,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one model over a transcript")
     run_p.add_argument("--model", choices=["stack", "cache"], required=True)
-    run_p.add_argument("--capacity", type=_capacity, default=DEFAULT_CAPACITY)
-    run_p.add_argument("--cost", type=_cost, default=DEFAULT_RETRIEVAL_COST)
+    run_p.add_argument("--capacity", type=capacity, default=DEFAULT_CAPACITY)
+    run_p.add_argument("--cost", type=cost, default=DEFAULT_RETRIEVAL_COST)
     run_p.add_argument("--trace", metavar="PATH", default=None)
     run_p.add_argument("file")
 
@@ -82,6 +87,52 @@ def build_parser() -> argparse.ArgumentParser:
     pops_p.add_argument("file")
 
     return parser
+
+
+# ``run``'s options, by full name, and the keys they set.
+_RUN_OPTIONS = {"--model": "model", "--capacity": "capacity", "--cost": "cost", "--trace": "trace"}
+
+
+def read_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments ``build_parser().parse_args(argv)`` reads, with the
+    same attributes and values, when ``argv`` is canonical: a command,
+    then, in any order, full option names each followed by a value that
+    does not start with ``-``, and exactly one file. Anything else, and
+    any value this is not sure of, gives None, so that argparse reads it
+    and writes its own help or usage error."""
+
+    if not argv or argv[0] not in ("run", "compare", "pops"):
+        return None
+    args: dict = {"command": argv[0]}
+    if argv[0] == "run":
+        args.update(model=None, capacity=DEFAULT_CAPACITY, cost=DEFAULT_RETRIEVAL_COST, trace=None)
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if "file" in args:
+                return None
+            args["file"] = word
+            continue
+        key = _RUN_OPTIONS.get(word)
+        value = next(words, "-")
+        if key not in args or value.startswith("-"):
+            return None
+        if key == "model":
+            if value not in ("stack", "cache"):
+                return None
+        elif key == "capacity" and value == "inf":
+            value = None
+        elif key != "trace":
+            # At most nine plain ASCII digits, naming at least 1: int() also
+            # reads signs, spaces, underscores and other scripts' digits,
+            # and a count below 1 is argparse's usage error.
+            if not (value.isascii() and value.isdigit() and len(value) < 10 and int(value)):
+                return None
+            value = int(value)
+        args[key] = value
+    if "file" not in args or argv[0] == "run" and args["model"] is None:
+        return None
+    return SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,7 +149,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _command(argv: list[str] | None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_canonical(argv) or build_parser().parse_args(argv)
     try:
         if args.command == "run":
             report = run(ModelKind(args.model), args.file, args.capacity, args.cost, args.trace)
@@ -137,7 +190,13 @@ def _command(argv: list[str] | None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    code = main()
+    # The collection at interpreter exit would walk every object left, the
+    # modules too, and free nothing, as command data holds no cycles.
+    # Frozen objects are outside every generation it walks. Exit still
+    # flushes stdout and stderr.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -127,8 +127,8 @@ def test_command_data_holds_no_reference_cycles():
     """Parsed transcripts, replays with views, traces and the report
     writers leave no cyclic garbage, so reference counting alone frees
     what a paused command drops. This calls the driver functions, not
-    ``cli.main``: argparse's parser holds cycles of its own, a few hundred
-    objects per command."""
+    ``cli.main``: argparse's parser, built for an argv that is not
+    canonical, holds cycles of its own, a few hundred objects."""
 
     texts = _texts()
     gc.collect()

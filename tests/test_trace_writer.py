@@ -407,6 +407,15 @@ def test_write_trace_rejects_a_faulty_record_anywhere(fault, message, at):
             write_trace(records, start=held, stop=held + size)
 
 
+@pytest.mark.parametrize("at", [0, 2, 3])
+def test_a_block_after_a_record_without_a_view_raises(at):
+    # The block reads its first record's sets from the record before it,
+    # so a caller that never wrote the faulty record's block still meets it.
+    records = _faulty_records("view", at)
+    with pytest.raises(ValueError, match=f"^trace record {at * 10} has no view$"):
+        write_trace(records, start=at + 1)
+
+
 def test_empty_record_list():
     assert write_trace([]) == reference_trace([]) == "[]\n"
     assert write_trace([], start=0, stop=TRACE_BLOCK) == "[]\n"
